@@ -1,0 +1,292 @@
+"""Incremental CDCL SAT solver over DIMACS-style integer clauses.
+
+Variables are ``1..num_vars``; literal ``-v`` is the negation of ``v``.
+The solver knows nothing of feature names: ``cdlsem.sat`` encodes models
+as clauses and reads answers back from ``Solver.model``.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+
+class Solver:
+    """Incremental CDCL search over one CNF (Een & Sorensson, SAT 2003).
+
+    Propagation watches two literals per clause; a conflict yields a
+    first-UIP clause and a non-chronological backjump; decisions follow
+    variable activity (ties to the lower index) with saved phases, so
+    every answer is deterministic.  Assumptions are the first decisions,
+    never premises of a learnt clause, so learnt clauses and level-0
+    facts stay valid across calls with other assumptions.
+
+    Literal-indexed lists have ``2 * num_vars + 1`` slots: literal ``l``
+    sits at index ``l``, and a negative index wraps to the far end.  Most
+    clauses of a Tseitin encoding are binary, so a binary clause (x, y)
+    is stored only as the int y in x's watch list and x in y's, and the
+    reason of a literal it implies is the true literal ``-x``.
+    """
+
+    def __init__(self, num_vars: int, clauses=()):
+        n = self.num_vars = num_vars
+        self.value = [0] * (2 * n + 1)  # by literal: 1 true, -1 false, 0 unset
+        # watches[l]: clauses to visit when l turns false (int: binary partner)
+        self.watches: list[list] = [[] for _ in range(2 * n + 1)]
+        self.level = [0] * (n + 1)
+        self.reason: list = [None] * (n + 1)  # clause, true literal, or None
+        self.seen = [False] * (n + 1)
+        self.activity = [0] * (n + 1)
+        self.var_inc = 1 << 16
+        # heap key (-activity << shift) + var pops the most active, then
+        # the lowest variable; all activities start at 0, so keys are vars
+        self.shift = n.bit_length()
+        self.heap = list(range(1, n + 1))
+        self.in_heap = [True] * (n + 1)  # has a key with current activity
+        self.phase = [False] * (n + 1)  # polarity of the next decision
+        self.trail: list[int] = []
+        self.trail_lim: list[int] = []  # trail length at each decision
+        self.qhead = 0
+        self.ok = True  # false once the clauses alone are unsatisfiable
+        self.model: list[int] = []  # ``value`` as of the last sat answer
+        for cl in clauses:
+            self.add_clause(cl)
+
+    def add_clause(self, lits) -> None:
+        """Add a clause for good; it must follow from, or define, the CNF."""
+        if not self.ok:
+            return
+        value, num_vars = self.value, self.num_vars
+        members = dict.fromkeys(lits)
+        for l in members:
+            if not 1 <= abs(l) <= num_vars:
+                raise ValueError(f"literal {l} out of range")
+            if value[l] == 1 or -l in members:
+                return  # satisfied at level 0, or a tautology
+        clause = list(members)
+        if any(value[l] for l in clause):
+            clause = [l for l in clause if not value[l]]  # false at level 0
+        if not clause:
+            self.ok = False
+        elif len(clause) == 1:
+            self._assign(clause[0], None)
+            self.ok = self._propagate() is None
+        else:
+            self._attach(clause)
+
+    def solve(self, assumptions=()) -> bool:
+        """Satisfiable with every assumed literal true?  Sets ``model``."""
+        num_vars = self.num_vars
+        for a in assumptions:
+            if not 1 <= abs(a) <= num_vars:
+                raise ValueError(f"assumption {a} out of range")
+        value, trail, trail_lim = self.value, self.trail, self.trail_lim
+        while self.ok:
+            confl = self._propagate()
+            if confl is not None:
+                if not trail_lim:
+                    self.ok = False
+                    break
+                learnt, back = self._analyze(confl)
+                self._cancel_until(back)
+                if len(learnt) == 1:
+                    self._assign(learnt[0], None)
+                else:
+                    self._attach(learnt)
+                    binary = len(learnt) == 2
+                    self._assign(learnt[0], -learnt[1] if binary else learnt)
+                self.var_inc += self.var_inc >> 4
+                continue
+            depth = len(trail_lim)
+            if depth < len(assumptions):
+                lit = assumptions[depth]
+                if value[lit] == -1:
+                    break
+                if value[lit] == 1:
+                    trail_lim.append(len(trail))  # already true: empty level
+                    continue
+            else:
+                lit = self._pick_branch()
+                if lit == 0:
+                    self.model = value[:]
+                    self._cancel_until(0)
+                    return True
+            trail_lim.append(len(trail))
+            self._assign(lit, None)
+        self._cancel_until(0)
+        return False
+
+    def _attach(self, clause: list[int]) -> None:
+        if len(clause) == 2:
+            a, b = clause
+            self.watches[a].append(b)
+            self.watches[b].append(a)
+        else:
+            self.watches[clause[0]].append(clause)
+            self.watches[clause[1]].append(clause)
+
+    def _assign(self, lit: int, reason) -> None:
+        v = abs(lit)
+        self.value[lit] = 1
+        self.value[-lit] = -1
+        self.level[v] = len(self.trail_lim)
+        self.reason[v] = reason
+        self.trail.append(lit)
+
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation from ``qhead``; returns a conflicting clause."""
+        value, watches, trail = self.value, self.watches, self.trail
+        level, reason = self.level, self.reason
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = -p
+            ws = watches[false_lit]
+            if not ws:
+                continue
+            keep: list = []
+            watches[false_lit] = keep
+            for i, c in enumerate(ws):
+                keep.append(c)
+                if c.__class__ is int:  # binary clause (false_lit, c)
+                    if value[c] == 0:
+                        value[c] = 1
+                        value[-c] = -1
+                        v = abs(c)
+                        level[v] = depth
+                        reason[v] = p
+                        trail.append(c)
+                    elif value[c] == -1:
+                        keep.extend(ws[i + 1:])
+                        self.qhead = len(trail)
+                        return [c, false_lit]
+                    continue
+                # keep the false watch at c[1]; c[0] is the other watch
+                first = c[0]
+                if first == false_lit:
+                    first = c[1]
+                    c[0] = first
+                    c[1] = false_lit
+                if value[first] == 1:
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if value[lit] != -1:
+                        c[1] = lit
+                        c[k] = false_lit
+                        watches[lit].append(c)
+                        keep.pop()
+                        break
+                else:
+                    if value[first] == -1:
+                        keep.extend(ws[i + 1:])
+                        self.qhead = len(trail)
+                        return c
+                    value[first] = 1
+                    value[-first] = -1
+                    v = abs(first)
+                    level[v] = depth
+                    reason[v] = c
+                    trail.append(first)
+        self.qhead = qhead
+        return None
+
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        """The first-UIP clause, asserting literal first, and its backjump."""
+        seen, level, reason = self.seen, self.level, self.reason
+        trail = self.trail
+        depth = len(self.trail_lim)
+        learnt = [0]
+        pending = 0  # seen literals of the conflict level not yet resolved
+        p = 0
+        i = len(trail) - 1
+        clause = confl
+        while True:
+            for q in clause:
+                v = abs(q)
+                if q != p and not seen[v] and level[v] > 0:
+                    seen[v] = True
+                    self._bump(v)
+                    if level[v] == depth:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            while not seen[abs(trail[i])]:
+                i -= 1
+            p = trail[i]
+            i -= 1
+            seen[abs(p)] = False
+            pending -= 1
+            if pending == 0:
+                break
+            clause = reason[abs(p)]
+            if clause.__class__ is int:
+                clause = (-clause,)  # binary reason: p and the false -clause
+        learnt[0] = -p
+        for q in learnt[1:]:
+            seen[abs(q)] = False
+        if len(learnt) == 1:
+            return learnt, 0
+        # watch the deepest remaining literal: it is the last to be unset
+        j = max(range(1, len(learnt)), key=lambda k: level[abs(learnt[k])])
+        learnt[1], learnt[j] = learnt[j], learnt[1]
+        return learnt, level[abs(learnt[1])]
+
+    def _bump(self, v: int) -> None:
+        activity = self.activity
+        activity[v] += self.var_inc
+        if self.var_inc > 1 << 80:
+            for u in range(1, len(activity)):
+                activity[u] >>= 64
+            self.var_inc >>= 64
+            self._rebuild_heap()
+        elif self.in_heap[v]:
+            heapq.heappush(self.heap, (-activity[v] << self.shift) + v)
+            if len(self.heap) > 4 * len(activity):
+                self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Drop stale keys: one key per variable still in the heap."""
+        activity, in_heap, shift = self.activity, self.in_heap, self.shift
+        self.heap = [
+            (-activity[v] << shift) + v
+            for v in range(1, len(activity))
+            if in_heap[v]
+        ]
+        heapq.heapify(self.heap)
+
+    def _pick_branch(self) -> int:
+        """Decision literal of the most active unset variable, or 0."""
+        heap, activity, in_heap = self.heap, self.activity, self.in_heap
+        value, phase, shift = self.value, self.phase, self.shift
+        mask = (1 << shift) - 1
+        while heap:
+            key = heapq.heappop(heap)
+            v = key & mask
+            if key != (-activity[v] << shift) + v:
+                continue  # stale: a newer key carries the bumped activity
+            in_heap[v] = False
+            if value[v] == 0:
+                return v if phase[v] else -v
+        return 0
+
+    def _cancel_until(self, depth: int) -> None:
+        """Undo every assignment above decision level ``depth``."""
+        if len(self.trail_lim) <= depth:
+            return
+        value, reason, phase = self.value, self.reason, self.phase
+        activity, in_heap, heap = self.activity, self.in_heap, self.heap
+        shift = self.shift
+        mark = self.trail_lim[depth]
+        for lit in self.trail[mark:]:
+            v = abs(lit)
+            value[lit] = value[-lit] = 0
+            reason[v] = None
+            phase[v] = lit > 0
+            if not in_heap[v]:
+                in_heap[v] = True
+                heapq.heappush(heap, (-activity[v] << shift) + v)
+        del self.trail[mark:]
+        del self.trail_lim[depth:]
+        self.qhead = mark

@@ -3,14 +3,19 @@
 The clause form keeps every feature variable meaningful: auxiliary
 definitions are biconditional, so satisfying assignments projected onto
 feature variables coincide exactly with the models of the source
-formula.  The solver is a plain DPLL with unit propagation and
-chronological backtracking; assumptions act as temporary unit clauses.
+formula.  The solver is an iterative CDCL search with an explicit trail:
+two watched literals, first-UIP learning with backjumping, an activity
+order for decisions, and assumptions as the first decision levels.  The
+analyses build one solver per model and query it under assumptions,
+keeping its learnt clauses; witnesses found on the way rule out the
+candidates they refute, so those cost no query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cdcl import Solver
 from .errors import AnalysisError
 from .model import Model
 from .prop import (
@@ -273,83 +278,15 @@ def to_cnf(f: PropFormula) -> Cnf:
 
 
 def solve(cnf: Cnf, assumptions=()) -> SatResult:
-    """Complete DPLL search; assumptions are temporary unit constraints."""
-    clauses = cnf.clauses
-    assign: dict[int, bool] = {}
-    trail: list[int] = []
-
-    def value(lit: int):
-        v = assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def assign_lit(lit: int) -> None:
-        assign[abs(lit)] = lit > 0
-        trail.append(lit)
-
-    def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            del assign[abs(trail.pop())]
-
-    for a in assumptions:
-        if not (1 <= abs(a) <= cnf.num_vars):
-            raise ValueError(f"assumption {a} out of range")
-        v = value(a)
-        if v is False:
-            return SatResult("unsat", None)
-        if v is None:
-            assign_lit(a)
-
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for cl in clauses:
-                satisfied = False
-                unassigned = None
-                count = 0
-                for l in cl:
-                    v = value(l)
-                    if v is True:
-                        satisfied = True
-                        break
-                    if v is None:
-                        unassigned = l
-                        count += 1
-                        if count > 1:
-                            break
-                if satisfied or count > 1:
-                    continue
-                if count == 0:
-                    return False
-                assign_lit(unassigned)
-                changed = True
-        return True
-
-    def all_satisfied() -> bool:
-        return all(any(value(l) is True for l in cl) for cl in clauses)
-
-    def search() -> bool:
-        if not propagate():
-            return False
-        if all_satisfied():
-            return True
-        var = next(v for v in range(1, cnf.num_vars + 1) if v not in assign)
-        for lit in (var, -var):
-            mark = len(trail)
-            assign_lit(lit)
-            if search():
-                return True
-            undo_to(mark)
-        return False
-
-    if not search():
+    """Complete search; assumptions are temporary unit constraints."""
+    solver = Solver(cnf.num_vars, cnf.clauses)
+    if not solver.solve(assumptions):
         return SatResult("unsat", None)
-    table = cnf.var_table()
+    model = solver.model
     witness = PropConfig(
-        (name, int(assign.get(table[name], False)))
-        for name in cnf.feature_names()
+        (name, int(model[v] == 1))
+        for v, name in enumerate(cnf.variables, 1)
+        if not name.startswith(AUX_PREFIX)
     )
     return SatResult("sat", witness)
 
@@ -425,44 +362,92 @@ def model_sat(m: Model) -> SatResult:
     return solve(model_cnf(m))
 
 
-def _analysis_cnf(m: Model) -> Cnf:
+def _analysis_solver(m: Model) -> tuple[Solver, dict[str, int]]:
+    """One incremental solver for every query of an analysis."""
     cnf = model_cnf(m)
-    if not solve(cnf).sat:
+    solver = Solver(cnf.num_vars, cnf.clauses)
+    if not solver.solve():
         raise AnalysisError("void-model", "the model has no valid configuration")
-    return cnf
+    return solver, cnf.var_table()
+
+
+def _backbone(m: Model) -> tuple[frozenset[str], frozenset[str]]:
+    """Dead and core features: the features' part of the backbone.
+
+    Every witness refutes each candidate it gives the other value, so a
+    query is spent only on candidates no witness has refuted yet, and the
+    solver's phases push each new witness to refute as many as it can
+    (Janota, Lynce & Marques-Silva, AI Comm. 2015).
+    """
+    solver, table = _analysis_solver(m)
+    model, phase = solver.model, solver.phase
+    cands = {}  # feature -> its literal in every witness so far
+    for f in sorted(m.ids()):
+        v = table[f]
+        cands[f] = v if model[v] == 1 else -v
+    dead, core = set(), set()
+    while cands:
+        f, lit = next(iter(cands.items()))
+        del cands[f]
+        for other in cands.values():
+            phase[abs(other)] = other < 0
+        if solver.solve((-lit,)):
+            model = solver.model
+            cands = {g: l for g, l in cands.items() if model[l] == 1}
+        else:
+            (core if lit > 0 else dead).add(f)
+            solver.add_clause((lit,))
+    return frozenset(dead), frozenset(core)
 
 
 def dead_features(m: Model) -> frozenset[str]:
     """Features that are false in every satisfying valuation."""
-    cnf = _analysis_cnf(m)
-    table = cnf.var_table()
-    return frozenset(
-        f for f in sorted(m.ids()) if not solve(cnf, (table[f],)).sat
-    )
+    return _backbone(m)[0]
 
 
 def core_features(m: Model) -> frozenset[str]:
     """Features that are true in every satisfying valuation."""
-    cnf = _analysis_cnf(m)
-    table = cnf.var_table()
-    return frozenset(
-        f for f in sorted(m.ids()) if not solve(cnf, (-table[f],)).sat
-    )
+    return _backbone(m)[1]
 
 
 def implication_graph(
     m: Model, reduce_transitive: bool = False
 ) -> frozenset[tuple[str, str]]:
-    """Edges (a, b) where enabling a forces b, over non-dead features."""
-    cnf = _analysis_cnf(m)
-    table = cnf.var_table()
-    alive = [
-        f for f in sorted(m.ids()) if solve(cnf, (table[f],)).sat
-    ]
+    """Edges (a, b) where enabling a forces b, over non-dead features.
+
+    A witness with a = 1 and b = 0 refutes (a, b), so only pairs that no
+    witness found so far refutes cost a query, and every sat answer joins
+    the witnesses.
+    """
+    solver, table = _analysis_solver(m)
+    features = sorted(m.ids())
+    ones = dict.fromkeys(features, 0)  # bit i set: true in witness i
+    count = 0
+
+    def keep_witness() -> None:
+        nonlocal count
+        model, bit = solver.model, 1 << count
+        count += 1
+        for f in features:
+            if model[table[f]] == 1:
+                ones[f] |= bit
+
+    keep_witness()
+    alive = []
+    for f in features:
+        if not ones[f]:
+            if not solver.solve((table[f],)):
+                continue
+            keep_witness()
+        alive.append(f)
     edges = set()
     for a in alive:
         for b in alive:
-            if a != b and not solve(cnf, (table[a], -table[b])).sat:
+            if a == b or ones[a] & ~ones[b]:
+                continue
+            if solver.solve((table[a], -table[b])):
+                keep_witness()
+            else:
                 edges.add((a, b))
     if reduce_transitive:
         edges = _transitive_reduction(edges)
@@ -471,24 +456,27 @@ def implication_graph(
 
 def _transitive_reduction(edges: set[tuple[str, str]]) -> set[tuple[str, str]]:
     """Drop edges already implied by a path; deterministic greedy sweep."""
-    kept = set(edges)
+    succ: dict[str, set[str]] = {}
+    for a, b in edges:
+        succ.setdefault(a, set()).add(b)
 
-    def reachable(src: str, dst: str, skip: tuple[str, str]) -> bool:
+    def reachable(src: str, dst: str) -> bool:
+        """Path from src to dst that avoids the edge (src, dst) itself."""
         stack, seen = [src], {src}
         while stack:
             cur = stack.pop()
-            for (a, b) in kept:
-                if a == cur and (a, b) != skip and b not in seen:
+            for b in succ.get(cur, ()):
+                if b not in seen and (cur, b) != (src, dst):
                     if b == dst:
                         return True
                     seen.add(b)
                     stack.append(b)
         return False
 
-    for edge in sorted(edges):
-        if edge in kept and reachable(edge[0], edge[1], edge):
-            kept.discard(edge)
-    return kept
+    for a, b in sorted(edges):
+        if reachable(a, b):
+            succ[a].discard(b)
+    return {(a, b) for a, targets in succ.items() for b in targets}
 
 
 def export_dot(edges) -> str:

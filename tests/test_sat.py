@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cdlsem import AnalysisError
+from cdlsem.cdcl import Solver
 from cdlsem.prop import (
     BBin,
     BCard,
@@ -154,9 +155,26 @@ def test_unit_contradiction_unsat():
 
 
 def test_pigeonhole_unsat():
-    assert solve(pigeonhole_cnf(3, 2)).status == "unsat"
-    assert solve(pigeonhole_cnf(4, 3)).status == "unsat"
-    assert solve(pigeonhole_cnf(3, 3)).sat
+    for n in range(1, 6):
+        assert solve(pigeonhole_cnf(n + 1, n)).status == "unsat", n
+        assert solve(pigeonhole_cnf(n, n)).sat, n
+
+
+def test_long_chain_needs_no_recursion():
+    # x[i+1] -> x[i]: deciding x[i] = 1 forces nothing, so a search that
+    # recursed once per decision would go 1200 frames deep
+    n = 1200
+    cnf = Cnf(
+        n,
+        tuple((i, -(i + 1)) for i in range(1, n)),
+        tuple(f"v{i}" for i in range(1, n + 1)),
+    )
+    got = solve(cnf)
+    assert got.sat
+    bits = [got.witness[f"v{i}"] for i in range(1, n + 1)]
+    assert all(a >= b for a, b in zip(bits, bits[1:]))
+    assert solve(cnf, (n, -1)).status == "unsat"
+    assert solve(cnf, (-1,)).sat
 
 
 def test_solver_agrees_with_truth_tables():
@@ -178,6 +196,34 @@ def test_assumptions_are_temporary():
     assert solve(cnf, (-1, -2)).status == "unsat"
     assert solve(cnf).sat  # no residue from the failed assumptions
     assert solve(cnf, (-1,)).witness["b"] == 1
+
+
+def test_solver_reuse_keeps_queries_independent():
+    # learnt clauses and level-0 facts persist between queries; none may
+    # carry one query's assumptions into the next
+    rng = random.Random(31)
+    for _ in range(300):
+        cnf = random_cnf(rng, max_vars=15, max_clauses=60)
+        solver = Solver(cnf.num_vars, cnf.clauses)
+        queries = []
+        for _ in range(20):
+            k = rng.randint(0, min(6, cnf.num_vars))
+            vs = rng.sample(range(1, cnf.num_vars + 1), k)
+            queries.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+        queries += rng.sample(queries, 4)  # repeats, in a fresh order
+        for assumps in queries:
+            with_units = Cnf(
+                cnf.num_vars,
+                cnf.clauses + tuple((a,) for a in assumps),
+                cnf.variables,
+            )
+            got = solver.solve(assumps)
+            want = brute_cnf_status(with_units) == "sat"
+            assert got == want, (cnf, assumps)
+            if got:
+                true = lambda l: solver.model[l] == 1
+                assert all(any(true(l) for l in cl) for cl in cnf.clauses)
+                assert all(true(a) for a in assumps)
 
 
 def test_assumption_out_of_range():
