@@ -224,9 +224,7 @@ def cmd_translate(cli: _Cli, args) -> int:
                 }
                 for con in formula.constraints
             ],
-            "variables": {
-                name: i for i, name in enumerate(formula.variables, 1)
-            },
+            "variables": formula.var_table(),
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:

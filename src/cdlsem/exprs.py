@@ -58,13 +58,27 @@ class BitNot(GoalExpr):
 
 @dataclass(frozen=True, slots=True)
 class Logic(GoalExpr):
+    """Left-associative chain ``items[0] op items[1] op ...`` of one operator.
+
+    A chain is flat: build it with ``logic`` so that a left operand with
+    the same operator is extended rather than nested.
+    """
+
     op: str
-    left: GoalExpr
-    right: GoalExpr
+    items: tuple[GoalExpr, ...]
 
     def __post_init__(self):
         if self.op not in LOGIC_OPS:
             raise ValueError(f"bad logic operator {self.op!r}")
+        if len(self.items) < 2:
+            raise ValueError("logic chain needs at least two operands")
+
+
+def logic(op: str, left: GoalExpr, right: GoalExpr) -> Logic:
+    """``left op right``, extending ``left`` when it is a chain of ``op``."""
+    if isinstance(left, Logic) and left.op == op:
+        return Logic(op, left.items + (right,))
+    return Logic(op, (left, right))
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,9 +219,15 @@ def to_source(e: GoalExpr, parent_prec: int = 0) -> str:
         return "!" + to_source(e.child, _UNARY_PREC)
     if isinstance(e, BitNot):
         return "~" + to_source(e.child, _UNARY_PREC)
-    if isinstance(e, (Logic, Arith, Cmp)):
+    if isinstance(e, Logic):
         prec = PRECEDENCE[e.op]
-        # left associative: the right child needs parens at equal precedence
+        # left associative: later operands need parens at equal precedence
+        text = to_source(e.items[0], prec)
+        for x in e.items[1:]:
+            text += f" {e.op} {to_source(x, prec + 1)}"
+        return f"({text})" if prec < parent_prec else text
+    if isinstance(e, (Arith, Cmp)):
+        prec = PRECEDENCE[e.op]
         text = (
             f"{to_source(e.left, prec)} {e.op} {to_source(e.right, prec + 1)}"
         )
@@ -267,7 +287,10 @@ def _collect_ids(e: GoalExpr, acc: set[str]) -> None:
         acc.add(e.name)
     elif isinstance(e, (Not, BitNot)):
         _collect_ids(e.child, acc)
-    elif isinstance(e, (Logic, Arith, Cmp)):
+    elif isinstance(e, Logic):
+        for x in e.items:
+            _collect_ids(x, acc)
+    elif isinstance(e, (Arith, Cmp)):
         _collect_ids(e.left, acc)
         _collect_ids(e.right, acc)
     elif isinstance(e, Call):

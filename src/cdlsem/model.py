@@ -17,9 +17,9 @@ from .errors import NormalizationError
 from .exprs import (
     GoalExpr,
     ListExpr,
-    Logic,
     list_referenced_ids,
     list_to_source,
+    logic,
     referenced_ids,
     to_source,
 )
@@ -127,7 +127,9 @@ class Model:
         for n in ordered:
             if n.parent != TOP and n.parent not in by_name:
                 raise ValueError(f"node {n.name!r} has unknown parent {n.parent!r}")
-        _check_acyclic(by_name)
+        cycle = _find_cycle({n.name: n.parent for n in ordered})
+        if cycle is not None:
+            raise ValueError(f"parent cycle through {cycle!r}")
         self._nodes = ordered
         self._by_name = by_name
         self._hash = hash(ordered)
@@ -182,20 +184,19 @@ class Model:
         return self.referenced_ids() - self.ids()
 
 
-def _check_acyclic(by_name: dict[str, Node]) -> None:
-    for start in by_name:
-        seen = {start}
-        cur = by_name[start].parent
-        while cur != TOP:
+def _find_cycle(parent_of: dict[str, str | None]) -> str | None:
+    """A name on a parent cycle, or None when every chain ends at the root."""
+    rooted = {None, TOP}  # names whose chain is known to end at the root
+    for start in parent_of:
+        seen = set()
+        cur = start
+        while cur not in rooted:
             if cur in seen:
-                raise ValueError(f"parent cycle through {cur!r}")
+                return cur
             seen.add(cur)
-            cur = by_name[cur].parent
-
-
-def ids_of(m: Model) -> frozenset[str]:
-    """Names of the nodes in the model (TOP is not a node)."""
-    return m.ids()
+            cur = parent_of.get(cur)
+        rooted |= seen
+    return None
 
 
 def normalize_model(raw) -> Model:
@@ -219,7 +220,9 @@ def normalize_model(raw) -> Model:
                 "unresolved-parent",
                 f"node {r.name!r} has unknown parent {r.parent!r}",
             )
-    _check_raw_cycles(raw)
+    cycle = _find_cycle({r.name: r.parent for r in raw})
+    if cycle is not None:
+        raise NormalizationError("cycle", f"parent cycle through {cycle!r}")
 
     nodes = []
     for r in raw:
@@ -248,20 +251,8 @@ def _disjoin(entry: tuple[GoalExpr, ...]) -> GoalExpr:
         raise ValueError("empty expression enumeration")
     acc = entry[0]
     for e in entry[1:]:
-        acc = Logic("||", acc, e)
+        acc = logic("||", acc, e)
     return acc
-
-
-def _check_raw_cycles(raw: list[RawNode]) -> None:
-    parent = {r.name: r.parent for r in raw}
-    for start in parent:
-        seen = {start}
-        cur = parent[start]
-        while cur is not None and cur != TOP:
-            if cur in seen:
-                raise NormalizationError("cycle", f"parent cycle through {cur!r}")
-            seen.add(cur)
-            cur = parent.get(cur)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,9 +330,12 @@ def model_to_json(m: Model) -> str:
 def model_to_pretty(m: Model) -> str:
     """Indented tree rendering of the model for human inspection."""
     lines: list[str] = []
+    children: dict[str, list[Node]] = {}
+    for n in m:
+        children.setdefault(n.parent, []).append(n)
 
     def walk(parent: str, depth: int) -> None:
-        for n in m.children(parent):
+        for n in children.get(parent, ()):
             pad = "    " * depth
             lines.append(f"{pad}{n.kind.value} {n.name} [{n.flavor.value}]")
             for e in sorted(to_source(x) for x in n.active_if):

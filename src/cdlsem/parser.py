@@ -26,13 +26,14 @@ from .exprs import (
     Const,
     GoalExpr,
     Ident,
+    LOGIC_OPS,
     ListExpr,
-    Logic,
     Not,
     BitNot,
     PRECEDENCE,
     Range,
     Single,
+    logic,
 )
 from .model import Flavor, Kind, RawNode, is_valid_feature_id
 
@@ -293,8 +294,8 @@ class _ExprParser:
 
     @staticmethod
     def _make_binary(op: str, left: GoalExpr, right: GoalExpr) -> GoalExpr:
-        if op in ("||", "&&", "implies", "eqv", "xor"):
-            return Logic(op, left, right)
+        if op in LOGIC_OPS:
+            return logic(op, left, right)
         if op in ("==", "!=", "<", ">", "<=", ">="):
             return Cmp(op, left, right)
         return Arith(op, left, right)

@@ -13,14 +13,16 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import EvalError, FormulaError, OracleError, ValidationError
+from .errors import EvalError, FormulaError, OracleError
 from .exprs import Call, Cmp, Cond, Const, GoalExpr, Ident, Logic, Not, to_source
 from .model import TOP, Flavor, Kind, Model, check_well_formed
 from .semantics import (
     Configuration,
     Failure,
     ValidationReport,
+    check_total,
     parse_number,
+    read_tsv,
     to_bool,
 )
 
@@ -54,12 +56,17 @@ class BNot(BoolExpr):
 
 @dataclass(frozen=True, slots=True)
 class BBin(BoolExpr):
-    op: str  # || && implies eqv
+    """``left implies right`` or ``left eqv right``.
+
+    Conjunction and disjunction are ``BAnd``/``BOr`` only.
+    """
+
+    op: str  # implies eqv
     left: BoolExpr
     right: BoolExpr
 
     def __post_init__(self):
-        if self.op not in ("||", "&&", "implies", "eqv"):
+        if self.op not in ("implies", "eqv"):
             raise ValueError(f"bad Boolean operator {self.op!r}")
 
 
@@ -214,10 +221,6 @@ def eval_p(e: BoolExpr, cp: PropConfig) -> int:
     if isinstance(e, BBin):
         a = eval_p(e.left, cp)
         b = eval_p(e.right, cp)
-        if e.op == "||":
-            return a | b
-        if e.op == "&&":
-            return a & b
         if e.op == "implies":
             return (1 - a) | b
         return int(a == b)  # eqv
@@ -280,11 +283,20 @@ def rewrite(e: GoalExpr, m: Model) -> BoolExpr | None:
     if isinstance(e, Logic):
         if e.op == "xor":
             return None
-        left = rewrite(e.left, m)
-        right = rewrite(e.right, m)
-        if left is None or right is None:
-            return None
-        return BBin(e.op, left, right)
+        items = []
+        for x in e.items:
+            r = rewrite(x, m)
+            if r is None:
+                return None
+            items.append(r)
+        if e.op == "&&":
+            return BAnd(tuple(items))
+        if e.op == "||":
+            return BOr(tuple(items))
+        acc = items[0]  # implies/eqv chains fold left, as they parse
+        for r in items[1:]:
+            acc = BBin(e.op, acc, r)
+        return acc
     if isinstance(e, Cond):
         guard = rewrite(e.guard, m)
         then = rewrite(e.then, m)
@@ -426,13 +438,7 @@ def build_formula(m: Model) -> PropFormula:
 
 def validate_prop(m: Model, cp: PropConfig) -> ValidationReport:
     """Check a Boolean configuration against the translated model."""
-    missing = tuple(sorted(m.universe() - cp.domain))
-    if missing:
-        raise ValidationError(
-            "incomplete",
-            "configuration misses: " + ", ".join(missing),
-            missing,
-        )
+    check_total(m.universe(), cp.domain)
     failures: list[Failure] = []
     loaded = m.ids()
     for x in sorted(cp.domain - loaded):
@@ -477,8 +483,6 @@ def enumerate_prop_configs(
 # ---------------------------------------------------------------------------
 # rendering and files
 
-_B_PREC = {"implies": 1, "eqv": 1, "||": 2, "&&": 3}
-
 
 def bool_to_source(e: BoolExpr, parent_prec: int = 0) -> str:
     if isinstance(e, BIdent):
@@ -487,13 +491,9 @@ def bool_to_source(e: BoolExpr, parent_prec: int = 0) -> str:
         return str(e.value)
     if isinstance(e, BNot):
         return "!" + bool_to_source(e.child, 5)
-    if isinstance(e, BBin):
-        prec = _B_PREC[e.op]
-        text = (
-            f"{bool_to_source(e.left, prec)} {e.op} "
-            f"{bool_to_source(e.right, prec + 1)}"
-        )
-        return f"({text})" if prec < parent_prec else text
+    if isinstance(e, BBin):  # implies and eqv bind loosest
+        text = f"{bool_to_source(e.left, 1)} {e.op} {bool_to_source(e.right, 2)}"
+        return f"({text})" if 1 < parent_prec else text
     if isinstance(e, BAnd):
         text = " && ".join(bool_to_source(x, 4) for x in e.items)
         return f"({text})" if 3 < parent_prec else text
@@ -524,34 +524,12 @@ def load_prop_config(
     text: str, universe=None, strict: bool = False
 ) -> tuple[PropConfig, list[str]]:
     """Parse the two-column TSV; missing universe ids default to 0."""
-    entries: dict[str, int] = {}
-    warnings: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 2 tab-separated fields")
-        name, bit = fields
-        name = name.strip()
-        if name == TOP:
-            warnings.append(f"line {lineno}: the root entry is implicit; ignored")
-            continue
-        if name in entries:
-            raise ValueError(f"line {lineno}: duplicate entry for {name!r}")
-        if bit not in ("0", "1"):
-            raise ValueError(f"line {lineno}: bit must be 0 or 1")
-        entries[name] = int(bit)
-    if universe is not None:
-        missing = sorted(set(universe) - set(entries))
-        if missing:
-            if strict:
-                raise ValidationError(
-                    "incomplete",
-                    "configuration misses: " + ", ".join(missing),
-                    tuple(missing),
-                )
-            for name in missing:
-                entries[name] = 0
-                warnings.append(f"missing {name}: defaulted to 0")
+    entries, warnings = read_tsv(text, _bit_row, ("0",), universe, strict)
     return PropConfig(entries), warnings
+
+
+def _bit_row(lineno: int, fields: list[str]) -> int:
+    bit = fields[1]
+    if bit not in ("0", "1"):
+        raise ValueError(f"line {lineno}: bit must be 0 or 1")
+    return int(bit)

@@ -71,10 +71,6 @@ def simplify(e: BoolExpr) -> BoolExpr:
         return bnot(simplify(e.child))
     if isinstance(e, BBin):
         a, b = simplify(e.left), simplify(e.right)
-        if e.op == "&&":
-            return band([a, b])
-        if e.op == "||":
-            return bor([a, b])
         if e.op == "implies":
             return bimplies(a, b)
         return beqv(a, b)
@@ -170,11 +166,7 @@ class _CnfBuilder:
             self.add_clause(tuple([-x] + lits))
         elif isinstance(e, BBin):
             a, b = self.lit(e.left), self.lit(e.right)
-            if e.op == "&&":
-                x = self.and_lit(a, b)
-            elif e.op == "||":
-                x = self.or_lit(a, b)
-            elif e.op == "implies":
+            if e.op == "implies":
                 x = self.or_lit(-a, b)
             else:  # eqv
                 x = self.new_aux("def")
@@ -236,16 +228,9 @@ class _CnfBuilder:
             self.add_clause(tuple(self.lit(x) for x in e.items))
             return
         if isinstance(e, BBin):
-            if e.op == "&&":
-                self.assert_expr(e.left)
-                self.assert_expr(e.right)
-            elif e.op == "||":
-                self.add_clause((self.lit(e.left), self.lit(e.right)))
-            elif e.op == "implies":
-                self.add_clause((-self.lit(e.left), self.lit(e.right)))
-            else:  # eqv
-                a, b = self.lit(e.left), self.lit(e.right)
-                self.add_clause((-a, b))
+            a, b = self.lit(e.left), self.lit(e.right)
+            self.add_clause((-a, b))
+            if e.op == "eqv":
                 self.add_clause((-b, a))
             return
         if isinstance(e, BCard):

@@ -119,7 +119,7 @@ class Configuration:
     @property
     def domain(self) -> frozenset[str]:
         """Assigned feature ids; the root is implicit and excluded."""
-        return frozenset(k for k in self._map if k != TOP)
+        return frozenset(self._map).difference((TOP,))
 
     def __contains__(self, name: str) -> bool:
         return name in self._map
@@ -225,18 +225,22 @@ def eval_expr(
             raise EvalError("not-numeric", "~ needs an integer operand")
         return str(~n)
     if isinstance(e, Logic):
-        a = to_bool(eval_expr(e.left, c, m, builtins))
-        b = to_bool(eval_expr(e.right, c, m, builtins))
-        if e.op == "||":
-            r = a or b
-        elif e.op == "&&":
-            r = a and b
-        elif e.op == "implies":
-            r = (not a) or b
-        elif e.op == "eqv":
-            r = a == b
-        else:  # xor
-            r = a != b
+        # every operand is evaluated, so each one's errors surface
+        op = e.op
+        operands = iter(e.items)
+        r = to_bool(eval_expr(next(operands), c, m, builtins))
+        for x in operands:
+            b = to_bool(eval_expr(x, c, m, builtins))
+            if op == "||":
+                r |= b
+            elif op == "&&":
+                r &= b
+            elif op == "implies":
+                r = (1 - r) | b
+            elif op == "eqv":
+                r = int(r == b)
+            else:  # xor
+                r ^= b
         return "1" if r else "0"
     if isinstance(e, Arith):
         return _arith(
@@ -335,8 +339,7 @@ def satisfies_legal(
         else:
             probe = Logic(
                 "&&",
-                Cmp("<=", item.low, Const(d)),
-                Cmp("<=", Const(d), item.high),
+                (Cmp("<=", item.low, Const(d)), Cmp("<=", Const(d), item.high)),
             )
             if to_bool(eval_expr(probe, c, m, builtins)):
                 return 1
@@ -352,40 +355,28 @@ def _sorted_constraints(n: Node) -> tuple[GoalExpr, ...]:
     return tuple(sorted(n.constraints(), key=to_source))
 
 
-def _ctc_holds(n: Node, c: Configuration, m: Model, builtins: Builtins) -> int:
-    for e in _sorted_constraints(n):
-        try:
-            if not to_bool(eval_expr(e, c, m, builtins)):
-                return 0
-        except EvalError:
-            return 0
-    return 1
-
-
 def _ctc_detail(
-    n: Node, c: Configuration, m: Model, builtins: Builtins
+    n: Node, c: Configuration, m: Model, builtins: Builtins, first: bool = False
 ) -> tuple[int, list[str]]:
-    """Cross-tree constraint conjunction, with reasons for failures."""
+    """Cross-tree constraint conjunction, with reasons for failures.
+
+    With ``first`` set it stops at the first failing constraint and gives
+    no reasons.
+    """
     holds = 1
     reasons: list[str] = []
     for e in _sorted_constraints(n):
         try:
-            if not to_bool(eval_expr(e, c, m, builtins)):
-                holds = 0
-                reasons.append(f"constraint {to_source(e)} is false")
+            if to_bool(eval_expr(e, c, m, builtins)):
+                continue
+            reason = "is false"
         except EvalError as err:
-            holds = 0
-            reasons.append(f"constraint {to_source(e)} failed: {err.message}")
+            reason = f"failed: {err.message}"
+        if first:
+            return 0, reasons
+        holds = 0
+        reasons.append(f"constraint {to_source(e)} {reason}")
     return holds, reasons
-
-
-def node_holds(
-    n: Node, c: Configuration, m: Model, builtins: Builtins = DEFAULT_BUILTINS
-) -> int:
-    """State equivalence: on iff parent on, value set and constraints hold."""
-    ctc = _ctc_holds(n, c, m, builtins)
-    rhs = c.state(n.parent) and c.value(n.name) and ctc
-    return int(c.state(n.name) == rhs)
 
 
 def flavor_holds(n: Node, c: Configuration) -> int:
@@ -472,54 +463,57 @@ class ValidationReport:
         return "accepted" if self.accepted else "rejected"
 
 
-def _accepts(m: Model, c: Configuration, builtins: Builtins) -> bool:
-    """Early-exit acceptance check; equivalent to validate_configuration."""
-    loaded = m.ids()
-    for x in c.domain - loaded:
-        if c.state(x) == 1:
-            return False
-    for n in m:
-        if not node_holds(n, c, m, builtins):
-            return False
-        if not flavor_holds(n, c):
-            return False
-        if n.calculated is not None and not calculated_holds(n, c, m, builtins):
-            return False
-        if n.legal_values is not None and not legal_values_holds(n, c, m, builtins):
-            return False
-        if n.kind == Kind.INTERFACE and not interface_holds(n, c, m):
-            return False
-    return True
-
-
 def validate_configuration(
     m: Model, c: Configuration, builtins: Builtins = DEFAULT_BUILTINS
 ) -> ValidationReport:
     """Check a configuration against every denotation family of the model."""
-    missing = tuple(sorted(m.universe() - c.domain))
+    check_total(m.universe(), c.domain)
+    return ValidationReport(tuple(_failures(m, c, builtins)))
+
+
+def check_total(universe, domain) -> None:
+    """Raise ``incomplete`` unless ``domain`` assigns every feature of ``universe``."""
+    missing = tuple(sorted(set(universe).difference(domain)))
     if missing:
         raise ValidationError(
-            "incomplete",
-            "configuration misses: " + ", ".join(missing),
-            missing,
+            "incomplete", "configuration misses: " + ", ".join(missing), missing
         )
-    failures: list[Failure] = []
-    loaded = m.ids()
-    for x in sorted(c.domain - loaded):
+
+
+def _failures(
+    m: Model, c: Configuration, builtins: Builtins, first: bool = False
+) -> list[Failure]:
+    """Every failure of a total configuration, in report order.
+
+    With ``first`` set it stops at the first failure and leaves that
+    failure's explanation empty, so acceptance checks format no text.
+    """
+    out: list[Failure] = []
+    for x in sorted(c.domain - m.ids()):
         if c.state(x) == 1:
-            failures.append(
+            out.append(
                 Failure(x, "unloaded", "feature is not in the model but enabled")
             )
+            if first:
+                return out
     for n in m:
-        failures.extend(_node_failures(n, c, m, builtins))
-    return ValidationReport(tuple(failures))
+        found = _node_failures(n, c, m, builtins, first)
+        if found and first:
+            return found
+        out += found
+    return out
 
 
-def _node_failures(n, c, m, builtins) -> list[Failure]:
+def _node_failures(n, c, m, builtins, first=False) -> list[Failure]:
     out: list[Failure] = []
-    ctc, reasons = _ctc_detail(n, c, m, builtins)
-    rhs = c.state(n.parent) and c.value(n.name) and ctc
-    if c.state(n.name) != rhs:
+    guard = c.state(n.parent) and c.value(n.name)
+    ctc, reasons = 1, ()
+    if guard or (c.state(n.name) and not first):
+        # off the guard the constraints only feed a failure's explanation
+        ctc, reasons = _ctc_detail(n, c, m, builtins, first)
+    if c.state(n.name) != (guard and ctc):
+        if first:
+            return [Failure(n.name, "node", "")]
         parts = [
             f"enabled_state={c.state(n.name)} but parent_state="
             f"{c.state(n.parent)}, enabled_value={c.value(n.name)}, "
@@ -528,6 +522,8 @@ def _node_failures(n, c, m, builtins) -> list[Failure]:
         parts.extend(reasons)
         out.append(Failure(n.name, "node", "; ".join(parts)))
     if not flavor_holds(n, c):
+        if first:
+            return [Failure(n.name, "flavor", "")]
         out.append(
             Failure(
                 n.name,
@@ -536,6 +532,8 @@ def _node_failures(n, c, m, builtins) -> list[Failure]:
             )
         )
     if n.calculated is not None and not calculated_holds(n, c, m, builtins):
+        if first:
+            return [Failure(n.name, "calculated", "")]
         out.append(
             Failure(
                 n.name,
@@ -544,6 +542,8 @@ def _node_failures(n, c, m, builtins) -> list[Failure]:
             )
         )
     if n.legal_values is not None and not legal_values_holds(n, c, m, builtins):
+        if first:
+            return [Failure(n.name, "legal_values", "")]
         out.append(
             Failure(
                 n.name,
@@ -552,6 +552,8 @@ def _node_failures(n, c, m, builtins) -> list[Failure]:
             )
         )
     if n.kind == Kind.INTERFACE and not interface_holds(n, c, m):
+        if first:
+            return [Failure(n.name, "interface", "")]
         k = len(impls(n.name, c, m))
         out.append(
             Failure(
@@ -598,7 +600,7 @@ def enumerate_configurations(
     accepted: list[Configuration] = []
     for combo in itertools.product(*choices):
         c = Configuration(zip(ids, combo))  # total over the universe by construction
-        if _accepts(m, c, builtins):
+        if not _failures(m, c, builtins, first=True):
             accepted.append(c)
     return accepted
 
@@ -625,34 +627,49 @@ def load_configuration(
     Features of ``universe`` missing from the file default to (0, 0, "0")
     unless ``strict`` is set, in which case the load fails.
     """
-    entries: dict[str, tuple[int, int, str]] = {}
+    entries, warnings = read_tsv(text, _state_row, ("0", "0", "0"), universe, strict)
+    return Configuration(entries), warnings
+
+
+def _state_row(lineno: int, fields: list[str]) -> tuple[int, int, str]:
+    _, s, v, d = fields
+    if s not in ("0", "1") or v not in ("0", "1"):
+        raise ValueError(f"line {lineno}: state and value must be 0 or 1")
+    return (int(s), int(v), d)
+
+
+def read_tsv(
+    text: str, parse_row, default_row: tuple[str, ...], universe, strict: bool
+) -> tuple[dict, list[str]]:
+    """Entries of a configuration TSV by feature name, plus warnings.
+
+    A row is a name and ``len(default_row)`` more fields, which
+    ``parse_row(lineno, fields)`` checks and turns into the entry.
+    Features of ``universe`` missing from the file get the entry of
+    ``default_row`` unless ``strict`` is set.
+    """
+    width = 1 + len(default_row)
+    entries: dict = {}
     warnings: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
-        name, s, v, d = fields
-        name = name.strip()
+        if len(fields) != width:
+            raise ValueError(f"line {lineno}: expected {width} tab-separated fields")
+        name = fields[0].strip()
         if name == TOP:
             warnings.append(f"line {lineno}: the root entry is implicit; ignored")
             continue
         if name in entries:
             raise ValueError(f"line {lineno}: duplicate entry for {name!r}")
-        if s not in ("0", "1") or v not in ("0", "1"):
-            raise ValueError(f"line {lineno}: state and value must be 0 or 1")
-        entries[name] = (int(s), int(v), d)
+        entries[name] = parse_row(lineno, fields)
     if universe is not None:
-        missing = sorted(set(universe) - set(entries))
-        if missing:
-            if strict:
-                raise ValidationError(
-                    "incomplete",
-                    "configuration misses: " + ", ".join(missing),
-                    tuple(missing),
-                )
-            for name in missing:
-                entries[name] = (0, 0, "0")
-                warnings.append(f"missing {name}: defaulted to 0\t0\t0")
-    return Configuration(entries), warnings
+        if strict:
+            check_total(universe, entries)
+        default = parse_row(0, ("", *default_row))
+        shown = "\t".join(default_row)
+        for name in sorted(set(universe).difference(entries)):
+            entries[name] = default
+            warnings.append(f"missing {name}: defaulted to {shown}")
+    return entries, warnings

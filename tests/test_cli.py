@@ -171,6 +171,42 @@ def test_translate_prop_listing(demo):
     assert code == 0 and "[node:OPT] OPT implies COMP && EXTRA" in out
 
 
+def test_translate_connective_shapes(tmp_path):
+    model = tmp_path / "shapes.cdl"
+    model.write_text(
+        "cdl_option A {}\ncdl_option B {}\ncdl_option C {}\n"
+        "cdl_option L { requires A && B && C }\n"
+        "cdl_option R { requires A && (B && C) }\n"
+        "cdl_option M { requires (A || B) && C }\n"
+    )
+    code, out, _ = run("translate", str(model))
+    assert code == 0
+    assert "[node:L] L implies A && B && C\n" in out
+    assert "[node:R] R implies A && (B && C)\n" in out
+    assert "[node:M] M implies (A || B) && C\n" in out
+
+
+def test_long_chains_need_no_recursion(tmp_path):
+    n = 1500
+    features = "".join(f"cdl_option F{i} {{}}\n" for i in range(n))
+    spaced = " ".join(f"F{i}" for i in range(n))
+    anded = " && ".join(f"F{i}" for i in range(n))
+    model = tmp_path / "chains.cdl"
+    model.write_text(
+        features
+        + f"cdl_option X {{ requires {spaced} }}\n"
+        + f"cdl_option Y {{ requires {{ {anded} }} }}\n"
+    )
+    for argv in (
+        ("check", str(model)),
+        ("translate", str(model)),
+        ("translate", str(model), "--format", "dimacs"),
+    ):
+        code, out, err = run(*argv)
+        assert code == 0 and "Traceback" not in err, argv
+    assert f"[node:Y] Y implies {anded}\n" in run("translate", str(model))[1]
+
+
 def test_translate_empty_model_dimacs(tmp_path):
     empty = tmp_path / "empty.cdl"
     empty.write_text("")

@@ -1,6 +1,7 @@
 """Normalization, well-formedness and model container tests."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,6 @@ from cdlsem import (
     RawNode,
     TOP,
     check_well_formed,
-    ids_of,
     model_to_json,
     normalize_model,
     parse_list_expr,
@@ -48,13 +48,20 @@ def test_flavor_defaults(src, flavor):
 def test_enumeration_becomes_disjunction():
     m = mk_model("cdl_option X { requires A B }")
     assert m.node("X").requires == frozenset(
-        {Logic("||", Ident("A"), Ident("B"))}
+        {Logic("||", (Ident("A"), Ident("B")))}
     )
 
 
 def test_calculated_enumeration_becomes_disjunction():
     m = mk_model("cdl_option X { flavor bool\n calculated A B }")
-    assert m.node("X").calculated == Logic("||", Ident("A"), Ident("B"))
+    assert m.node("X").calculated == Logic("||", (Ident("A"), Ident("B")))
+
+
+def test_enumeration_and_braced_disjunction_are_one_entry():
+    m = mk_model("cdl_option X { requires { A || B } C\n requires A B C }")
+    assert m.node("X").requires == frozenset(
+        {Logic("||", (Ident("A"), Ident("B"), Ident("C")))}
+    )
 
 
 def test_top_level_parent_is_root():
@@ -64,7 +71,7 @@ def test_top_level_parent_is_root():
 
 def test_empty_model():
     m = normalize_model([])
-    assert len(m) == 0 and ids_of(m) == frozenset()
+    assert len(m) == 0 and m.ids() == frozenset()
 
 
 def test_duplicate_name_rejected():
@@ -88,6 +95,17 @@ def test_parent_cycle_rejected():
     with pytest.raises(NormalizationError) as err:
         normalize_model(raws)
     assert err.value.code == "cycle"
+    assert err.value.message == "parent cycle through 'A'"
+
+
+def test_parent_cycle_reported_where_it_closes():
+    raws = [
+        RawNode("X", Kind.COMPONENT, parent="A"),
+        RawNode("A", Kind.COMPONENT, parent="B"),
+        RawNode("B", Kind.COMPONENT, parent="A"),
+    ]
+    with pytest.raises(NormalizationError, match="parent cycle through 'A'"):
+        normalize_model(raws)
 
 
 def test_reserved_name_rejected():
@@ -121,7 +139,7 @@ def test_normalized_nodes_carry_flavors_and_single_expressions():
 
 def test_ids_match_raw_names():
     m = mk_model("cdl_option A {}\ncdl_option B {}\ncdl_interface I {}")
-    assert ids_of(m) == {"A", "B", "I"}
+    assert m.ids() == {"A", "B", "I"}
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +187,13 @@ def test_model_rejects_duplicates():
     n = mk_model("cdl_option A {}").node("A")
     with pytest.raises(ValueError):
         Model([n, n])
+
+
+def test_model_rejects_parent_cycle():
+    m = mk_model("cdl_component A {}\ncdl_component B {}")
+    a, b = m.node("A"), m.node("B")
+    with pytest.raises(ValueError, match="parent cycle through 'A'"):
+        Model([replace(a, parent="B"), replace(b, parent="A")])
 
 
 def test_children_and_lookup():

@@ -26,6 +26,7 @@ from cdlsem import (
     parse_model,
     to_source,
 )
+from cdlsem.exprs import logic
 from cdlsem.model import Flavor, Kind
 from cdlsem.parser import ParseError
 
@@ -36,7 +37,7 @@ from cdlsem.parser import ParseError
 
 def test_or_binds_looser_than_and():
     assert parse_goal_expr("A && B || C") == Logic(
-        "||", Logic("&&", Ident("A"), Ident("B")), Ident("C")
+        "||", (Logic("&&", (Ident("A"), Ident("B"))), Ident("C"))
     )
 
 
@@ -54,11 +55,11 @@ def test_plain_constant():
     "text,expected",
     [
         # one case per rung of the precedence ladder, lowest to highest
-        ("a implies b eqv c", Logic("eqv", Logic("implies", Ident("a"), Ident("b")), Ident("c"))),
-        ("a implies b ? c : d", Cond(Logic("implies", Ident("a"), Ident("b")), Ident("c"), Ident("d"))),
-        ("a || b implies c", Logic("implies", Logic("||", Ident("a"), Ident("b")), Ident("c"))),
-        ("a xor b && c", Logic("&&", Logic("xor", Ident("a"), Ident("b")), Ident("c"))),
-        ("a | b xor c", Logic("xor", Arith("|", Ident("a"), Ident("b")), Ident("c"))),
+        ("a implies b eqv c", Logic("eqv", (Logic("implies", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a implies b ? c : d", Cond(Logic("implies", (Ident("a"), Ident("b"))), Ident("c"), Ident("d"))),
+        ("a || b implies c", Logic("implies", (Logic("||", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a xor b && c", Logic("&&", (Logic("xor", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a | b xor c", Logic("xor", (Arith("|", Ident("a"), Ident("b")), Ident("c")))),
         ("a ^ b | c", Arith("|", Arith("^", Ident("a"), Ident("b")), Ident("c"))),
         ("a & b ^ c", Arith("^", Arith("&", Ident("a"), Ident("b")), Ident("c"))),
         ("a == b & c", Arith("&", Cmp("==", Ident("a"), Ident("b")), Ident("c"))),
@@ -66,7 +67,7 @@ def test_plain_constant():
         ("a << b < c", Cmp("<", Arith("<<", Ident("a"), Ident("b")), Ident("c"))),
         ("a + b << c", Arith("<<", Arith("+", Ident("a"), Ident("b")), Ident("c"))),
         ("a * b + c", Arith("+", Arith("*", Ident("a"), Ident("b")), Ident("c"))),
-        ("!a && b", Logic("&&", Not(Ident("a")), Ident("b"))),
+        ("!a && b", Logic("&&", (Not(Ident("a")), Ident("b")))),
         ("~a + b", Arith("+", BitNot(Ident("a")), Ident("b"))),
     ],
 )
@@ -88,8 +89,25 @@ def test_conditional_right_associative():
 
 def test_parenthesized():
     assert parse_goal_expr("(a || b) && c") == Logic(
-        "&&", Logic("||", Ident("a"), Ident("b")), Ident("c")
+        "&&", (Logic("||", (Ident("a"), Ident("b"))), Ident("c"))
     )
+
+
+@pytest.mark.parametrize("op", ["||", "&&", "implies", "eqv", "xor"])
+def test_logic_chain_is_flat_and_left_associative(op):
+    a, b, c = Ident("a"), Ident("b"), Ident("c")
+    flat = Logic(op, (a, b, c))
+    assert parse_goal_expr(f"a {op} b {op} c") == flat
+    assert parse_goal_expr(f"(a {op} b) {op} c") == flat
+    assert to_source(flat) == f"a {op} b {op} c"
+    nested = Logic(op, (a, Logic(op, (b, c))))
+    assert parse_goal_expr(f"a {op} (b {op} c)") == nested
+    assert to_source(nested) == f"a {op} (b {op} c)"
+
+
+def test_logic_needs_two_operands():
+    with pytest.raises(ValueError):
+        Logic("&&", (Ident("a"),))
 
 
 def test_builtin_call():
@@ -205,8 +223,9 @@ _leaves = st.one_of(
 
 
 def _exprs(children):
+    # logic chains go through the builder, the one shape the parser makes
     binary = st.sampled_from(
-        [(Logic, op) for op in ("||", "&&", "implies", "eqv", "xor")]
+        [(logic, op) for op in ("||", "&&", "implies", "eqv", "xor")]
         + [(Arith, op) for op in ("+", "-", "*", "/", "%", "<<", ">>", "^", "&", "|")]
         + [(Cmp, op) for op in ("==", "!=", "<", ">", "<=", ">=")]
     )
@@ -300,7 +319,7 @@ def test_repeated_requires_stay_separate():
 def test_line_continuation():
     nodes, diags = parse_model("cdl_option A { requires B && \\\n C }")
     assert not has_errors(diags)
-    assert nodes[0].requires == [(Logic("&&", Ident("B"), Ident("C")),)]
+    assert nodes[0].requires == [(Logic("&&", (Ident("B"), Ident("C"))),)]
 
 
 def test_unknown_property_warns_and_is_kept():

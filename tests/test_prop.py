@@ -10,11 +10,13 @@ from cdlsem import EvalError, FormulaError, ValidationError
 from cdlsem.model import Model
 from cdlsem.parser import parse_goal_expr as pg
 from cdlsem.prop import (
+    BAnd,
     BBin,
     BCard,
     BConst,
     BIdent,
     BNot,
+    BOr,
     PropConfig,
     bool_to_source,
     build_formula,
@@ -189,6 +191,26 @@ def test_rewrite_binary_connectives(op):
     assert sat_set(e, ["IMP_A", "IMP_B"]) == def_set(
         ["IMP_A", "IMP_B"], lambda v: table(v["IMP_A"], v["IMP_B"]) == 1
     )
+
+
+def test_rewrite_connective_shapes():
+    a, b, c = BIdent("IMP_A"), BIdent("IMP_B"), BIdent("IMP_C")
+    for text, want in [
+        ("IMP_A && IMP_B && IMP_C", BAnd((a, b, c))),
+        ("IMP_A && (IMP_B && IMP_C)", BAnd((a, BAnd((b, c))))),
+        ("IMP_A || GHOST || 1", BOr((a, BConst(0), BConst(1)))),
+        ("IMP_A implies IMP_B implies IMP_C", BBin("implies", BBin("implies", a, b), c)),
+        ("IMP_A eqv IMP_B eqv IMP_C", BBin("eqv", BBin("eqv", a, b), c)),
+    ]:
+        assert rewrite(pg(text), IFACE_MODEL) == want, text
+    assert rewrite(pg("IMP_A && IMP_B xor IMP_C"), IFACE_MODEL) is None
+    assert rewrite(pg("IMP_A && !(IMP_B && IMP_C)"), IFACE_MODEL) is None
+
+
+@pytest.mark.parametrize("op", ["&&", "||", "xor"])
+def test_bbin_is_only_implies_and_eqv(op):
+    with pytest.raises(ValueError):
+        BBin(op, BIdent("a"), BIdent("b"))
 
 
 def test_rewrite_conditional():
@@ -509,8 +531,24 @@ def test_load_prop_config_defaults_and_strict():
         load_prop_config("A\t1\n", universe=["A", "B"], strict=True)
 
 
+def test_load_prop_config_messages():
+    _, warnings = load_prop_config("⊤\t1\nA\t1\n", universe=["A", "B"])
+    assert warnings == [
+        "line 1: the root entry is implicit; ignored",
+        "missing B: defaulted to 0",
+    ]
+    for text, message in [
+        ("A\t1\t1\n", "line 1: expected 2 tab-separated fields"),
+        ("# c\nA\t2\n", "line 2: bit must be 0 or 1"),
+        ("A\t1\nA\t0\n", "line 2: duplicate entry for 'A'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            load_prop_config(text)
+        assert str(err.value) == message
+
+
 def test_bool_to_source_minimal_parens():
-    e = BBin("implies", BIdent("a"), BBin("&&", BIdent("b"), BNot(BIdent("c"))))
+    e = BBin("implies", BIdent("a"), BAnd((BIdent("b"), BNot(BIdent("c")))))
     assert bool_to_source(e) == "a implies b && !c"
-    e = BBin("&&", BBin("||", BIdent("a"), BIdent("b")), BIdent("c"))
+    e = BAnd((BOr((BIdent("a"), BIdent("b"))), BIdent("c")))
     assert bool_to_source(e) == "(a || b) && c"

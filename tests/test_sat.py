@@ -8,11 +8,13 @@ import pytest
 from cdlsem import AnalysisError
 from cdlsem.cdcl import Solver
 from cdlsem.prop import (
+    BAnd,
     BBin,
     BCard,
     BConst,
     BIdent,
     BNot,
+    BOr,
     BoolExpr,
     Constraint,
     PropConfig,
@@ -53,6 +55,9 @@ def _formula(*exprs: BoolExpr, names=None) -> PropFormula:
                 walk(e.child)
             elif isinstance(e, BBin):
                 walk(e.left), walk(e.right)
+            elif isinstance(e, (BAnd, BOr)):
+                for x in e.items:
+                    walk(x)
             elif isinstance(e, BCard):
                 found.update(e.names)
 
@@ -85,13 +90,20 @@ def test_false_constraint_is_empty_clause():
 
 
 def test_no_tautological_clauses():
-    cnf = to_cnf(_formula(BBin("||", BIdent("a"), BNot(BIdent("a")))))
+    cnf = to_cnf(_formula(BOr((BIdent("a"), BNot(BIdent("a"))))))
     for cl in cnf.clauses:
         assert not any(-l in cl for l in cl)
 
 
+def test_chain_gets_one_auxiliary_variable():
+    chain = BOr(tuple(BIdent(n) for n in "abc"))
+    cnf = to_cnf(_formula(BBin("implies", BIdent("x"), chain)))
+    assert cnf.num_vars == 5  # a, b, c, x and one definition of the chain
+    assert set(cnf.clauses) == {(-4, 5), (-1, 5), (-2, 5), (-3, 5), (1, 2, 3, -5)}
+
+
 def test_simplify_folds_constants():
-    e = BBin("&&", BConst(1), BBin("||", BIdent("a"), BConst(0)))
+    e = BAnd((BConst(1), BOr((BIdent("a"), BConst(0)))))
     assert simplify(e) == BIdent("a")
     assert simplify(BNot(BConst(0))) == BConst(1)
     assert simplify(BCard(("a", "b"), 0, 2)) == BConst(1)
@@ -113,6 +125,12 @@ def _random_bool_expr(rng, names, depth=3) -> BoolExpr:
     op = rng.choice(["||", "&&", "implies", "eqv", "not"])
     if op == "not":
         return BNot(_random_bool_expr(rng, names, depth - 1))
+    if op in ("||", "&&"):
+        items = tuple(
+            _random_bool_expr(rng, names, depth - 1)
+            for _ in range(rng.randint(1, 4))
+        )
+        return BOr(items) if op == "||" else BAnd(items)
     return BBin(
         op,
         _random_bool_expr(rng, names, depth - 1),

@@ -20,7 +20,6 @@ from cdlsem.semantics import (
     interface_holds,
     legal_values_holds,
     load_configuration,
-    node_holds,
     satisfies_legal,
     to_bool,
     validate_configuration,
@@ -231,27 +230,51 @@ def node_of(src, name):
     return m, m.node(name)
 
 
+def node_failures(m, c, name):
+    """Explanations of the node-equivalence failures validation reports."""
+    return [
+        f.explanation
+        for f in validate_configuration(m, c).failures
+        if (f.node, f.family) == (name, "node")
+    ]
+
+
 def test_node_holds_both_off():
-    m, n = node_of("cdl_component C { cdl_option A {} }", "A")
+    m = mk_model("cdl_component C { cdl_option A {} }")
     c = cfg(C=(0, 0, "1"), A=(0, 1, "1"))
-    assert node_holds(n, c, m) == 1
+    assert node_failures(m, c, "A") == []
 
 
 def test_node_holds_on():
-    m, n = node_of("cdl_option A {}", "A")
-    assert node_holds(n, cfg(A=(1, 1, "1")), m) == 1
+    m = mk_model("cdl_option A {}")
+    assert node_failures(m, cfg(A=(1, 1, "1")), "A") == []
 
 
 def test_node_holds_constraint_forces_off():
-    m, n = node_of("cdl_option A { requires 0 }", "A")
-    assert node_holds(n, cfg(A=(1, 1, "1")), m) == 0
-    assert node_holds(n, cfg(A=(0, 1, "1")), m) == 1
+    m = mk_model("cdl_option A { requires 0 }")
+    assert node_failures(m, cfg(A=(1, 1, "1")), "A") == [
+        "enabled_state=1 but parent_state=1, enabled_value=1, "
+        "constraints=failing; constraint 0 is false"
+    ]
+    assert node_failures(m, cfg(A=(0, 1, "1")), "A") == []
+
+
+def test_node_failure_off_the_guard_still_gives_reasons():
+    m = mk_model("cdl_component C { cdl_option A { requires 0 } }")
+    assert node_failures(m, cfg(C=(0, 1, "1"), A=(1, 1, "1")), "A") == [
+        "enabled_state=1 but parent_state=0, enabled_value=1, "
+        "constraints=failing; constraint 0 is false"
+    ]
 
 
 def test_node_holds_eval_error_counts_as_failure():
-    m, n = node_of('cdl_option A { requires { "x" + 1 } }', "A")
-    assert node_holds(n, cfg(A=(1, 1, "1")), m) == 0
-    assert node_holds(n, cfg(A=(0, 1, "1")), m) == 1
+    m = mk_model('cdl_option A { requires { "x" + 1 } }')
+    assert node_failures(m, cfg(A=(1, 1, "1")), "A") == [
+        "enabled_state=1 but parent_state=1, enabled_value=1, "
+        "constraints=failing; constraint \"x\" + 1 failed: "
+        "non-numeric operand to '+'"
+    ]
+    assert node_failures(m, cfg(A=(0, 1, "1")), "A") == []
 
 
 def test_flavor_holds():
@@ -460,6 +483,22 @@ def test_load_configuration_bad_lines():
         load_configuration("A\t2\t1\tx\n")
     with pytest.raises(ValueError):
         load_configuration("A\t1\t1\tx\nA\t0\t0\ty\n")
+
+
+def test_load_configuration_messages():
+    _, warnings = load_configuration("⊤\t1\t1\t1\nA\t1\t1\t1\n", universe=["A", "B"])
+    assert warnings == [
+        "line 1: the root entry is implicit; ignored",
+        "missing B: defaulted to 0\t0\t0",
+    ]
+    for text, message in [
+        ("A\t1\t1\n", "line 1: expected 4 tab-separated fields"),
+        ("# c\nA\t1\t2\tx\n", "line 2: state and value must be 0 or 1"),
+        ("A\t1\t1\tx\nA\t0\t0\ty\n", "line 2: duplicate entry for 'A'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            load_configuration(text)
+        assert str(err.value) == message
 
 
 def test_load_configuration_comments_and_blanks():
