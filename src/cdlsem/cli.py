@@ -2,8 +2,9 @@
 
 Subcommands: parse, check, validate, translate, analyze, enumerate.
 Data goes to stdout (or -o FILE); diagnostics go to stderr.  Exit codes
-are stable for scripting: 0 ok, 1 semantic negative, 2 input error,
-3 I/O error, 4 budget exceeded.
+are stable for scripting: 0 ok, 1 semantic negative, 2 input error
+(including a model nested too deeply to process), 3 I/O error, 4 budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .prop import (
     enumerate_prop_configs,
     formula_to_text,
     load_prop_config,
-    project,
     validate_prop,
 )
 from .sat import (
@@ -44,7 +44,6 @@ from .sat import (
     export_dimacs,
     export_dot,
     implication_graph,
-    model_cnf,
     model_sat,
 )
 from .semantics import (
@@ -397,7 +396,12 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
     cli = _Cli(stdout, stderr)
-    return args.func(cli, args)
+    try:
+        return args.func(cli, args)
+    except RecursionError:
+        # some layers still recurse once per operator or nesting level
+        cli.error(f"{args.model}: error: nested too deeply")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

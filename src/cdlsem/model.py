@@ -159,9 +159,6 @@ class Model:
     def ids(self) -> frozenset[str]:
         return frozenset(self._by_name)
 
-    def children(self, name: str) -> tuple[Node, ...]:
-        return tuple(n for n in self._nodes if n.parent == name)
-
     def referenced_ids(self) -> frozenset[str]:
         """Every feature name mentioned by any expression in the model."""
         acc: set[str] = set()

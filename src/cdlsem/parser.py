@@ -7,6 +7,11 @@ Three layers:
   expressions,
 * a node builder that walks ``cdl_*`` commands and their bodies.
 
+The splitter, the brace scan and the tokenizer are regex-driven: compiled
+patterns consume the text, and Python code runs once per word or token,
+not once per character.  Line and column numbers are worked out only when
+a diagnostic needs a position.
+
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
 """
@@ -52,17 +57,37 @@ _EXPR_PROPERTIES = ("active_if", "requires")
 
 _WORD_OPS = {"implies", "eqv", "xor"}
 
-_IDENT_RX = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RX = re.compile(
+_NUM = (
     r"0[xX][0-9a-fA-F]+"
     r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?"
     r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
 )
-# longest first so the two-character forms win
-_PUNCT_OPS = (
-    "||", "&&", "<<", ">>", "<=", ">=", "==", "!=",
-    "|", "^", "&", "<", ">", "+", "-", "*", "/", "%",
+# one token after optional blanks, tried in this order; two-character
+# operators come before their one-character prefixes
+_EXPR_TOKEN_RX = re.compile(
+    r"\s*(?:(?P<NUM>" + _NUM + r")|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r'|(?P<STR>")|(?P<OP>\|\||&&|<<|>>|<=|>=|==|!=|[|^&<>+\-*/%()?,:!~])'
+    r"|(?P<EOF>\Z)|(?P<BAD>.))",
+    re.S,
 )
+
+# a double-quoted string; a backslash escapes the character after it
+_QUOTED = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_QUOTED_RX = re.compile(_QUOTED, re.S)
+_ESCAPE_RX = re.compile(r"\\(.)", re.S)
+_BRACE_RX = re.compile(r"\\.|[{}]", re.S)
+# Blanks (whitespace but newline) and backslash-newline continuations
+# separate words; then one token: a command separator, an opening brace, a
+# quoted word, a lone (unterminated) quote, a stray '}' or a bare word.
+_CMD_TOKEN_RX = re.compile(
+    r"(?:[^\S\n]|\\\n)*(?:(?P<sep>[\n;])|(?P<braced>\{)"
+    r"|(?P<quoted>" + _QUOTED + r')|(?P<open>")|(?P<close>\})'
+    r"|(?P<bare>(?:[^\s;\\]+|\\(?!\n))+))",
+    re.S,
+)
+# where a list word may end or change state
+_LIST_STOP_RX = re.compile(r'[\s"()]')
+_BLANKS_RX = re.compile(r"\s*")
 
 _ESCAPE_MAP = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 
@@ -96,15 +121,19 @@ class ParseError(Exception):
 
 
 class _LineIndex:
-    """Maps absolute text offsets to 1-based line/column pairs."""
+    """Maps absolute text offsets to 1-based line/column pairs.
+
+    The line starts are found on the first ``locate``: most parses report
+    no diagnostic and never need them.
+    """
 
     def __init__(self, text: str):
-        self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
+        self.text = text
+        self.starts: list[int] | None = None
 
     def locate(self, offset: int) -> tuple[int, int]:
+        if self.starts is None:
+            self.starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
         line = bisect.bisect_right(self.starts, offset) - 1
         return line + 1, offset - self.starts[line] + 1
 
@@ -156,77 +185,51 @@ class _Tok:
 def _tokenize_expr(src: _Src, warnings: list | None = None) -> list[_Tok]:
     text = src.text
     toks: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUM_RX.match(text, i)
-        if m:
-            toks.append(_Tok("NUM", m.group(), i, m.end()))
-            i = m.end()
-            continue
-        m = _IDENT_RX.match(text, i)
-        if m:
-            toks.append(_Tok("IDENT", m.group(), i, m.end()))
-            i = m.end()
-            continue
-        if ch == '"':
-            value, end = _scan_string(src, i, warnings)
-            toks.append(_Tok("STR", value, i, end))
-            i = end
-            continue
-        matched = False
-        for op in _PUNCT_OPS:
-            if text.startswith(op, i):
-                toks.append(_Tok("OP", op, i, i + len(op)))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in "()?,:!~":
-            toks.append(_Tok("OP", ch, i, i + 1))
-            i += 1
-            continue
-        raise src.error(i, i + 1, f"unsupported character {ch!r} in expression")
-    toks.append(_Tok("EOF", "", n, n))
-    return toks
+    i = 0
+    while True:
+        m = _EXPR_TOKEN_RX.match(text, i)
+        kind = m.lastgroup
+        start, i = m.span(kind)
+        if kind == "STR":
+            value, i = _scan_string(src, start, warnings)
+            toks.append(_Tok(kind, value, start, i))
+        elif kind == "BAD":
+            raise src.error(
+                start, i, f"unsupported character {text[start]!r} in expression"
+            )
+        else:
+            toks.append(_Tok(kind, m.group(kind), start, i))
+            if kind == "EOF":
+                return toks
 
 
 def _scan_string(src: _Src, start: int, warnings: list | None) -> tuple[str, int]:
     text = src.text
-    out: list[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            return "".join(out), i + 1
-        if ch == "\\":
-            if i + 1 >= n:
-                break
-            esc = text[i + 1]
-            if esc in _ESCAPE_MAP:
-                out.append(_ESCAPE_MAP[esc])
-            elif esc == "\n":
-                out.append(" ")
-            else:
-                if warnings is not None:
-                    warnings.append(
-                        ParseDiagnostic(
-                            "warning",
-                            f"unsupported escape \\{esc}; kept literally",
-                            src.span(i, i + 2),
-                        )
-                    )
-                out.append(esc)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    raise src.error(start, n, "unterminated string literal")
+    m = _QUOTED_RX.match(text, start)
+    body = text[start + 1:m.end() - 1 if m else len(text)]
+
+    def unescape(e: re.Match) -> str:
+        esc = e.group(1)
+        if esc in _ESCAPE_MAP:
+            return _ESCAPE_MAP[esc]
+        if esc == "\n":
+            return " "
+        if warnings is not None:
+            at = start + 1 + e.start()
+            warnings.append(
+                ParseDiagnostic(
+                    "warning",
+                    f"unsupported escape \\{esc}; kept literally",
+                    src.span(at, at + 2),
+                )
+            )
+        return esc
+
+    if "\\" in body:
+        body = _ESCAPE_RX.sub(unescape, body)
+    if m is None:
+        raise src.error(start, len(text), "unterminated string literal")
+    return body, m.end()
 
 
 # ---------------------------------------------------------------------------
@@ -476,30 +479,21 @@ def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
     text = src.text
     words: list[tuple[str, int, int]] = []
     i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
+    while (i := _BLANKS_RX.match(text, i).end()) < n:
         start = i
         if text[i] == "{":
-            i = _scan_braces(src, i)
+            i = _scan_braces(src, i, n)
             words.append(("braced", start, i))
             continue
         depth = 0
-        in_str = False
-        while i < n:
+        while (m := _LIST_STOP_RX.search(text, i)) is not None:
+            i = m.start()
             ch = text[i]
-            if in_str:
-                if ch == "\\" and i + 1 < n:
-                    i += 2
-                    continue
-                if ch == '"':
-                    in_str = False
-                i += 1
-                continue
             if ch == '"':
-                in_str = True
-                i += 1
+                q = _QUOTED_RX.match(text, i)
+                if q is None:
+                    raise src.error(start, n, "unterminated string literal")
+                i = q.end()
                 continue
             if ch == "(":
                 depth += 1
@@ -507,35 +501,30 @@ def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
                 depth -= 1
                 if depth < 0:
                     raise src.error(i, i + 1, "unbalanced ')'")
-            elif ch.isspace() and depth == 0:
+            elif depth == 0:
                 break
             i += 1
-        if in_str:
-            raise src.error(start, n, "unterminated string literal")
+        else:
+            i = n
         if depth > 0:
             raise src.error(start, n, "unbalanced '('")
         words.append(("quoted" if text[start] == '"' else "bare", start, i))
     return words
 
 
-def _scan_braces(src: _Src, start: int) -> int:
-    """Scan a brace group starting at ``start``; returns end (past '}')."""
-    text = src.text
+def _scan_braces(src: _Src, start: int, end: int) -> int:
+    """Scan the brace group opening at ``start`` and closing before ``end``;
+    returns its end (past '}')."""
     depth = 0
-    i, n = start, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\\" and i + 1 < n:
-            i += 2
-            continue
-        if ch == "{":
+    for m in _BRACE_RX.finditer(src.text, start, end):
+        brace = m.group()
+        if brace == "{":
             depth += 1
-        elif ch == "}":
+        elif brace == "}":
             depth -= 1
             if depth == 0:
-                return i + 1
-        i += 1
-    raise src.error(start, n, "unbalanced '{'")
+                return m.end()
+    raise src.error(start, end, "unbalanced '{'")
 
 
 # ---------------------------------------------------------------------------
@@ -566,75 +555,40 @@ def _split_commands(
     commands: list[_Command] = []
     words: list[_Word] = []
     i = start
-    while i < end:
-        ch = text[i]
-        if ch == "\\" and i + 1 < end and text[i + 1] == "\n":
-            i += 2  # line continuation acts as a space
-            continue
-        if ch in ("\n", ";"):
+    while (m := _CMD_TOKEN_RX.match(text, i, end)) is not None:
+        kind = m.lastgroup
+        s, i = m.span(kind)
+        if kind == "sep":
             if words:
                 commands.append(_Command(tuple(words)))
                 words = []
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#" and not words:
-            while i < end and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "{":
+        elif kind == "bare":
+            if text[s] != "#" or words:
+                words.append(_Word(kind, s, i))
+            else:  # a comment runs to the end of the line
+                i = text.find("\n", s, end)
+                if i < 0:
+                    i = end
+        elif kind == "quoted":
+            words.append(_Word(kind, s, i))
+        elif kind == "braced":
             try:
-                j = _scan_braces(src, i)
+                i = _scan_braces(src, s, end)
             except ParseError as err:
                 sink.append(err.diagnostic)
                 return commands
-            if j > end:
-                sink.append(
-                    ParseDiagnostic(
-                        "error", "unbalanced '{'", src.span(i, end)
-                    )
-                )
-                return commands
-            words.append(_Word("braced", i, j))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            closed = False
-            while j < end:
-                if text[j] == "\\" and j + 1 < end:
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    j += 1
-                    closed = True
-                    break
-                j += 1
-            if not closed:
-                sink.append(
-                    ParseDiagnostic(
-                        "error", "unterminated string literal", src.span(i, end)
-                    )
-                )
-                return commands
-            words.append(_Word("quoted", i, j))
-            i = j
-            continue
-        if ch == "}":
+            words.append(_Word(kind, s, i))
+        elif kind == "open":
             sink.append(
-                ParseDiagnostic("error", "unexpected '}'", src.span(i, i + 1))
+                ParseDiagnostic(
+                    "error", "unterminated string literal", src.span(s, end)
+                )
             )
-            i += 1
-            continue
-        j = i
-        while j < end and not text[j].isspace() and text[j] not in ";":
-            if text[j] == "\\" and j + 1 < end and text[j + 1] == "\n":
-                break
-            j += 1
-        words.append(_Word("bare", i, j))
-        i = j
+            return commands
+        else:
+            sink.append(
+                ParseDiagnostic("error", "unexpected '}'", src.span(s, i))
+            )
     if words:
         commands.append(_Command(tuple(words)))
     return commands

@@ -32,7 +32,6 @@ from .exprs import (
     ListExpr,
     Logic,
     Not,
-    Range,
     Single,
     to_source,
 )

@@ -207,6 +207,28 @@ def test_long_chains_need_no_recursion(tmp_path):
     assert f"[node:Y] Y implies {anded}\n" in run("translate", str(model))[1]
 
 
+def test_too_deep_nesting_exits_2_without_traceback(tmp_path):
+    arith = tmp_path / "arith.cdl"
+    terms = " + ".join(["F"] * 600)
+    arith.write_text(f"cdl_option G {{ flavor data; calculated {{ {terms} }} }}\n")
+    chain = tmp_path / "chain.cdl"
+    n = 1500
+    chain.write_text(
+        "".join(f"cdl_option F{i} {{}}\n" for i in range(n))
+        + "cdl_option X { requires { "
+        + " implies ".join(f"F{i}" for i in range(n))
+        + " } }\n"
+    )
+    for argv in (
+        ("check", str(arith)),
+        ("translate", str(arith)),
+        ("translate", str(chain)),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"cdlsem: {argv[1]}: error: nested too deeply\n"
+
+
 def test_translate_empty_model_dimacs(tmp_path):
     empty = tmp_path / "empty.cdl"
     empty.write_text("")

@@ -17,7 +17,7 @@ from cdlsem import (
     normalize_model,
     parse_list_expr,
 )
-from cdlsem.model import Flavor, Kind, Model
+from cdlsem.model import Flavor, Kind, Model, model_to_pretty
 
 from conftest import FIXTURES, fixture_paths, load_model, mk_model
 
@@ -198,8 +198,12 @@ def test_model_rejects_parent_cycle():
 
 def test_children_and_lookup():
     m = mk_model("cdl_component C { cdl_option A {}\n cdl_option B {} }")
-    assert [n.name for n in m.children("C")] == ["A", "B"]
+    assert [m.node(n).parent for n in ("A", "B")] == ["C", "C"]
+    assert m.get("C") is m.node("C") and m.node("C").parent == TOP
     assert m.get("missing") is None
+    assert model_to_pretty(m) == (
+        "component C [bool]\n    option A [bool]\n    option B [bool]\n"
+    )
 
 
 def test_universe_includes_referenced_ids():

@@ -27,7 +27,7 @@ from cdlsem import (
     to_source,
 )
 from cdlsem.exprs import logic
-from cdlsem.model import Flavor, Kind
+from cdlsem.model import Flavor, Kind, RawNode
 from cdlsem.parser import ParseError
 
 
@@ -365,6 +365,109 @@ def test_nesting_depth_matches_brace_depth():
         hops += 1
         cur = by_name[cur].parent
     assert hops == depth
+
+
+# ---------------------------------------------------------------------------
+# command splitter: exact nodes and diagnostics
+
+
+def _opt(name, **fields):
+    return RawNode(name=name, kind=Kind.OPTION, **fields)
+
+
+@pytest.mark.parametrize(
+    "source,nodes,diagnostics",
+    [
+        pytest.param(
+            "cdl_option A {\n flavor bool\n",
+            [],
+            ["m.cdl:1:14: error: unbalanced '{'"],
+            id="brace-open-at-eof",
+        ),
+        # The splitter and the brace scan pair backslashes alike, so a '{'
+        # inside a body always closes before the body's own '}'; a group
+        # that would run past it leaves the enclosing '{' unbalanced.
+        pytest.param(
+            "cdl_component C {\n cdl_option A { \\}\n}\n",
+            [],
+            ["m.cdl:1:17: error: unbalanced '{'"],
+            id="inner-brace-past-body-end",
+        ),
+        pytest.param(
+            "cdl_option A {}\n}\ncdl_option B",
+            [_opt("A"), _opt("B")],
+            ["m.cdl:2:1: error: unexpected '}'"],
+            id="stray-close-brace",
+        ),
+        pytest.param(
+            'cdl_option A\n"abc',
+            [_opt("A")],
+            ["m.cdl:2:1: error: unterminated string literal"],
+            id="unterminated-quote-top-level",
+        ),
+        pytest.param(
+            'cdl_option A {\n requires "abc\n}',
+            [_opt("A")],
+            ["m.cdl:2:11: error: unterminated string literal"],
+            id="unterminated-quote-in-requires",
+        ),
+        pytest.param(
+            "cdl_option A {\n requires B $ C\n}",
+            [_opt("A")],
+            ["m.cdl:2:13: error: unsupported character '$' in expression"],
+            id="unsupported-expression-character",
+        ),
+        pytest.param(
+            'cdl_option A {\n calculated { "a\\qb" }\n}',
+            [_opt("A", calculated=(Const("aqb"),))],
+            ["m.cdl:2:17: warning: unsupported escape \\q; kept literally"],
+            id="unsupported-escape",
+        ),
+        pytest.param(
+            'cdl_option A {\n requires { "a\\q }\n}',
+            [_opt("A")],
+            [
+                "m.cdl:2:15: warning: unsupported escape \\q; kept literally",
+                "m.cdl:2:13: error: unterminated string literal",
+            ],
+            id="escape-in-unterminated-string",
+        ),
+        pytest.param(
+            "cdl_option A \\\n{ requires B\\\nC }",
+            [_opt("A", requires=[(Ident("B"), Ident("C"))])],
+            [],
+            id="line-continuation-between-and-inside-words",
+        ),
+        pytest.param(
+            "# c {\ncdl_option A { flavor bool; # c ;\n description # x }",
+            [_opt("A", flavor=Flavor.BOOL, annotations={"description": ["# x"]})],
+            ["m.cdl:3:2: warning: ignoring unsupported property 'description'"],
+            id="hash-comment-only-at-command-start",
+        ),
+        pytest.param(
+            "cdl_option A; cdl_option B {flavor data;calculated 1}",
+            [_opt("A"), _opt("B", flavor=Flavor.DATA, calculated=(Const("1"),))],
+            [],
+            id="semicolon-separator",
+        ),
+        pytest.param(
+            "cdl_option A {\r\n flavor bool\r\n requires B\r\n}\r\nfoo\r\n",
+            [_opt("A", flavor=Flavor.BOOL, requires=[(Ident("B"),)])],
+            ["m.cdl:5:1: error: unknown top-level command 'foo'"],
+            id="crlf-line-ends",
+        ),
+        pytest.param(
+            "cdl_option\u00a0A {\u2003requires\u001cB\u00a0C }\n\u2003bar",
+            [_opt("A", requires=[(Ident("B"), Ident("C"))])],
+            ["m.cdl:2:2: error: unknown top-level command 'bar'"],
+            id="non-ascii-blanks",
+        ),
+    ],
+)
+def test_splitter_nodes_and_diagnostics(source, nodes, diagnostics):
+    got_nodes, got_diagnostics = parse_model(source, "m.cdl")
+    assert got_nodes == nodes
+    assert [str(d) for d in got_diagnostics] == diagnostics
 
 
 def test_fuzz_never_raises_short():
