@@ -45,6 +45,7 @@ from .sat import (
     export_dot,
     implication_graph,
     model_sat,
+    to_cnf,
 )
 from .semantics import (
     DEFAULT_BUDGET,
@@ -210,8 +211,6 @@ def cmd_translate(cli: _Cli, args) -> int:
         return EXIT_NEGATIVE
     formula = build_formula(m)
     if args.format == "dimacs":
-        from .sat import to_cnf
-
         text = export_dimacs(to_cnf(formula))
     elif args.format == "json":
         payload = {
@@ -399,7 +398,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     try:
         return args.func(cli, args)
     except RecursionError:
-        # some layers still recurse once per operator or nesting level
+        # goal trees are flat per operator, but BBin chains (from long
+        # implies/eqv chains) and mixed-operator nesting still recurse
         cli.error(f"{args.model}: error: nested too deeply")
         return EXIT_INPUT
 

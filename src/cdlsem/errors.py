@@ -16,8 +16,8 @@ class CdlError(Exception):
         self.message = message
 
 
-class NormalizationError(CdlError):
-    """Raw node set cannot be turned into a model.
+class NormalizationError(CdlError, ValueError):
+    """Node set cannot be turned into a model.
 
     Codes: ``duplicate``, ``unresolved-parent``, ``cycle``, ``invalid-name``.
     """

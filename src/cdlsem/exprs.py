@@ -4,6 +4,10 @@ Goal expressions are the constraint language used by ``requires``,
 ``active_if`` and ``calculated`` properties; list expressions enumerate
 values and ranges for ``legal_values``.  Trees are immutable and hashable
 so they can live in frozensets on nodes.
+
+Every binary operator, Boolean, comparison or arithmetic, is one flat
+n-ary ``Infix`` node: a run of one operator is a tuple of operands, not a
+nested tree, so walkers loop over it instead of recursing per operator.
 """
 
 from __future__ import annotations
@@ -11,10 +15,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-
-LOGIC_OPS = ("||", "&&", "implies", "eqv", "xor")
-ARITH_OPS = ("+", "-", "*", "/", "%", "<<", ">>", "^", "&", "|")
-CMP_OPS = ("==", "!=", "<", ">", "<=", ">=")
 
 # builtin name -> required argument count
 BUILTINS = {
@@ -57,50 +57,30 @@ class BitNot(GoalExpr):
 
 
 @dataclass(frozen=True, slots=True)
-class Logic(GoalExpr):
+class Infix(GoalExpr):
     """Left-associative chain ``items[0] op items[1] op ...`` of one operator.
 
-    A chain is flat: build it with ``logic`` so that a left operand with
-    the same operator is extended rather than nested.
+    Every binary operator of the grammar (Boolean, comparison and
+    arithmetic) takes this one shape.  A chain is flat: build it with
+    ``infix`` so that a left operand with the same operator is extended
+    rather than nested.
     """
 
     op: str
     items: tuple[GoalExpr, ...]
 
     def __post_init__(self):
-        if self.op not in LOGIC_OPS:
-            raise ValueError(f"bad logic operator {self.op!r}")
+        if self.op not in PRECEDENCE:
+            raise ValueError(f"bad binary operator {self.op!r}")
         if len(self.items) < 2:
-            raise ValueError("logic chain needs at least two operands")
+            raise ValueError("operator chain needs at least two operands")
 
 
-def logic(op: str, left: GoalExpr, right: GoalExpr) -> Logic:
+def infix(op: str, left: GoalExpr, right: GoalExpr) -> Infix:
     """``left op right``, extending ``left`` when it is a chain of ``op``."""
-    if isinstance(left, Logic) and left.op == op:
-        return Logic(op, left.items + (right,))
-    return Logic(op, (left, right))
-
-
-@dataclass(frozen=True, slots=True)
-class Arith(GoalExpr):
-    op: str
-    left: GoalExpr
-    right: GoalExpr
-
-    def __post_init__(self):
-        if self.op not in ARITH_OPS:
-            raise ValueError(f"bad arithmetic operator {self.op!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class Cmp(GoalExpr):
-    op: str
-    left: GoalExpr
-    right: GoalExpr
-
-    def __post_init__(self):
-        if self.op not in CMP_OPS:
-            raise ValueError(f"bad comparison operator {self.op!r}")
+    if isinstance(left, Infix) and left.op == op:
+        return Infix(op, left.items + (right,))
+    return Infix(op, (left, right))
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,18 +199,12 @@ def to_source(e: GoalExpr, parent_prec: int = 0) -> str:
         return "!" + to_source(e.child, _UNARY_PREC)
     if isinstance(e, BitNot):
         return "~" + to_source(e.child, _UNARY_PREC)
-    if isinstance(e, Logic):
+    if isinstance(e, Infix):
         prec = PRECEDENCE[e.op]
         # left associative: later operands need parens at equal precedence
         text = to_source(e.items[0], prec)
         for x in e.items[1:]:
             text += f" {e.op} {to_source(x, prec + 1)}"
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(e, (Arith, Cmp)):
-        prec = PRECEDENCE[e.op]
-        text = (
-            f"{to_source(e.left, prec)} {e.op} {to_source(e.right, prec + 1)}"
-        )
         return f"({text})" if prec < parent_prec else text
     if isinstance(e, Call):
         args = ", ".join(to_source(a) for a in e.args)
@@ -287,12 +261,9 @@ def _collect_ids(e: GoalExpr, acc: set[str]) -> None:
         acc.add(e.name)
     elif isinstance(e, (Not, BitNot)):
         _collect_ids(e.child, acc)
-    elif isinstance(e, Logic):
+    elif isinstance(e, Infix):
         for x in e.items:
             _collect_ids(x, acc)
-    elif isinstance(e, (Arith, Cmp)):
-        _collect_ids(e.left, acc)
-        _collect_ids(e.right, acc)
     elif isinstance(e, Call):
         for a in e.args:
             _collect_ids(a, acc)

@@ -19,7 +19,7 @@ from .exprs import (
     ListExpr,
     list_referenced_ids,
     list_to_source,
-    logic,
+    infix,
     referenced_ids,
     to_source,
 )
@@ -118,18 +118,31 @@ class Model:
     __slots__ = ("_nodes", "_by_name", "_hash", "_universe")
 
     def __init__(self, nodes):
-        ordered = tuple(sorted(nodes, key=lambda n: n.name))
+        """Index the nodes; raises ``NormalizationError`` on a bad structure.
+
+        Checks run in the caller's order: per node the name's validity and
+        then its uniqueness, then every parent, then the parent cycle.
+        """
+        nodes = list(nodes)
         by_name: dict[str, Node] = {}
-        for n in ordered:
+        for n in nodes:
+            if not is_valid_feature_id(n.name):
+                raise NormalizationError("invalid-name", f"bad feature name {n.name!r}")
             if n.name in by_name:
-                raise ValueError(f"duplicate node name {n.name!r}")
+                raise NormalizationError("duplicate", f"duplicate node name {n.name!r}")
             by_name[n.name] = n
-        for n in ordered:
+        parent_of = {}
+        for n in nodes:
             if n.parent != TOP and n.parent not in by_name:
-                raise ValueError(f"node {n.name!r} has unknown parent {n.parent!r}")
-        cycle = _find_cycle({n.name: n.parent for n in ordered})
+                raise NormalizationError(
+                    "unresolved-parent",
+                    f"node {n.name!r} has unknown parent {n.parent!r}",
+                )
+            parent_of[n.name] = n.parent
+        cycle = _find_cycle(parent_of)
         if cycle is not None:
-            raise ValueError(f"parent cycle through {cycle!r}")
+            raise NormalizationError("cycle", f"parent cycle through {cycle!r}")
+        ordered = tuple(sorted(nodes, key=lambda n: n.name))
         self._nodes = ordered
         self._by_name = by_name
         self._hash = hash(ordered)
@@ -201,26 +214,8 @@ def normalize_model(raw) -> Model:
 
     Fills in default flavors, reroots top-level nodes at TOP and folds
     whitespace enumerations in requires/active_if/calculated into
-    disjunctions.
+    disjunctions.  ``Model`` checks names, parents and cycles.
     """
-    raw = list(raw)
-    seen: set[str] = set()
-    for r in raw:
-        if not is_valid_feature_id(r.name):
-            raise NormalizationError("invalid-name", f"bad feature name {r.name!r}")
-        if r.name in seen:
-            raise NormalizationError("duplicate", f"duplicate node name {r.name!r}")
-        seen.add(r.name)
-    for r in raw:
-        if r.parent is not None and r.parent != TOP and r.parent not in seen:
-            raise NormalizationError(
-                "unresolved-parent",
-                f"node {r.name!r} has unknown parent {r.parent!r}",
-            )
-    cycle = _find_cycle({r.name: r.parent for r in raw})
-    if cycle is not None:
-        raise NormalizationError("cycle", f"parent cycle through {cycle!r}")
-
     nodes = []
     for r in raw:
         flavor = r.flavor if r.flavor is not None else DEFAULT_FLAVOR[r.kind]
@@ -248,7 +243,7 @@ def _disjoin(entry: tuple[GoalExpr, ...]) -> GoalExpr:
         raise ValueError("empty expression enumeration")
     acc = entry[0]
     for e in entry[1:]:
-        acc = logic("||", acc, e)
+        acc = infix("||", acc, e)
     return acc
 
 

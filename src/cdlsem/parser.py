@@ -23,22 +23,19 @@ import re
 from dataclasses import dataclass
 
 from .exprs import (
-    Arith,
     BUILTINS,
     Call,
-    Cmp,
     Cond,
     Const,
     GoalExpr,
     Ident,
-    LOGIC_OPS,
     ListExpr,
     Not,
     BitNot,
     PRECEDENCE,
     Range,
     Single,
-    logic,
+    infix,
 )
 from .model import Flavor, Kind, RawNode, is_valid_feature_id
 
@@ -275,7 +272,7 @@ class _ExprParser:
                 if op is not None and PRECEDENCE[op] >= min_prec:
                     self.advance()
                     right = self.parse(PRECEDENCE[op] + 1)
-                    left = self._make_binary(op, left, right)
+                    left = infix(op, left, right)
                     continue
                 if (
                     tok.kind == "OP"
@@ -294,14 +291,6 @@ class _ExprParser:
                 return left
         finally:
             self.depth -= 1
-
-    @staticmethod
-    def _make_binary(op: str, left: GoalExpr, right: GoalExpr) -> GoalExpr:
-        if op in LOGIC_OPS:
-            return logic(op, left, right)
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            return Cmp(op, left, right)
-        return Arith(op, left, right)
 
     def parse_unary(self) -> GoalExpr:
         self.depth += 1

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EvalError, FormulaError, OracleError
-from .exprs import Call, Cmp, Cond, Const, GoalExpr, Ident, Logic, Not, to_source
+from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not, to_source
 from .model import TOP, Flavor, Kind, Model, check_well_formed
 from .semantics import (
     Configuration,
@@ -280,9 +280,11 @@ def rewrite(e: GoalExpr, m: Model) -> BoolExpr | None:
         if isinstance(e.child, Ident):
             return bnot(rewrite(e.child, m))
         return None
-    if isinstance(e, Logic):
-        if e.op == "xor":
-            return None
+    if isinstance(e, Infix):
+        if e.op in _FLIP:
+            return _rewrite_cmp(e, m)
+        if e.op not in ("&&", "||", "implies", "eqv"):
+            return None  # xor and arithmetic
         items = []
         for x in e.items:
             r = rewrite(x, m)
@@ -311,14 +313,13 @@ def rewrite(e: GoalExpr, m: Model) -> BoolExpr | None:
             and isinstance(e.args[1], Const)
         ):
             return rewrite(e.args[0], m)
-        return None
-    if isinstance(e, Cmp):
-        return _rewrite_cmp(e, m)
     return None
 
 
-def _rewrite_cmp(e: Cmp, m: Model) -> BoolExpr | None:
-    op, lhs, rhs = e.op, e.left, e.right
+def _rewrite_cmp(e: Infix, m: Model) -> BoolExpr | None:
+    if len(e.items) != 2:
+        return None  # a chain compares a 0/1 result, not a feature
+    op, (lhs, rhs) = e.op, e.items
     if isinstance(lhs, Const) and isinstance(rhs, Ident):
         op, lhs, rhs = _FLIP[op], rhs, lhs
     if not (isinstance(lhs, Ident) and isinstance(rhs, Const)):

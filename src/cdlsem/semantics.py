@@ -21,16 +21,14 @@ from dataclasses import dataclass
 
 from .errors import EvalError, OracleError, ValidationError
 from .exprs import (
-    Arith,
     BitNot,
     Call,
-    Cmp,
     Cond,
     Const,
     GoalExpr,
     Ident,
+    Infix,
     ListExpr,
-    Logic,
     Not,
     Single,
     to_source,
@@ -207,6 +205,24 @@ DEFAULT_BUILTINS = Builtins()
 
 _REF_FUNCS = ("get_data", "is_active", "is_enabled", "is_loaded")
 
+# Boolean operator -> result for (left, right) truth values, indexed 2*l + r
+_TRUTH = {
+    "||": (0, 1, 1, 1),
+    "&&": (0, 0, 0, 1),
+    "xor": (0, 1, 1, 0),
+    "implies": (1, 1, 0, 1),
+    "eqv": (1, 0, 0, 1),
+}
+# comparison operator -> compare_values results for which it holds
+_CMP_HOLDS = {
+    "==": (0,),
+    "!=": (-1, 1),
+    "<": (-1,),
+    ">": (1,),
+    "<=": (-1, 0),
+    ">=": (0, 1),
+}
+
 
 def eval_expr(
     e: GoalExpr, c: Configuration, m: Model, builtins: Builtins = DEFAULT_BUILTINS
@@ -223,44 +239,27 @@ def eval_expr(
         if not isinstance(n, int):
             raise EvalError("not-numeric", "~ needs an integer operand")
         return str(~n)
-    if isinstance(e, Logic):
-        # every operand is evaluated, so each one's errors surface
+    if isinstance(e, Infix):
+        # fold left over every operand, so each one's errors surface in the
+        # order a left-nested tree would raise them
         op = e.op
         operands = iter(e.items)
-        r = to_bool(eval_expr(next(operands), c, m, builtins))
+        acc = eval_expr(next(operands), c, m, builtins)
+        truth = _TRUTH.get(op)
+        if truth is not None:
+            r = to_bool(acc)
+            for x in operands:
+                r = truth[2 * r + to_bool(eval_expr(x, c, m, builtins))]
+            return "1" if r else "0"
+        holds = _CMP_HOLDS.get(op)
+        if holds is not None:
+            for x in operands:
+                r = compare_values(acc, eval_expr(x, c, m, builtins))
+                acc = "1" if r in holds else "0"
+            return acc
         for x in operands:
-            b = to_bool(eval_expr(x, c, m, builtins))
-            if op == "||":
-                r |= b
-            elif op == "&&":
-                r &= b
-            elif op == "implies":
-                r = (1 - r) | b
-            elif op == "eqv":
-                r = int(r == b)
-            else:  # xor
-                r ^= b
-        return "1" if r else "0"
-    if isinstance(e, Arith):
-        return _arith(
-            e.op,
-            eval_expr(e.left, c, m, builtins),
-            eval_expr(e.right, c, m, builtins),
-        )
-    if isinstance(e, Cmp):
-        r = compare_values(
-            eval_expr(e.left, c, m, builtins),
-            eval_expr(e.right, c, m, builtins),
-        )
-        ok = {
-            "==": r == 0,
-            "!=": r != 0,
-            "<": r < 0,
-            ">": r > 0,
-            "<=": r <= 0,
-            ">=": r >= 0,
-        }[e.op]
-        return "1" if ok else "0"
+            acc = _arith(op, acc, eval_expr(x, c, m, builtins))
+        return acc
     if isinstance(e, Cond):
         if to_bool(eval_expr(e.guard, c, m, builtins)):
             return eval_expr(e.then, c, m, builtins)
@@ -336,11 +335,10 @@ def satisfies_legal(
             if values_equal(d, eval_expr(item.expr, c, m, builtins)):
                 return 1
         else:
-            probe = Logic(
-                "&&",
-                (Cmp("<=", item.low, Const(d)), Cmp("<=", Const(d), item.high)),
-            )
-            if to_bool(eval_expr(probe, c, m, builtins)):
+            # both bounds are evaluated, low first, before either is compared
+            low = eval_expr(item.low, c, m, builtins)
+            high = eval_expr(item.high, c, m, builtins)
+            if compare_values(low, d) <= 0 and compare_values(d, high) <= 0:
                 return 1
     return 0
 

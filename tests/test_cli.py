@@ -208,9 +208,17 @@ def test_long_chains_need_no_recursion(tmp_path):
 
 
 def test_too_deep_nesting_exits_2_without_traceback(tmp_path):
+    # a 600-term arithmetic chain is one flat node and goes through
     arith = tmp_path / "arith.cdl"
     terms = " + ".join(["F"] * 600)
     arith.write_text(f"cdl_option G {{ flavor data; calculated {{ {terms} }} }}\n")
+    assert run("check", str(arith)) == (0, "", "")
+    assert run("translate", str(arith)) == (
+        0,
+        "[node:G] 1\n[flavor:G] G\n[unloaded:F] !F\n",
+        "",
+    )
+    # a long implies chain still folds into nested BBin nodes
     chain = tmp_path / "chain.cdl"
     n = 1500
     chain.write_text(
@@ -219,14 +227,16 @@ def test_too_deep_nesting_exits_2_without_traceback(tmp_path):
         + " implies ".join(f"F{i}" for i in range(n))
         + " } }\n"
     )
-    for argv in (
-        ("check", str(arith)),
-        ("translate", str(arith)),
-        ("translate", str(chain)),
-    ):
-        code, out, err = run(*argv)
-        assert (code, out) == (2, ""), argv
-        assert err == f"cdlsem: {argv[1]}: error: nested too deeply\n"
+    code, out, err = run("translate", str(chain))
+    assert (code, out) == (2, "")
+    assert err == f"cdlsem: {chain}: error: nested too deeply\n"
+
+
+def test_public_names_resolve():
+    import cdlsem
+
+    missing = [name for name in cdlsem.__all__ if not hasattr(cdlsem, name)]
+    assert missing == []
 
 
 def test_translate_empty_model_dimacs(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from cdlsem import (
     Const,
     Ident,
-    Logic,
+    Infix,
     NormalizationError,
     RawNode,
     TOP,
@@ -48,19 +48,19 @@ def test_flavor_defaults(src, flavor):
 def test_enumeration_becomes_disjunction():
     m = mk_model("cdl_option X { requires A B }")
     assert m.node("X").requires == frozenset(
-        {Logic("||", (Ident("A"), Ident("B")))}
+        {Infix("||", (Ident("A"), Ident("B")))}
     )
 
 
 def test_calculated_enumeration_becomes_disjunction():
     m = mk_model("cdl_option X { flavor bool\n calculated A B }")
-    assert m.node("X").calculated == Logic("||", (Ident("A"), Ident("B")))
+    assert m.node("X").calculated == Infix("||", (Ident("A"), Ident("B")))
 
 
 def test_enumeration_and_braced_disjunction_are_one_entry():
     m = mk_model("cdl_option X { requires { A || B } C\n requires A B C }")
     assert m.node("X").requires == frozenset(
-        {Logic("||", (Ident("A"), Ident("B"), Ident("C")))}
+        {Infix("||", (Ident("A"), Ident("B"), Ident("C")))}
     )
 
 
@@ -187,6 +187,37 @@ def test_model_rejects_duplicates():
     n = mk_model("cdl_option A {}").node("A")
     with pytest.raises(ValueError):
         Model([n, n])
+
+
+def test_model_checks_structure_like_normalization():
+    a = mk_model("cdl_option A {}").node("A")
+    for nodes, code, message in [
+        # checked per node in the caller's order, not in name order
+        ([replace(a, name="B"), replace(a, name="1X"), replace(a, name="B"), a, a],
+         "invalid-name", "bad feature name '1X'"),
+        ([replace(a, name="B"), replace(a, name="B"), replace(a, name="1X"), a, a],
+         "duplicate", "duplicate node name 'B'"),
+        ([a, replace(a, name="B", parent="GHOST")],
+         "unresolved-parent", "node 'B' has unknown parent 'GHOST'"),
+    ]:
+        with pytest.raises(NormalizationError) as err:
+            Model(nodes)
+        assert (err.value.code, err.value.message) == (code, message)
+
+
+def test_loading_a_model_walks_parents_once(monkeypatch):
+    from cdlsem import model as model_module
+
+    calls = []
+    real = model_module._find_cycle
+
+    def counting(parent_of):
+        calls.append(len(parent_of))
+        return real(parent_of)
+
+    monkeypatch.setattr(model_module, "_find_cycle", counting)
+    mk_model("cdl_component C { cdl_option A {}\n cdl_option B {} }")
+    assert calls == [3]
 
 
 def test_model_rejects_parent_cycle():

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdlsem import (
-    Arith,
     BitNot,
     Call,
-    Cmp,
     Cond,
     Const,
     Ident,
+    Infix,
     ListExpr,
-    Logic,
     Not,
     Range,
     Single,
@@ -26,7 +24,7 @@ from cdlsem import (
     parse_model,
     to_source,
 )
-from cdlsem.exprs import logic
+from cdlsem.exprs import PRECEDENCE, infix
 from cdlsem.model import Flavor, Kind, RawNode
 from cdlsem.parser import ParseError
 
@@ -36,14 +34,14 @@ from cdlsem.parser import ParseError
 
 
 def test_or_binds_looser_than_and():
-    assert parse_goal_expr("A && B || C") == Logic(
-        "||", (Logic("&&", (Ident("A"), Ident("B"))), Ident("C"))
+    assert parse_goal_expr("A && B || C") == Infix(
+        "||", (Infix("&&", (Ident("A"), Ident("B"))), Ident("C"))
     )
 
 
 def test_conditional_lowest():
     assert parse_goal_expr("X == 1 ? Y : Z") == Cond(
-        Cmp("==", Ident("X"), Const("1")), Ident("Y"), Ident("Z")
+        Infix("==", (Ident("X"), Const("1"))), Ident("Y"), Ident("Z")
     )
 
 
@@ -55,20 +53,20 @@ def test_plain_constant():
     "text,expected",
     [
         # one case per rung of the precedence ladder, lowest to highest
-        ("a implies b eqv c", Logic("eqv", (Logic("implies", (Ident("a"), Ident("b"))), Ident("c")))),
-        ("a implies b ? c : d", Cond(Logic("implies", (Ident("a"), Ident("b"))), Ident("c"), Ident("d"))),
-        ("a || b implies c", Logic("implies", (Logic("||", (Ident("a"), Ident("b"))), Ident("c")))),
-        ("a xor b && c", Logic("&&", (Logic("xor", (Ident("a"), Ident("b"))), Ident("c")))),
-        ("a | b xor c", Logic("xor", (Arith("|", Ident("a"), Ident("b")), Ident("c")))),
-        ("a ^ b | c", Arith("|", Arith("^", Ident("a"), Ident("b")), Ident("c"))),
-        ("a & b ^ c", Arith("^", Arith("&", Ident("a"), Ident("b")), Ident("c"))),
-        ("a == b & c", Arith("&", Cmp("==", Ident("a"), Ident("b")), Ident("c"))),
-        ("a < b == c", Cmp("==", Cmp("<", Ident("a"), Ident("b")), Ident("c"))),
-        ("a << b < c", Cmp("<", Arith("<<", Ident("a"), Ident("b")), Ident("c"))),
-        ("a + b << c", Arith("<<", Arith("+", Ident("a"), Ident("b")), Ident("c"))),
-        ("a * b + c", Arith("+", Arith("*", Ident("a"), Ident("b")), Ident("c"))),
-        ("!a && b", Logic("&&", (Not(Ident("a")), Ident("b")))),
-        ("~a + b", Arith("+", BitNot(Ident("a")), Ident("b"))),
+        ("a implies b eqv c", Infix("eqv", (Infix("implies", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a implies b ? c : d", Cond(Infix("implies", (Ident("a"), Ident("b"))), Ident("c"), Ident("d"))),
+        ("a || b implies c", Infix("implies", (Infix("||", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a xor b && c", Infix("&&", (Infix("xor", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a | b xor c", Infix("xor", (Infix("|", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a ^ b | c", Infix("|", (Infix("^", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a & b ^ c", Infix("^", (Infix("&", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a == b & c", Infix("&", (Infix("==", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a < b == c", Infix("==", (Infix("<", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a << b < c", Infix("<", (Infix("<<", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a + b << c", Infix("<<", (Infix("+", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("a * b + c", Infix("+", (Infix("*", (Ident("a"), Ident("b"))), Ident("c")))),
+        ("!a && b", Infix("&&", (Not(Ident("a")), Ident("b")))),
+        ("~a + b", Infix("+", (BitNot(Ident("a")), Ident("b")))),
     ],
 )
 def test_precedence_ladder(text, expected):
@@ -76,8 +74,8 @@ def test_precedence_ladder(text, expected):
 
 
 def test_left_associativity():
-    assert parse_goal_expr("a - b - c") == Arith(
-        "-", Arith("-", Ident("a"), Ident("b")), Ident("c")
+    assert parse_goal_expr("a - b - c") == Infix(
+        "-", (Ident("a"), Ident("b"), Ident("c"))
     )
 
 
@@ -88,26 +86,49 @@ def test_conditional_right_associative():
 
 
 def test_parenthesized():
-    assert parse_goal_expr("(a || b) && c") == Logic(
-        "&&", (Logic("||", (Ident("a"), Ident("b"))), Ident("c"))
+    assert parse_goal_expr("(a || b) && c") == Infix(
+        "&&", (Infix("||", (Ident("a"), Ident("b"))), Ident("c"))
     )
 
 
-@pytest.mark.parametrize("op", ["||", "&&", "implies", "eqv", "xor"])
-def test_logic_chain_is_flat_and_left_associative(op):
+def _assert_flat_chain(op):
     a, b, c = Ident("a"), Ident("b"), Ident("c")
-    flat = Logic(op, (a, b, c))
+    flat = Infix(op, (a, b, c))
     assert parse_goal_expr(f"a {op} b {op} c") == flat
     assert parse_goal_expr(f"(a {op} b) {op} c") == flat
     assert to_source(flat) == f"a {op} b {op} c"
-    nested = Logic(op, (a, Logic(op, (b, c))))
+    nested = Infix(op, (a, Infix(op, (b, c))))
     assert parse_goal_expr(f"a {op} (b {op} c)") == nested
     assert to_source(nested) == f"a {op} (b {op} c)"
 
 
+@pytest.mark.parametrize("op", ["||", "&&", "implies", "eqv", "xor"])
+def test_logic_chain_is_flat_and_left_associative(op):
+    _assert_flat_chain(op)
+
+
+@pytest.mark.parametrize(
+    "op", ["+", "-", "*", "/", "%", "<<", ">>", "^", "&", "|",
+           "==", "!=", "<", ">", "<=", ">="],
+)
+def test_arith_and_comparison_chains_are_flat(op):
+    _assert_flat_chain(op)
+
+
 def test_logic_needs_two_operands():
     with pytest.raises(ValueError):
-        Logic("&&", (Ident("a"),))
+        Infix("&&", (Ident("a"),))
+
+
+def test_infix_needs_two_operands_and_a_known_operator():
+    with pytest.raises(ValueError, match="at least two operands"):
+        Infix("+", (Ident("a"),))
+    with pytest.raises(ValueError, match="at least two operands"):
+        Infix("<", ())
+    with pytest.raises(ValueError, match="bad binary operator"):
+        Infix("**", (Ident("a"), Ident("b")))
+    with pytest.raises(ValueError, match="bad binary operator"):
+        Infix("?", (Ident("a"), Ident("b")))
 
 
 def test_builtin_call():
@@ -119,7 +140,7 @@ def test_builtin_call():
 def test_signed_number_constants():
     assert parse_goal_expr("-5") == Const("-5")
     assert parse_goal_expr("-0x10") == Const("-0x10")
-    assert parse_goal_expr("a - -5") == Arith("-", Ident("a"), Const("-5"))
+    assert parse_goal_expr("a - -5") == Infix("-", (Ident("a"), Const("-5")))
 
 
 def test_string_escapes():
@@ -188,7 +209,7 @@ def test_list_negative_bounds():
 def test_list_parenthesized_item_may_contain_spaces():
     got = parse_list_expr("(a + 1) 5")
     assert got == ListExpr(
-        (Single(Arith("+", Ident("a"), Const("1"))), Single(Const("5")))
+        (Single(Infix("+", (Ident("a"), Const("1")))), Single(Const("5")))
     )
 
 
@@ -223,15 +244,10 @@ _leaves = st.one_of(
 
 
 def _exprs(children):
-    # logic chains go through the builder, the one shape the parser makes
-    binary = st.sampled_from(
-        [(logic, op) for op in ("||", "&&", "implies", "eqv", "xor")]
-        + [(Arith, op) for op in ("+", "-", "*", "/", "%", "<<", ">>", "^", "&", "|")]
-        + [(Cmp, op) for op in ("==", "!=", "<", ">", "<=", ">=")]
-    )
+    # operator chains go through the builder, the one shape the parser makes
     return st.one_of(
-        st.tuples(binary, children, children).map(
-            lambda t: t[0][0](t[0][1], t[1], t[2])
+        st.tuples(st.sampled_from(sorted(PRECEDENCE)), children, children).map(
+            lambda t: infix(*t)
         ),
         children.map(Not),
         children.map(BitNot),
@@ -319,7 +335,7 @@ def test_repeated_requires_stay_separate():
 def test_line_continuation():
     nodes, diags = parse_model("cdl_option A { requires B && \\\n C }")
     assert not has_errors(diags)
-    assert nodes[0].requires == [(Logic("&&", (Ident("B"), Ident("C"))),)]
+    assert nodes[0].requires == [(Infix("&&", (Ident("B"), Ident("C"))),)]
 
 
 def test_unknown_property_warns_and_is_kept():

@@ -207,6 +207,14 @@ def test_rewrite_connective_shapes():
     assert rewrite(pg("IMP_A && !(IMP_B && IMP_C)"), IFACE_MODEL) is None
 
 
+def test_rewrite_comparison_needs_two_operands():
+    assert rewrite(pg("PLAIN == 1"), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg("1 == PLAIN"), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg("PLAIN < IMP_A < IMP_B"), IFACE_MODEL) is None
+    assert rewrite(pg("PLAIN == 1 == 1"), IFACE_MODEL) is None
+    assert rewrite(pg("PLAIN > 0 > 0"), IFACE_MODEL) is None
+
+
 @pytest.mark.parametrize("op", ["&&", "||", "xor"])
 def test_bbin_is_only_implies_and_eqv(op):
     with pytest.raises(ValueError):

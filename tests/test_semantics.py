@@ -144,6 +144,37 @@ def test_eval_errors(text, code):
     assert err.value.code == code
 
 
+def test_eval_chains_fold_left():
+    assert ev("10 - 3 - 2") == "5"
+    assert ev("N / 4 / 2.0") == "0.5"
+    assert ev("2 < 3 < 1") == "0"  # (2 < 3) is 1, and 1 < 1 fails
+    assert ev("3 > 2 > 1") == "0"
+    assert ev("1 == 1 == 1") == "1"
+    assert ev('S < "z" < 2') == "1"
+    assert ev("1 && 2 && 0") == "0"
+    assert ev("0 implies 0 implies 0") == "0"
+    assert ev("1 xor 1 xor 1") == "1"
+    assert ev("0 eqv 0 eqv 0") == "0"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('1 + "x" + GHOST', "not-numeric: non-numeric operand to '+'"),
+        ("GHOST - 1 / 0 - OTHER", "unknown-id: unknown feature 'GHOST'"),
+        ("N * 2 / 0 * GHOST", "div-zero: division by zero"),
+        ("N % 4 % 0", "div-zero: modulo by zero"),
+        ("1 << 2 << -1", "invalid-shift: bad shift width -1"),
+        ('"a" - N - 1', "not-numeric: non-numeric operand to '-'"),
+    ],
+)
+def test_arithmetic_chain_error_text(text, message):
+    # the first failing step of the left fold, as for a left-nested tree
+    with pytest.raises(EvalError) as err:
+        ev(text)
+    assert str(err.value) == message
+
+
 def test_eval_strict_binary_logic_propagates_errors():
     # unlike the conditional, && evaluates both operands
     with pytest.raises(EvalError):
@@ -190,6 +221,17 @@ def test_compare_values_numeric_first():
 
 def test_satisfies_legal_range():
     assert satisfies_legal("5", C1, parse_list_expr("1 to 10"), EMPTY) == 1
+    for d, expect in [("1", 1), ("10", 1), ("0", 0), ("11", 0), ("0x4", 1)]:
+        assert satisfies_legal(d, C1, parse_list_expr("1 to (N + 4)"), EMPTY) == expect
+    assert satisfies_legal("b", C1, parse_list_expr('"a" to "c"'), EMPTY) == 1
+    # both bounds are evaluated, low first, even when the low one rejects
+    for text, message in [
+        ("GHOST to (1 / 0)", "unknown-id: unknown feature 'GHOST'"),
+        ("7 to GHOST", "unknown-id: unknown feature 'GHOST'"),
+    ]:
+        with pytest.raises(EvalError) as err:
+            satisfies_legal("5", C1, parse_list_expr(text), EMPTY)
+        assert str(err.value) == message
 
 
 def test_satisfies_legal_equality():
