@@ -26,7 +26,8 @@ class NormalizationError(CdlError, ValueError):
 class EvalError(CdlError):
     """Expression evaluation failed.
 
-    Codes: ``unknown-id``, ``div-zero``, ``not-numeric``, ``invalid-shift``.
+    Codes: ``unknown-id``, ``div-zero``, ``not-numeric``, ``invalid-shift``,
+    ``too-large``.
     """
 
 

@@ -7,10 +7,15 @@ Three layers:
   expressions,
 * a node builder that walks ``cdl_*`` commands and their bodies.
 
-The splitter, the brace scan and the tokenizer are regex-driven: compiled
-patterns consume the text, and Python code runs once per word or token,
-not once per character.  Line and column numbers are worked out only when
-a diagnostic needs a position.
+The splitter and the tokenizer are regex-driven: compiled patterns
+consume the text, and Python code runs once per word or token, not once
+per character.  Braces are paired once per text, on the first brace group
+met, by one pass with a stack; after that, finding the end of a body is a
+dictionary lookup, so nested bodies are not rescanned per enclosing level.
+Words are ``(kind, start, end)`` tuples, a command is the tuple of its
+words, and expression tokens are ``(kind, text, start, end)`` tuples.
+Line and column numbers are worked out only when a diagnostic needs a
+position.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -19,6 +24,7 @@ diagnostics.  The standalone expression entry points raise ``ParseError``.
 from __future__ import annotations
 
 import bisect
+import math
 import re
 from dataclasses import dataclass
 
@@ -136,23 +142,38 @@ class _LineIndex:
 
 
 class _Src:
-    """A scannable text whose positions map back into the original file."""
+    """A scannable text whose positions map back into the original file.
 
-    __slots__ = ("text", "offsets", "file", "index")
+    ``pieces`` is None for the file text itself.  Otherwise it holds
+    ``(start, origin)`` pairs by rising ``start``: from ``start`` up to the
+    next piece, position ``p`` comes from file offset ``origin + p - start``.
+    """
 
-    def __init__(self, text, file, index, offsets=None):
+    __slots__ = ("text", "pieces", "file", "index", "partners")
+
+    def __init__(self, text, file, index, pieces=None):
         self.text = text
         self.file = file
         self.index = index
-        self.offsets = offsets  # None means identity
+        self.pieces = pieces
+        self.partners: dict[int, int] | None = None  # see _scan_braces
+
+    def origin(self, p: int) -> int:
+        if self.pieces is None:
+            return p
+        k = bisect.bisect_right(self.pieces, (p, math.inf)) - 1
+        start, origin = self.pieces[k]
+        return origin + p - start
 
     def span(self, start: int, end: int) -> SourceSpan:
-        if self.offsets is not None:
-            last = len(self.offsets) - 1
-            a = self.offsets[min(start, last)] if last >= 0 else 0
-            b = self.offsets[min(max(end - 1, start), last)] + 1 if last >= 0 else 0
-        else:
+        if self.pieces is None:
             a, b = start, end
+        elif self.text:
+            last = len(self.text) - 1
+            a = self.origin(min(start, last))
+            b = self.origin(min(max(end - 1, start), last)) + 1
+        else:
+            a = b = 0
         l1, c1 = self.index.locate(a)
         l2, c2 = self.index.locate(max(a, b))
         return SourceSpan(self.file, l1, c1, l2, c2)
@@ -169,19 +190,14 @@ def _standalone(text: str, file: str = "<expr>") -> _Src:
 
 # ---------------------------------------------------------------------------
 # expression tokenizer
+#
+# A token is a (kind, text, start, end) tuple: kind is NUM, STR, IDENT, OP
+# or EOF, and text is the lexeme, or the unescaped value of a string.
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str  # NUM STR IDENT OP EOF
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize_expr(src: _Src, warnings: list | None = None) -> list[_Tok]:
+def _tokenize_expr(src: _Src, warnings: list | None = None) -> list[tuple]:
     text = src.text
-    toks: list[_Tok] = []
+    toks: list[tuple] = []
     i = 0
     while True:
         m = _EXPR_TOKEN_RX.match(text, i)
@@ -189,13 +205,13 @@ def _tokenize_expr(src: _Src, warnings: list | None = None) -> list[_Tok]:
         start, i = m.span(kind)
         if kind == "STR":
             value, i = _scan_string(src, start, warnings)
-            toks.append(_Tok(kind, value, start, i))
+            toks.append((kind, value, start, i))
         elif kind == "BAD":
             raise src.error(
                 start, i, f"unsupported character {text[start]!r} in expression"
             )
         else:
-            toks.append(_Tok(kind, m.group(kind), start, i))
+            toks.append((kind, m.group(kind), start, i))
             if kind == "EOF":
                 return toks
 
@@ -236,29 +252,25 @@ _TERNARY_PREC = 1
 
 
 class _ExprParser:
-    def __init__(self, src: _Src, toks: list[_Tok]):
+    def __init__(self, src: _Src, toks: list[tuple]):
         self.src = src
         self.toks = toks
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
-    def advance(self) -> _Tok:
+    def fail(self, tok: tuple, message: str):
+        _, _, start, end = tok
+        raise self.src.error(start, max(end, start + 1), message)
+
+    def expect(self, text: str, message: str) -> None:
+        """Consume the operator ``text`` or fail with ``message``."""
         tok = self.toks[self.i]
+        if tok[0] != "OP" or tok[1] != text:
+            self.fail(tok, message)
         self.i += 1
-        return tok
-
-    def fail(self, tok: _Tok, message: str):
-        raise self.src.error(tok.start, max(tok.end, tok.start + 1), message)
-
-    def _binary_op(self, tok: _Tok) -> str | None:
-        if tok.kind == "OP" and tok.text in PRECEDENCE:
-            return tok.text
-        if tok.kind == "IDENT" and tok.text in _WORD_OPS:
-            return tok.text
-        return None
 
     def parse(self, min_prec: int = _TERNARY_PREC) -> GoalExpr:
         self.depth += 1
@@ -267,28 +279,20 @@ class _ExprParser:
         try:
             left = self.parse_unary()
             while True:
-                tok = self.peek()
-                op = self._binary_op(tok)
-                if op is not None and PRECEDENCE[op] >= min_prec:
-                    self.advance()
+                kind, op = self.toks[self.i][:2]
+                # an identifier in PRECEDENCE is a word operator
+                if kind in ("OP", "IDENT") and PRECEDENCE.get(op, 0) >= min_prec:
+                    self.i += 1
                     right = self.parse(PRECEDENCE[op] + 1)
                     left = infix(op, left, right)
-                    continue
-                if (
-                    tok.kind == "OP"
-                    and tok.text == "?"
-                    and min_prec <= _TERNARY_PREC
-                ):
-                    self.advance()
+                elif kind == "OP" and op == "?" and min_prec <= _TERNARY_PREC:
+                    self.i += 1
                     then = self.parse(_TERNARY_PREC)
-                    colon = self.peek()
-                    if colon.kind != "OP" or colon.text != ":":
-                        self.fail(colon, "expected ':' in conditional")
-                    self.advance()
+                    self.expect(":", "expected ':' in conditional")
                     other = self.parse(_TERNARY_PREC)
                     left = Cond(left, then, other)
-                    continue
-                return left
+                else:
+                    return left
         finally:
             self.depth -= 1
 
@@ -298,96 +302,88 @@ class _ExprParser:
             self.fail(self.peek(), "expression nesting too deep")
         try:
             tok = self.peek()
-            if tok.kind == "OP" and tok.text == "!":
-                self.advance()
+            kind, text = tok[0], tok[1]
+            if kind == "OP" and text == "!":
+                self.i += 1
                 return Not(self.parse_unary())
-            if tok.kind == "OP" and tok.text == "~":
-                self.advance()
+            if kind == "OP" and text == "~":
+                self.i += 1
                 return BitNot(self.parse_unary())
-            if tok.kind == "OP" and tok.text in ("+", "-"):
+            if kind == "OP" and text in ("+", "-"):
                 # no general unary minus in the grammar; signs only attach
                 # to numeric literals (negative legal_values bounds etc.)
                 nxt = self.toks[self.i + 1]
-                if nxt.kind == "NUM":
-                    self.advance()
-                    self.advance()
-                    return Const(("" if tok.text == "+" else "-") + nxt.text)
-                self.fail(tok, f"unexpected {tok.text!r}; not a unary operator here")
+                if nxt[0] == "NUM":
+                    self.i += 2
+                    return Const(("" if text == "+" else "-") + nxt[1])
+                self.fail(tok, f"unexpected {text!r}; not a unary operator here")
             return self.parse_atom()
         finally:
             self.depth -= 1
 
     def parse_atom(self) -> GoalExpr:
-        tok = self.advance()
-        if tok.kind == "NUM":
-            return Const(tok.text)
-        if tok.kind == "STR":
-            return Const(tok.text)
-        if tok.kind == "IDENT":
-            if tok.text in _WORD_OPS:
-                self.fail(tok, f"{tok.text!r} is an operator, not a value")
+        tok = self.peek()
+        self.i += 1
+        kind, text = tok[0], tok[1]
+        if kind == "NUM" or kind == "STR":
+            return Const(text)
+        if kind == "IDENT":
+            if text in _WORD_OPS:
+                self.fail(tok, f"{text!r} is an operator, not a value")
             nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "(":
+            if nxt[0] == "OP" and nxt[1] == "(":
                 return self.parse_call(tok)
-            return Ident(tok.text)
-        if tok.kind == "OP" and tok.text == "(":
+            return Ident(text)
+        if kind == "OP" and text == "(":
             inner = self.parse(_TERNARY_PREC)
-            closing = self.peek()
-            if closing.kind != "OP" or closing.text != ")":
-                self.fail(closing, "expected ')'")
-            self.advance()
+            self.expect(")", "expected ')'")
             return inner
-        if tok.kind == "EOF":
+        if kind == "EOF":
             self.fail(tok, "unexpected end of expression")
-        self.fail(tok, f"unexpected {tok.text!r}")
+        self.fail(tok, f"unexpected {text!r}")
 
-    def parse_call(self, name: _Tok) -> GoalExpr:
-        if name.text not in BUILTINS:
-            self.fail(name, f"unknown builtin function {name.text!r}")
-        self.advance()  # '('
+    def parse_call(self, name_tok: tuple) -> GoalExpr:
+        name = name_tok[1]
+        if name not in BUILTINS:
+            self.fail(name_tok, f"unknown builtin function {name!r}")
+        self.i += 1  # '('
         args: list[GoalExpr] = []
-        if not (self.peek().kind == "OP" and self.peek().text == ")"):
-            while True:
+        if self.peek()[:2] != ("OP", ")"):
+            args.append(self.parse(_TERNARY_PREC))
+            while self.peek()[:2] == ("OP", ","):
+                self.i += 1
                 args.append(self.parse(_TERNARY_PREC))
-                tok = self.peek()
-                if tok.kind == "OP" and tok.text == ",":
-                    self.advance()
-                    continue
-                break
-        closing = self.peek()
-        if closing.kind != "OP" or closing.text != ")":
-            self.fail(closing, "expected ')' in call")
-        self.advance()
-        if len(args) != BUILTINS[name.text]:
+        self.expect(")", "expected ')' in call")
+        if len(args) != BUILTINS[name]:
             self.fail(
-                name,
-                f"{name.text} takes {BUILTINS[name.text]} argument(s), "
-                f"got {len(args)}",
+                name_tok,
+                f"{name} takes {BUILTINS[name]} argument(s), got {len(args)}",
             )
-        return Call(name.text, tuple(args))
+        return Call(name, tuple(args))
 
 
 def _parse_expr_seq(src: _Src, warnings: list | None = None) -> list[GoalExpr]:
-    toks = _tokenize_expr(src, warnings)
-    parser = _ExprParser(src, toks)
+    parser = _ExprParser(src, _tokenize_expr(src, warnings))
     out: list[GoalExpr] = []
-    while parser.peek().kind != "EOF":
+    while parser.peek()[0] != "EOF":
         out.append(parser.parse())
     if not out:
         raise src.error(0, len(src.text) or 1, "empty expression")
     return out
 
 
-def parse_goal_expr(text: str, file: str = "<expr>") -> GoalExpr:
-    """Parse a single goal expression; raises ParseError on bad input."""
-    src = _standalone(text, file)
-    toks = _tokenize_expr(src)
-    parser = _ExprParser(src, toks)
+def _parse_one_expr(src: _Src, warnings: list | None = None) -> GoalExpr:
+    parser = _ExprParser(src, _tokenize_expr(src, warnings))
     expr = parser.parse()
     trailing = parser.peek()
-    if trailing.kind != "EOF":
-        parser.fail(trailing, f"unexpected trailing input {trailing.text!r}")
+    if trailing[0] != "EOF":
+        parser.fail(trailing, f"unexpected trailing input {trailing[1]!r}")
     return expr
+
+
+def parse_goal_expr(text: str, file: str = "<expr>") -> GoalExpr:
+    """Parse a single goal expression; raises ParseError on bad input."""
+    return _parse_one_expr(_standalone(text, file))
 
 
 def parse_goal_exprs(text: str, file: str = "<expr>") -> list[GoalExpr]:
@@ -405,58 +401,50 @@ def parse_list_expr(text: str, file: str = "<list>") -> ListExpr:
 
 
 def _parse_list(src: _Src, warnings: list | None = None) -> ListExpr:
+    text = src.text
     words = _split_list_words(src)
     if not words:
-        raise src.error(0, len(src.text) or 1, "empty list expression")
+        raise src.error(0, len(text) or 1, "empty list expression")
+
+    def is_to(k: int) -> bool:
+        return k < len(words) and words[k][0] == "bare" and (
+            text[words[k][1]:words[k][2]] == "to"
+        )
+
+    def value(k: int) -> GoalExpr:
+        if is_to(k):
+            raise src.error(*words[k][1:], "'to' needs a value on both sides")
+        return _list_item_expr(src, words[k], warnings)
+
     items: list = []
     i = 0
     while i < len(words):
-        kind, start, end = words[i]
-        if kind == "bare" and src.text[start:end] == "to":
-            raise src.error(start, end, "'to' needs a value on both sides")
-        low = _list_item_expr(src, words[i], warnings)
-        i += 1
-        if (
-            i < len(words)
-            and words[i][0] == "bare"
-            and src.text[words[i][1]:words[i][2]] == "to"
-        ):
-            to_start, to_end = words[i][1], words[i][2]
-            i += 1
-            if i >= len(words):
-                raise src.error(to_start, to_end, "'to' needs an upper bound")
-            kind, start, end = words[i]
-            if kind == "bare" and src.text[start:end] == "to":
-                raise src.error(start, end, "'to' needs a value on both sides")
-            high = _list_item_expr(src, words[i], warnings)
-            i += 1
-            items.append(Range(low, high))
-        else:
+        low = value(i)
+        if not is_to(i + 1):
             items.append(Single(low))
+            i += 1
+        elif i + 2 == len(words):
+            raise src.error(*words[i + 1][1:], "'to' needs an upper bound")
+        else:
+            items.append(Range(low, value(i + 2)))
+            i += 3
     return ListExpr(tuple(items))
 
 
-def _list_item_expr(src: _Src, word, warnings) -> GoalExpr:
+def _list_item_expr(src: _Src, word: tuple, warnings) -> GoalExpr:
     kind, start, end = word
     if kind == "braced":
         # braces quote literally, like Tcl
         return Const(src.text[start + 1:end - 1])
-    sub = _slice_src(src, start, end)
-    toks = _tokenize_expr(sub, warnings)
-    parser = _ExprParser(sub, toks)
-    expr = parser.parse()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        parser.fail(trailing, f"unexpected trailing input {trailing.text!r}")
-    return expr
+    return _parse_one_expr(_slice_src(src, start, end), warnings)
 
 
 def _slice_src(src: _Src, start: int, end: int) -> _Src:
-    if src.offsets is not None:
-        offsets = src.offsets[start:end]
-    else:
-        offsets = list(range(start, end))
-    return _Src(src.text[start:end], src.file, src.index, offsets)
+    """``src.text[start:end]``, still mapped into the file."""
+    pieces = [(0, src.origin(start))]
+    if src.pieces is not None:
+        pieces += [(p - start, o) for p, o in src.pieces if start < p < end]
+    return _Src(src.text[start:end], src.file, src.index, pieces)
 
 
 def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
@@ -502,71 +490,67 @@ def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
 
 
 def _scan_braces(src: _Src, start: int, end: int) -> int:
-    """Scan the brace group opening at ``start`` and closing before ``end``;
-    returns its end (past '}')."""
-    depth = 0
-    for m in _BRACE_RX.finditer(src.text, start, end):
-        brace = m.group()
-        if brace == "{":
-            depth += 1
-        elif brace == "}":
-            depth -= 1
-            if depth == 0:
-                return m.end()
-    raise src.error(start, end, "unbalanced '{'")
+    """End (past '}') of the brace group opening at ``start``, which must
+    close before ``end``.
+
+    The first call pairs every brace of the text in one pass with a stack;
+    a backslash escapes the character after it, as in the splitter.  The
+    pairing of a '{' depends only on the braces after it, and wherever a
+    group can open, the backslash pairs of that pass line up with those of
+    a scan from there, so one pairing serves every nested body.
+    """
+    if src.partners is None:
+        src.partners, opens = {}, []
+        for m in _BRACE_RX.finditer(src.text):
+            brace = m.group()
+            if brace == "{":
+                opens.append(m.start())
+            elif brace == "}" and opens:
+                src.partners[opens.pop()] = m.end()
+    close = src.partners.get(start, end + 1)
+    if close > end:
+        raise src.error(start, end, "unbalanced '{'")
+    return close
 
 
 # ---------------------------------------------------------------------------
 # command splitting
-
-
-@dataclass(frozen=True, slots=True)
-class _Word:
-    kind: str  # "bare" | "quoted" | "braced"
-    start: int  # lexeme bounds in the file text
-    end: int
-
-    def content_bounds(self) -> tuple[int, int]:
-        if self.kind == "bare":
-            return self.start, self.end
-        return self.start + 1, self.end - 1
-
-
-@dataclass(frozen=True, slots=True)
-class _Command:
-    words: tuple[_Word, ...]
+#
+# A word is a (kind, start, end) tuple: kind is "bare", "quoted" or
+# "braced", and start and end bound the lexeme in the file text, quotes and
+# braces included.  A command is the tuple of its words.
 
 
 def _split_commands(
     src: _Src, start: int, end: int, sink: list[ParseDiagnostic]
-) -> list[_Command]:
+) -> list[tuple]:
     text = src.text
-    commands: list[_Command] = []
-    words: list[_Word] = []
+    commands: list[tuple] = []
+    words: list[tuple[str, int, int]] = []
     i = start
     while (m := _CMD_TOKEN_RX.match(text, i, end)) is not None:
         kind = m.lastgroup
         s, i = m.span(kind)
         if kind == "sep":
             if words:
-                commands.append(_Command(tuple(words)))
+                commands.append(tuple(words))
                 words = []
         elif kind == "bare":
             if text[s] != "#" or words:
-                words.append(_Word(kind, s, i))
+                words.append((kind, s, i))
             else:  # a comment runs to the end of the line
                 i = text.find("\n", s, end)
                 if i < 0:
                     i = end
         elif kind == "quoted":
-            words.append(_Word(kind, s, i))
+            words.append((kind, s, i))
         elif kind == "braced":
             try:
                 i = _scan_braces(src, s, end)
             except ParseError as err:
                 sink.append(err.diagnostic)
                 return commands
-            words.append(_Word(kind, s, i))
+            words.append((kind, s, i))
         elif kind == "open":
             sink.append(
                 ParseDiagnostic(
@@ -579,7 +563,7 @@ def _split_commands(
                 ParseDiagnostic("error", "unexpected '}'", src.span(s, i))
             )
     if words:
-        commands.append(_Command(tuple(words)))
+        commands.append(tuple(words))
     return commands
 
 
@@ -587,25 +571,26 @@ def _split_commands(
 # node building
 
 
-def _join_args(src: _Src, args: tuple[_Word, ...]) -> _Src:
-    """Joined value text for a property; positions map back to the file."""
-    pieces: list[str] = []
-    offsets: list[int] = []
-    for k, w in enumerate(args):
-        if k:
-            pieces.append(" ")
-            offsets.append(w.start)
-        if w.kind == "braced":
-            a, b = w.content_bounds()
-        else:
-            a, b = w.start, w.end  # quoted words keep their quotes
-        pieces.append(src.text[a:b])
-        offsets.extend(range(a, b))
-    return _Src("".join(pieces), src.file, src.index, offsets)
+def _join_args(src: _Src, args: tuple) -> _Src:
+    """Joined value text for a property; positions map back to the file.
 
-
-def _word_text(src: _Src, w: _Word) -> str:
-    return src.text[w.start:w.end]
+    Braced words lose their braces; quoted words keep their quotes.  A
+    joining blank maps to the start of the word after it.
+    """
+    parts: list[str] = []
+    pieces: list[tuple[int, int]] = []
+    n = 0
+    for kind, a, b in args:
+        if parts:
+            parts.append(" ")
+            pieces.append((n, a))
+            n += 1
+        if kind == "braced":
+            a, b = a + 1, b - 1
+        parts.append(src.text[a:b])
+        pieces.append((n, a))
+        n += b - a
+    return _Src("".join(parts), src.file, src.index, pieces)
 
 
 class _ModelBuilder:
@@ -614,14 +599,17 @@ class _ModelBuilder:
         self.nodes: list[RawNode] = []
         self.diagnostics: list[ParseDiagnostic] = []
 
-    def error(self, w: _Word, message: str) -> None:
+    def text(self, w: tuple) -> str:
+        return self.src.text[w[1]:w[2]]
+
+    def error(self, w: tuple, message: str) -> None:
         self.diagnostics.append(
-            ParseDiagnostic("error", message, self.src.span(w.start, w.end))
+            ParseDiagnostic("error", message, self.src.span(w[1], w[2]))
         )
 
-    def warn(self, w: _Word, message: str) -> None:
+    def warn(self, w: tuple, message: str) -> None:
         self.diagnostics.append(
-            ParseDiagnostic("warning", message, self.src.span(w.start, w.end))
+            ParseDiagnostic("warning", message, self.src.span(w[1], w[2]))
         )
 
     def build(self) -> None:
@@ -629,48 +617,47 @@ class _ModelBuilder:
             self.src, 0, len(self.src.text), self.diagnostics
         )
         for cmd in commands:
-            head = cmd.words[0]
-            name = _word_text(self.src, head)
-            if head.kind == "bare" and name in _NODE_COMMANDS:
+            head = cmd[0]
+            name = self.text(head)
+            if head[0] == "bare" and name in _NODE_COMMANDS:
                 self.node_command(cmd, parent=None, depth=1)
             else:
                 self.error(head, f"unknown top-level command {name!r}")
 
-    def node_command(self, cmd: _Command, parent: str | None, depth: int) -> None:
-        head = cmd.words[0]
-        kind = _NODE_COMMANDS[_word_text(self.src, head)]
-        if len(cmd.words) < 2:
-            self.error(head, f"{_word_text(self.src, head)} needs a name")
+    def node_command(self, cmd: tuple, parent: str | None, depth: int) -> None:
+        head = cmd[0]
+        kind = _NODE_COMMANDS[self.text(head)]
+        if len(cmd) < 2:
+            self.error(head, f"{self.text(head)} needs a name")
             return
-        name_word = cmd.words[1]
-        name = _word_text(self.src, name_word)
-        if name_word.kind != "bare" or not is_valid_feature_id(name):
+        name_word = cmd[1]
+        name = self.text(name_word)
+        if name_word[0] != "bare" or not is_valid_feature_id(name):
             self.error(name_word, f"invalid node name {name!r}")
             return
-        if len(cmd.words) > 3:
-            self.error(cmd.words[3], "unexpected extra arguments after node body")
+        if len(cmd) > 3:
+            self.error(cmd[3], "unexpected extra arguments after node body")
             return
         node = RawNode(name=name, kind=kind, parent=parent)
         self.nodes.append(node)
-        if len(cmd.words) == 3:
-            body = cmd.words[2]
-            if body.kind != "braced":
+        if len(cmd) == 3:
+            body_kind, a, b = body = cmd[2]
+            if body_kind != "braced":
                 self.error(body, "node body must be a braced block")
                 return
             if depth > MAX_NESTING:
                 self.error(body, "node nesting too deep")
                 return
-            a, b = body.content_bounds()
-            for sub in _split_commands(self.src, a, b, self.diagnostics):
+            for sub in _split_commands(self.src, a + 1, b - 1, self.diagnostics):
                 self.body_command(sub, node, depth)
 
-    def body_command(self, cmd: _Command, node: RawNode, depth: int) -> None:
-        head = cmd.words[0]
-        prop = _word_text(self.src, head)
-        if head.kind == "bare" and prop in _NODE_COMMANDS:
+    def body_command(self, cmd: tuple, node: RawNode, depth: int) -> None:
+        head = cmd[0]
+        prop = self.text(head)
+        if head[0] == "bare" and prop in _NODE_COMMANDS:
             self.node_command(cmd, parent=node.name, depth=depth + 1)
             return
-        args = cmd.words[1:]
+        args = cmd[1:]
         if prop == "flavor":
             self.set_flavor(node, head, args)
         elif prop in _EXPR_PROPERTIES:
@@ -699,33 +686,33 @@ class _ModelBuilder:
                 self.error(head, "implements needs an interface name")
                 return
             for w in args:
-                iface = _word_text(self.src, w)
-                if w.kind != "bare" or not is_valid_feature_id(iface):
+                iface = self.text(w)
+                if w[0] != "bare" or not is_valid_feature_id(iface):
                     self.error(w, f"invalid interface name {iface!r}")
                     continue
                 node.implements.append(iface)
         else:
             # unsupported properties are kept as opaque annotations
-            raw = " ".join(_word_text(self.src, w) for w in args)
+            raw = " ".join(self.text(w) for w in args)
             node.annotations.setdefault(prop, []).append(raw)
             self.warn(head, f"ignoring unsupported property {prop!r}")
 
-    def set_flavor(self, node: RawNode, head: _Word, args) -> None:
+    def set_flavor(self, node: RawNode, head: tuple, args: tuple) -> None:
         if node.flavor is not None:
             self.error(head, "duplicate flavor property")
             return
         if len(args) != 1:
             self.error(head, "flavor needs exactly one value")
             return
-        value = _word_text(self.src, args[0])
+        value = self.text(args[0])
         try:
             node.flavor = Flavor(value)
         except ValueError:
             self.error(args[0], f"unknown flavor {value!r}")
 
-    def parse_entry(self, head: _Word, args) -> tuple[GoalExpr, ...] | None:
+    def parse_entry(self, head: tuple, args: tuple) -> tuple[GoalExpr, ...] | None:
         if not args:
-            self.error(head, f"{_word_text(self.src, head)} needs a value")
+            self.error(head, f"{self.text(head)} needs a value")
             return None
         joined = _join_args(self.src, args)
         try:

@@ -163,7 +163,7 @@ class PropConfig:
             d[name] = int(bit)
         d[TOP] = 1
         self._map = d
-        self._hash = hash(frozenset(d.items()))
+        self._hash = None  # computed lazily; enumeration makes many of these
 
     @property
     def domain(self) -> frozenset[str]:
@@ -182,6 +182,8 @@ class PropConfig:
         return isinstance(other, PropConfig) and self._map == other._map
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
         return self._hash
 
     def __repr__(self):
@@ -325,7 +327,10 @@ def _rewrite_cmp(e: Infix, m: Model) -> BoolExpr | None:
     if not (isinstance(lhs, Ident) and isinstance(rhs, Const)):
         return None
     name, const = lhs.name, rhs.value
-    value = parse_number(const)
+    try:
+        value = parse_number(const)
+    except EvalError:
+        return None  # too many digits to compare; the full semantics fails it
     node = m.get(name)
     if node is not None and node.kind == Kind.INTERFACE:
         result = _rewrite_interface_cmp(name, op, value, m)

@@ -43,27 +43,57 @@ _FLOAT_RX = re.compile(
 )
 
 _MAX_SHIFT = 1 << 16  # guard against absurd shift widths
+# Decimal integers are capped at the digit count where Python 3.11 starts
+# refusing int/str conversion, so evaluation is the same on interpreters
+# with and without that limit.
+_MAX_DIGITS = 4300
+_INT_BOUND = 10**_MAX_DIGITS
 
 
 def parse_number(v: str):
     """Number denoted by the string, or None.
 
     Integers win over floats; hex needs an 0x prefix; leading zeros are
-    decimal.
+    decimal.  A decimal integer of more than ``_MAX_DIGITS`` digits raises
+    ``EvalError``.
     """
     if _INT_RX.fullmatch(v):
-        return int(v, 16) if "x" in v or "X" in v else int(v, 10)
+        if "x" in v or "X" in v:
+            return int(v, 16)
+        if len(v.lstrip("+-")) > _MAX_DIGITS:
+            raise EvalError(
+                "too-large", f"integer of more than {_MAX_DIGITS} digits"
+            )
+        return int(v, 10)
     if _FLOAT_RX.fullmatch(v):
         return float(v)
     return None
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of an integer result, within ``_MAX_DIGITS`` digits."""
+    if -_INT_BOUND < n < _INT_BOUND:
+        return str(n)
+    raise EvalError(
+        "too-large", f"integer result of more than {_MAX_DIGITS} digits"
+    )
+
+
+def _float(n) -> float:
+    try:
+        return float(n)
+    except OverflowError:
+        raise EvalError("too-large", "integer too large for a float") from None
 
 
 def to_bool(v: str) -> int:
     """Truthiness cast: empty and numeric zero are false, all else true."""
     if v == "":
         return 0
-    n = parse_number(v)
-    return 0 if n == 0 else 1
+    if _INT_RX.fullmatch(v):
+        # zero when every digit is; no conversion, so no size limit
+        return 1 if v.lstrip("+-").lstrip("0xX") else 0
+    return 0 if _FLOAT_RX.fullmatch(v) and float(v) == 0 else 1
 
 
 def format_number(n) -> str:
@@ -238,7 +268,7 @@ def eval_expr(
         n = parse_number(eval_expr(e.child, c, m, builtins))
         if not isinstance(n, int):
             raise EvalError("not-numeric", "~ needs an integer operand")
-        return str(~n)
+        return _int_text(~n)
     if isinstance(e, Infix):
         # fold left over every operand, so each one's errors surface in the
         # order a left-nested tree would raise them
@@ -296,28 +326,28 @@ def _arith(op: str, a: str, b: str) -> str:
         if op == "%":
             if nb == 0:
                 raise EvalError("div-zero", "modulo by zero")
-            return str(na % nb)
+            return _int_text(na % nb)
         if op in ("<<", ">>"):
             if nb < 0 or nb > _MAX_SHIFT:
                 raise EvalError("invalid-shift", f"bad shift width {nb}")
-            return str(na << nb if op == "<<" else na >> nb)
+            return _int_text(na << nb if op == "<<" else na >> nb)
         if op == "&":
-            return str(na & nb)
+            return _int_text(na & nb)
         if op == "|":
-            return str(na | nb)
-        return str(na ^ nb)
+            return _int_text(na | nb)
+        return _int_text(na ^ nb)
     if op == "/":
         if isinstance(na, int) and isinstance(nb, int):
             if nb == 0:
                 raise EvalError("div-zero", "division by zero")
-            return str(na // nb)
-        if float(nb) == 0.0:
+            return _int_text(na // nb)
+        if _float(nb) == 0.0:
             raise EvalError("div-zero", "division by zero")
-        return format_number(float(na) / float(nb))
+        return format_number(_float(na) / _float(nb))
     if isinstance(na, int) and isinstance(nb, int):
         r = {"+": na + nb, "-": na - nb, "*": na * nb}[op]
-        return str(r)
-    fa, fb = float(na), float(nb)
+        return _int_text(r)
+    fa, fb = _float(na), _float(nb)
     r = {"+": fa + fb, "-": fa - fb, "*": fa * fb}[op]
     return format_number(r)
 

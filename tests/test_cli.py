@@ -117,6 +117,34 @@ def test_validate_accepted(demo):
     assert code == 0 and out.splitlines()[0] == "accepted"
 
 
+def test_validate_reports_huge_calculated_integer(tmp_path):
+    # 2 << 20000 has 6021 digits, past the 4300-digit cap on integers
+    model = tmp_path / "shift.cdl"
+    model.write_text("cdl_option A { flavor data; calculated { 2 << 20000 } }\n")
+    config = tmp_path / "shift.conf"
+    config.write_text("A\t1\t1\t0\n")
+    code, out, err = run("validate", str(model), str(config))
+    assert (code, out, err) == (
+        1, "rejected\ncalculated\tA\tvalue must follow calculated 2 << 20000\n", ""
+    )
+
+
+def test_validate_reports_huge_data_value(tmp_path):
+    model = tmp_path / "cmp.cdl"
+    model.write_text(
+        "cdl_option A {\n flavor data\n}\ncdl_option B {\n requires { A > 3 }\n}\n"
+    )
+    config = tmp_path / "cmp.conf"
+    config.write_text("A\t1\t1\t" + "7" * 5000 + "\nB\t1\t1\t1\n")
+    code, out, err = run("validate", str(model), str(config))
+    assert code == 1 and err == ""
+    assert out == (
+        "rejected\nnode\tB\tenabled_state=1 but parent_state=1, enabled_value=1,"
+        " constraints=failing; constraint A > 3 failed:"
+        " integer of more than 4300 digits\n"
+    )
+
+
 def test_validate_unloaded_enabled(demo, tmp_path):
     model, _ = demo
     config = tmp_path / "bad.conf"

@@ -478,6 +478,56 @@ def _opt(name, **fields):
             ["m.cdl:2:2: error: unknown top-level command 'bar'"],
             id="non-ascii-blanks",
         ),
+        # braces that quotes, comments, backslashes or bare words hide from
+        # the splitter still take part in brace pairing
+        pytest.param(
+            '"{"\ncdl_option A { flavor bool }\n',
+            [_opt("A", flavor=Flavor.BOOL)],
+            ["m.cdl:1:1: error: unknown top-level command '\"{\"'"],
+            id="quoted-open-brace-before-node",
+        ),
+        pytest.param(
+            "cdl_option A { flavor bool }\n# a } b\ncdl_option B { flavor data }\n",
+            [_opt("A", flavor=Flavor.BOOL), _opt("B", flavor=Flavor.DATA)],
+            [],
+            id="close-brace-in-top-level-comment",
+        ),
+        pytest.param(
+            "cdl_option A {\n description a\\{b \\}\n flavor bool\n}\n",
+            [_opt("A", flavor=Flavor.BOOL,
+                  annotations={"description": ["a\\{b \\}"]})],
+            ["m.cdl:2:2: warning: ignoring unsupported property 'description'"],
+            id="escaped-braces-in-body",
+        ),
+        pytest.param(
+            "cdl_option A {\n description a{b\n flavor bool\n}\ncdl_option B\n",
+            [],
+            ["m.cdl:1:14: error: unbalanced '{'"],
+            id="bare-word-with-open-brace-in-body",
+        ),
+        pytest.param(
+            "cdl_option A \\\\\n{ flavor bool }\n"
+            "cdl_option B \\\\\\\n{ flavor bool }\n",
+            [],
+            [
+                "m.cdl:2:1: error: unexpected extra arguments after node body",
+                "m.cdl:4:1: error: unexpected extra arguments after node body",
+            ],
+            id="backslash-runs-before-newline-brace",
+        ),
+        pytest.param(
+            "cdl_option A {\n flavor data\n legal_values { {a {b}} 1 }\n}\n",
+            [_opt("A", flavor=Flavor.DATA, legal_values=ListExpr(
+                (Single(Const("a {b}")), Single(Const("1")))))],
+            [],
+            id="nested-braced-legal-values-item",
+        ),
+        pytest.param(
+            "cdl_package P {\n cdl_component C {\n  cdl_option A { \\}\n }\n}\n",
+            [],
+            ["m.cdl:1:15: error: unbalanced '{'"],
+            id="inner-brace-past-body-end-depth-3",
+        ),
     ],
 )
 def test_splitter_nodes_and_diagnostics(source, nodes, diagnostics):

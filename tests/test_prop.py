@@ -86,6 +86,12 @@ def test_propconfig_root_fixed():
         PropConfig({TOP: 0})
 
 
+def test_propconfig_hash_follows_equality():
+    a = PropConfig({"A": 1, "B": 0})
+    b = PropConfig([("B", 0), ("A", 1)])
+    assert a == b and hash(a) == hash(b) and len({a, b, PropConfig({"A": 1})}) == 2
+
+
 def test_project_by_flavor():
     m = mk_model(
         "cdl_option NB { flavor bool }\n"
@@ -151,6 +157,13 @@ def test_rewrite_eq_nonzero_const():
 def test_rewrite_eq_zero_const():
     e = rewrite(pg("PLAIN == 0"), IFACE_MODEL)
     assert sat_set(e, ["PLAIN"]) == def_set(["PLAIN"], lambda v: v["PLAIN"] == 0)
+
+
+def test_rewrite_drops_comparison_with_huge_integer():
+    # past 4300 digits the full semantics fails the comparison
+    huge = "3" * 5000
+    assert rewrite(pg(f"PLAIN > {huge}"), IFACE_MODEL) is None
+    assert rewrite(pg(f"PLAIN == {huge}"), IFACE_MODEL) is None
 
 
 def test_rewrite_neq_zero():

@@ -46,6 +46,8 @@ def cfg(**entries):
         ("0x0", 0), ("0.", 0), (".0", 0), ("0e3", 0),
         ("hello", 1), ("1", 1), ("0x10", 1), ("-2", 1), ("0.5", 1),
         (" 0", 1), ("0 ", 1), ("--0", 1),
+        # past the 4300-digit cap on integers, truthiness still holds
+        ("0" * 5000, 0), ("-" + "0" * 5000 + "1", 1), ("0x" + "0" * 5000, 0),
     ],
 )
 def test_to_bool(value, expected):
@@ -136,12 +138,23 @@ def test_eval_comparison_modes():
         ("~1.5", "not-numeric"),
         ("GHOST + 1", "unknown-id"),
         ("1 << -2", "invalid-shift"),
+        ("1 << 20000", "too-large"),
+        ("~" + "9" * 4301, "too-large"),
+        ("0x" + "f" * 3600 + " + 0", "too-large"),
+        ("1" + "0" * 400 + " + 0.5", "too-large"),  # no float that large
+        ("1.5 / 1" + "0" * 400, "too-large"),
     ],
 )
 def test_eval_errors(text, code):
     with pytest.raises(EvalError) as err:
         ev(text)
     assert err.value.code == code
+
+
+def test_integers_up_to_the_digit_cap():
+    assert ev("9" * 4300 + " - 1") == "9" * 4299 + "8"
+    assert ev("-" + "9" * 4300 + " < 0") == "1"
+    assert ev("0x" + "f" * 3600 + " > 1") == "1"  # hex text has no cap
 
 
 def test_eval_chains_fold_left():
