@@ -439,3 +439,24 @@ def test_fixture_corpus_runs_clean():
     for path in sorted((FIXTURES / "sound").glob("*.cdl"))[:5]:
         assert run("check", str(path))[0] == 0
         assert run("analyze", str(path), "--sat")[0] == 0
+
+
+GOLDEN_TRANSLATE = FIXTURES.parent / "golden" / "translate.txt"
+
+
+def _translate_golden_text() -> str:
+    """``translate`` and ``translate --format dimacs`` of every fixture."""
+    blocks = []
+    for group in ("sound", "family", "analysis"):
+        for path in sorted((FIXTURES / group).glob("*.cdl")):
+            for extra in ((), ("--format", "dimacs")):
+                code, out, err = run("translate", str(path), *extra)
+                head = " ".join((f"{group}/{path.name}", "translate", *extra))
+                blocks.append(f"## {head} (exit {code})\n{err}{out}")
+    return "".join(blocks)
+
+
+def test_translate_output_is_pinned():
+    # the expected text was generated before a change of the Boolean IR;
+    # prop text, aux-variable numbering and clause order must not move
+    assert _translate_golden_text() == GOLDEN_TRANSLATE.read_text()
