@@ -90,22 +90,6 @@ class _Cli:
             self.error(f"cannot read {path}: {err}")
             return None
 
-    def load_model(self, path: str) -> Model | None:
-        """Parse + normalize; reports problems and returns None on failure."""
-        text = self.read_file(path)
-        if text is None:
-            return None
-        nodes, diagnostics = parse_model(text, path)
-        for d in diagnostics:
-            self.stderr.write(f"{d}\n")
-        if has_errors(diagnostics):
-            return None
-        try:
-            return normalize_model(nodes)
-        except NormalizationError as err:
-            self.error(str(err))
-            return None
-
     def require_well_formed(self, m: Model) -> bool:
         violations = check_well_formed(m)
         for v in violations:
@@ -114,13 +98,23 @@ class _Cli:
 
 
 def _load_model_io(cli: _Cli, path: str) -> tuple[Model | None, int]:
+    """Read, parse and normalize; problems are reported, with the exit code."""
     if not os.path.exists(path):
         cli.error(f"cannot read {path}: no such file")
         return None, EXIT_IO
-    m = cli.load_model(path)
-    if m is None:
+    text = cli.read_file(path)
+    if text is None:
+        return None, EXIT_IO
+    nodes, diagnostics = parse_model(text, path)
+    for d in diagnostics:
+        cli.stderr.write(f"{d}\n")
+    if has_errors(diagnostics):
         return None, EXIT_INPUT
-    return m, EXIT_OK
+    try:
+        return normalize_model(nodes), EXIT_OK
+    except NormalizationError as err:
+        cli.error(str(err))
+        return None, EXIT_INPUT
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +255,7 @@ def cmd_analyze(cli: _Cli, args) -> int:
         else:
             out = "".join(f"{a}\t{b}\n" for a, b in edges)
         return cli.emit(out, args.output)
-    except AnalysisError as err:
-        cli.error(str(err))
-        return EXIT_NEGATIVE
-    except FormulaError as err:
+    except (AnalysisError, FormulaError) as err:
         cli.error(str(err))
         return EXIT_NEGATIVE
 
@@ -278,7 +269,10 @@ def cmd_enumerate(cli: _Cli, args) -> int:
     budget = args.budget
     if budget is None:
         env = os.environ.get("CDLSEM_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            budget = 0  # not a number: rejected as not positive below
     if budget <= 0:
         cli.error("budget must be positive")
         return EXIT_INPUT
@@ -398,8 +392,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     try:
         return args.func(cli, args)
     except RecursionError:
-        # goal trees are flat per operator, but BBin chains (from long
-        # implies/eqv chains) and mixed-operator nesting still recurse
+        # the last resort: operator chains are flat in the goal and Boolean
+        # trees alike, and the parser caps all other nesting
         cli.error(f"{args.model}: error: nested too deeply")
         return EXIT_INPUT
 

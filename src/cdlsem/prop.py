@@ -5,6 +5,9 @@ translated by a partial rewrite function; whatever it cannot express is
 dropped, loosening constraints so that every configuration accepted by
 the full semantics stays accepted after projection (for the supported
 constructs; see the docs on known boundaries).
+
+The four connectives share one flat n-ary ``BInfix`` node, as the goal
+operators share ``exprs.Infix``: a long chain is one node, not a tree.
 """
 
 from __future__ import annotations
@@ -54,30 +57,27 @@ class BNot(BoolExpr):
     child: BoolExpr
 
 
-@dataclass(frozen=True, slots=True)
-class BBin(BoolExpr):
-    """``left implies right`` or ``left eqv right``.
+# binding strength per connective, for printing; higher binds tighter
+_BOOL_PREC = {"implies": 1, "eqv": 1, "||": 2, "&&": 3}
 
-    Conjunction and disjunction are ``BAnd``/``BOr`` only.
+
+@dataclass(frozen=True, slots=True)
+class BInfix(BoolExpr):
+    """Left-associative chain ``items[0] op items[1] op ...`` of one connective.
+
+    ``op`` is ``&&``, ``||``, ``implies`` or ``eqv``.  As with
+    ``exprs.Infix`` the chain is flat, so walkers loop over its operands
+    instead of recursing once per operator.
     """
 
-    op: str  # implies eqv
-    left: BoolExpr
-    right: BoolExpr
+    op: str
+    items: tuple[BoolExpr, ...]
 
     def __post_init__(self):
-        if self.op not in ("implies", "eqv"):
+        if self.op not in _BOOL_PREC:
             raise ValueError(f"bad Boolean operator {self.op!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class BAnd(BoolExpr):
-    items: tuple[BoolExpr, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class BOr(BoolExpr):
-    items: tuple[BoolExpr, ...]
+        if len(self.items) < 2:
+            raise ValueError("operator chain needs at least two operands")
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,33 +98,27 @@ def bnot(e: BoolExpr) -> BoolExpr:
 
 
 def band(items) -> BoolExpr:
-    flat: list[BoolExpr] = []
-    for e in items:
-        if isinstance(e, BConst):
-            if e.value == 0:
-                return BConst(0)
-            continue
-        flat.append(e)
-    if not flat:
-        return BConst(1)
-    if len(flat) == 1:
-        return flat[0]
-    return BAnd(tuple(flat))
+    return _junction("&&", items, 0)
 
 
 def bor(items) -> BoolExpr:
+    return _junction("||", items, 1)
+
+
+def _junction(op: str, items, absorbing: int) -> BoolExpr:
+    """``&&``/``||`` of ``items``, folding constants; unit constants drop."""
     flat: list[BoolExpr] = []
     for e in items:
         if isinstance(e, BConst):
-            if e.value == 1:
-                return BConst(1)
+            if e.value == absorbing:
+                return e
             continue
         flat.append(e)
     if not flat:
-        return BConst(0)
+        return BConst(1 - absorbing)
     if len(flat) == 1:
         return flat[0]
-    return BOr(tuple(flat))
+    return BInfix(op, tuple(flat))
 
 
 def implies(a: BoolExpr, b: BoolExpr) -> BoolExpr:
@@ -132,7 +126,7 @@ def implies(a: BoolExpr, b: BoolExpr) -> BoolExpr:
         return b if a.value else BConst(1)
     if isinstance(b, BConst):
         return BConst(1) if b.value else bnot(a)
-    return BBin("implies", a, b)
+    return _extend("implies", a, b)
 
 
 def eqv(a: BoolExpr, b: BoolExpr) -> BoolExpr:
@@ -140,7 +134,14 @@ def eqv(a: BoolExpr, b: BoolExpr) -> BoolExpr:
         return b if a.value else bnot(b)
     if isinstance(b, BConst):
         return a if b.value else bnot(a)
-    return BBin("eqv", a, b)
+    return _extend("eqv", a, b)
+
+
+def _extend(op: str, left: BoolExpr, right: BoolExpr) -> BInfix:
+    """``left op right``, extending ``left`` when it is a chain of ``op``."""
+    if isinstance(left, BInfix) and left.op == op:
+        return BInfix(op, left.items + (right,))
+    return BInfix(op, (left, right))
 
 
 class PropConfig:
@@ -220,16 +221,16 @@ def eval_p(e: BoolExpr, cp: PropConfig) -> int:
         return e.value
     if isinstance(e, BNot):
         return 1 - eval_p(e.child, cp)
-    if isinstance(e, BBin):
-        a = eval_p(e.left, cp)
-        b = eval_p(e.right, cp)
-        if e.op == "implies":
-            return (1 - a) | b
-        return int(a == b)  # eqv
-    if isinstance(e, BAnd):
-        return int(all(eval_p(x, cp) for x in e.items))
-    if isinstance(e, BOr):
-        return int(any(eval_p(x, cp) for x in e.items))
+    if isinstance(e, BInfix):
+        if e.op == "&&":
+            return int(all(eval_p(x, cp) for x in e.items))
+        if e.op == "||":
+            return int(any(eval_p(x, cp) for x in e.items))
+        acc = eval_p(e.items[0], cp)
+        for x in e.items[1:]:
+            b = eval_p(x, cp)
+            acc = (1 - acc) | b if e.op == "implies" else int(acc == b)
+        return acc
     if isinstance(e, BCard):
         count = 0
         for name in e.names:
@@ -293,14 +294,7 @@ def rewrite(e: GoalExpr, m: Model) -> BoolExpr | None:
             if r is None:
                 return None
             items.append(r)
-        if e.op == "&&":
-            return BAnd(tuple(items))
-        if e.op == "||":
-            return BOr(tuple(items))
-        acc = items[0]  # implies/eqv chains fold left, as they parse
-        for r in items[1:]:
-            acc = BBin(e.op, acc, r)
-        return acc
+        return BInfix(e.op, tuple(items))
     if isinstance(e, Cond):
         guard = rewrite(e.guard, m)
         then = rewrite(e.then, m)
@@ -497,15 +491,16 @@ def bool_to_source(e: BoolExpr, parent_prec: int = 0) -> str:
         return str(e.value)
     if isinstance(e, BNot):
         return "!" + bool_to_source(e.child, 5)
-    if isinstance(e, BBin):  # implies and eqv bind loosest
-        text = f"{bool_to_source(e.left, 1)} {e.op} {bool_to_source(e.right, 2)}"
-        return f"({text})" if 1 < parent_prec else text
-    if isinstance(e, BAnd):
-        text = " && ".join(bool_to_source(x, 4) for x in e.items)
-        return f"({text})" if 3 < parent_prec else text
-    if isinstance(e, BOr):
-        text = " || ".join(bool_to_source(x, 3) for x in e.items)
-        return f"({text})" if 2 < parent_prec else text
+    if isinstance(e, BInfix):
+        prec = _BOOL_PREC[e.op]
+        # implies/eqv chains are flat, but a nested &&/|| chain keeps its
+        # parens in either operand position
+        first = prec if prec == 1 else prec + 1
+        text = f" {e.op} ".join(
+            [bool_to_source(e.items[0], first)]
+            + [bool_to_source(x, prec + 1) for x in e.items[1:]]
+        )
+        return f"({text})" if prec < parent_prec else text
     if isinstance(e, BCard):
         return (
             f"choose({e.at_least}..{e.at_most}: " + ", ".join(e.names) + ")"

@@ -19,13 +19,11 @@ from .cdcl import Solver
 from .errors import AnalysisError
 from .model import Model
 from .prop import (
-    BAnd,
-    BBin,
     BCard,
     BConst,
     BIdent,
+    BInfix,
     BNot,
-    BOr,
     BoolExpr,
     PropConfig,
     PropFormula,
@@ -69,15 +67,16 @@ def simplify(e: BoolExpr) -> BoolExpr:
         return e
     if isinstance(e, BNot):
         return bnot(simplify(e.child))
-    if isinstance(e, BBin):
-        a, b = simplify(e.left), simplify(e.right)
-        if e.op == "implies":
-            return bimplies(a, b)
-        return beqv(a, b)
-    if isinstance(e, BAnd):
-        return band([simplify(x) for x in e.items])
-    if isinstance(e, BOr):
-        return bor([simplify(x) for x in e.items])
+    if isinstance(e, BInfix):
+        if e.op == "&&":
+            return band([simplify(x) for x in e.items])
+        if e.op == "||":
+            return bor([simplify(x) for x in e.items])
+        gate = bimplies if e.op == "implies" else beqv
+        acc = simplify(e.items[0])
+        for x in e.items[1:]:
+            acc = gate(acc, simplify(x))
+        return acc
     if isinstance(e, BCard):
         n = len(e.names)
         if e.at_least > n:
@@ -143,6 +142,19 @@ class _CnfBuilder:
         self.memo[key] = x
         return x
 
+    def eqv_lit(self, a: int, b: int) -> int:
+        # memoised like the others, so a chain shares its prefix's gates
+        key = ("eqv", a, b)
+        if key in self.memo:
+            return self.memo[key]
+        x = self.new_aux("def")
+        self.add_clause((-x, -a, b))
+        self.add_clause((-x, a, -b))
+        self.add_clause((x, a, b))
+        self.add_clause((x, -a, -b))
+        self.memo[key] = x
+        return x
+
     # --- expression to literal
 
     def lit(self, e: BoolExpr) -> int:
@@ -152,34 +164,30 @@ class _CnfBuilder:
             return -self.lit(e.child)
         if e in self.memo:
             return self.memo[e]
-        if isinstance(e, BAnd):
-            lits = [self.lit(x) for x in e.items]
-            x = self.new_aux("def")
-            for l in lits:
-                self.add_clause((-x, l))
-            self.add_clause(tuple([x] + [-l for l in lits]))
-        elif isinstance(e, BOr):
-            lits = [self.lit(x) for x in e.items]
-            x = self.new_aux("def")
-            for l in lits:
-                self.add_clause((x, -l))
-            self.add_clause(tuple([-x] + lits))
-        elif isinstance(e, BBin):
-            a, b = self.lit(e.left), self.lit(e.right)
-            if e.op == "implies":
-                x = self.or_lit(-a, b)
-            else:  # eqv
+        if isinstance(e, BInfix):
+            if e.op in ("implies", "eqv"):
+                x = self.chain_lit(e.op, e.items)
+            else:
+                lits = [self.lit(x) for x in e.items]
                 x = self.new_aux("def")
-                self.add_clause((-x, -a, b))
-                self.add_clause((-x, a, -b))
-                self.add_clause((x, a, b))
-                self.add_clause((x, -a, -b))
+                s = 1 if e.op == "&&" else -1  # || is && with every sign flipped
+                for l in lits:
+                    self.add_clause((-s * x, s * l))
+                self.add_clause(tuple([s * x] + [-s * l for l in lits]))
         elif isinstance(e, BCard):
             x = self.card_lit(e)
         else:
             raise TypeError(f"cannot encode {e!r}")
         self.memo[e] = x
         return x
+
+    def chain_lit(self, op: str, items) -> int:
+        """Literal of an implies/eqv chain, folded left one gate at a time."""
+        acc = self.lit(items[0])
+        for x in items[1:]:
+            b = self.lit(x)
+            acc = self.or_lit(-acc, b) if op == "implies" else self.eqv_lit(acc, b)
+        return acc
 
     def card_lit(self, e: BCard) -> int:
         """Output literal of a bidirectional sequential counter."""
@@ -214,24 +222,23 @@ class _CnfBuilder:
             if e.value == 0:
                 self.add_clause(())
             return
-        if isinstance(e, BAnd):
-            for x in e.items:
-                self.assert_expr(x)
-            return
         if isinstance(e, BIdent):
             self.add_clause((self.index[e.name],))
             return
         if isinstance(e, BNot):
             self.add_clause((-self.lit(e.child),))
             return
-        if isinstance(e, BOr):
-            self.add_clause(tuple(self.lit(x) for x in e.items))
-            return
-        if isinstance(e, BBin):
-            a, b = self.lit(e.left), self.lit(e.right)
-            self.add_clause((-a, b))
-            if e.op == "eqv":
-                self.add_clause((-b, a))
+        if isinstance(e, BInfix):
+            if e.op == "&&":
+                for x in e.items:
+                    self.assert_expr(x)
+            elif e.op == "||":
+                self.add_clause(tuple(self.lit(x) for x in e.items))
+            else:
+                a, b = self.chain_lit(e.op, e.items[:-1]), self.lit(e.items[-1])
+                self.add_clause((-a, b))
+                if e.op == "eqv":
+                    self.add_clause((-b, a))
             return
         if isinstance(e, BCard):
             self.assert_card(e)

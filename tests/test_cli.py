@@ -84,6 +84,18 @@ def test_parse_missing_file_exit_3(tmp_path):
     assert code == 3 and "cannot read" in err
 
 
+def test_check_unreadable_model_exit_3(tmp_path):
+    # a directory exists but cannot be read as a model: an I/O error, as
+    # for an unreadable configuration, not an input error
+    code, out, err = run("check", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"cdlsem: cannot read {tmp_path}: ")
+    missing = tmp_path / "nope.cdl"
+    assert run("check", str(missing)) == (
+        3, "", f"cdlsem: cannot read {missing}: no such file\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -233,9 +245,24 @@ def test_long_chains_need_no_recursion(tmp_path):
         code, out, err = run(*argv)
         assert code == 0 and "Traceback" not in err, argv
     assert f"[node:Y] Y implies {anded}\n" in run("translate", str(model))[1]
+    for op in ("implies", "eqv"):
+        chain = f" {op} ".join(f"F{i}" for i in range(n))
+        model.write_text(features + f"cdl_option X {{ requires {{ {chain} }} }}\n")
+        prop = "".join(f"[node:F{i}] 1\n" for i in sorted(range(n), key=str))
+        assert run("translate", str(model)) == (
+            0, prop + f"[node:X] X implies ({chain})\n", ""
+        )
+        code, out, err = run("translate", str(model), "--format", "json")
+        assert (code, err) == (0, "") and len(json.loads(out)["constraints"]) == n + 1
+        # one gate per operator: 3 clauses per or-gate, 4 per eqv gate
+        per_gate = 3 if op == "implies" else 4
+        code, out, err = run("translate", str(model), "--format", "dimacs")
+        assert (code, err) == (0, "")
+        assert f"\np cnf {2 * n} {per_gate * (n - 1) + 1}\n" in out
+        assert run("analyze", str(model), "--sat") == (0, "SAT\n", "")
 
 
-def test_too_deep_nesting_exits_2_without_traceback(tmp_path):
+def test_too_deep_nesting_exits_2_without_traceback(tmp_path, monkeypatch):
     # a 600-term arithmetic chain is one flat node and goes through
     arith = tmp_path / "arith.cdl"
     terms = " + ".join(["F"] * 600)
@@ -246,18 +273,15 @@ def test_too_deep_nesting_exits_2_without_traceback(tmp_path):
         "[node:G] 1\n[flavor:G] G\n[unloaded:F] !F\n",
         "",
     )
-    # a long implies chain still folds into nested BBin nodes
-    chain = tmp_path / "chain.cdl"
-    n = 1500
-    chain.write_text(
-        "".join(f"cdl_option F{i} {{}}\n" for i in range(n))
-        + "cdl_option X { requires { "
-        + " implies ".join(f"F{i}" for i in range(n))
-        + " } }\n"
+
+    # no model is known to recurse too deeply any more, so force one
+    def too_deep(cli, args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("cdlsem.cli.cmd_translate", too_deep)
+    assert run("translate", str(arith)) == (
+        2, "", f"cdlsem: {arith}: error: nested too deeply\n"
     )
-    code, out, err = run("translate", str(chain))
-    assert (code, out) == (2, "")
-    assert err == f"cdlsem: {chain}: error: nested too deeply\n"
 
 
 def test_public_names_resolve():
@@ -358,6 +382,16 @@ def test_enumerate_budget_env(tmp_path, monkeypatch):
     f.write_text("\n".join(f"cdl_option F{i} {{}}" for i in range(20)))
     monkeypatch.setenv("CDLSEM_BUDGET", "100")
     assert run("enumerate", str(f))[0] == 4
+
+
+def test_enumerate_budget_must_be_positive(tmp_path, monkeypatch):
+    f = tmp_path / "one.cdl"
+    f.write_text("cdl_option A {}")
+    rejected = (2, "", "cdlsem: budget must be positive\n")
+    assert run("enumerate", str(f), "--budget", "0") == rejected
+    for env in ("0", "-3", "abc", "1.5"):
+        monkeypatch.setenv("CDLSEM_BUDGET", env)
+        assert run("enumerate", str(f)) == rejected, env
 
 
 def test_enumerate_prop(tmp_path):

@@ -10,13 +10,11 @@ from cdlsem import EvalError, FormulaError, ValidationError
 from cdlsem.model import Model
 from cdlsem.parser import parse_goal_expr as pg
 from cdlsem.prop import (
-    BAnd,
-    BBin,
     BCard,
     BConst,
     BIdent,
+    BInfix,
     BNot,
-    BOr,
     PropConfig,
     bool_to_source,
     build_formula,
@@ -209,11 +207,15 @@ def test_rewrite_binary_connectives(op):
 def test_rewrite_connective_shapes():
     a, b, c = BIdent("IMP_A"), BIdent("IMP_B"), BIdent("IMP_C")
     for text, want in [
-        ("IMP_A && IMP_B && IMP_C", BAnd((a, b, c))),
-        ("IMP_A && (IMP_B && IMP_C)", BAnd((a, BAnd((b, c))))),
-        ("IMP_A || GHOST || 1", BOr((a, BConst(0), BConst(1)))),
-        ("IMP_A implies IMP_B implies IMP_C", BBin("implies", BBin("implies", a, b), c)),
-        ("IMP_A eqv IMP_B eqv IMP_C", BBin("eqv", BBin("eqv", a, b), c)),
+        ("IMP_A && IMP_B && IMP_C", BInfix("&&", (a, b, c))),
+        ("IMP_A && (IMP_B && IMP_C)", BInfix("&&", (a, BInfix("&&", (b, c))))),
+        ("IMP_A || GHOST || 1", BInfix("||", (a, BConst(0), BConst(1)))),
+        ("IMP_A implies IMP_B implies IMP_C", BInfix("implies", (a, b, c))),
+        (
+            "IMP_A implies (IMP_B implies IMP_C)",
+            BInfix("implies", (a, BInfix("implies", (b, c)))),
+        ),
+        ("IMP_A eqv IMP_B eqv IMP_C", BInfix("eqv", (a, b, c))),
     ]:
         assert rewrite(pg(text), IFACE_MODEL) == want, text
     assert rewrite(pg("IMP_A && IMP_B xor IMP_C"), IFACE_MODEL) is None
@@ -228,10 +230,17 @@ def test_rewrite_comparison_needs_two_operands():
     assert rewrite(pg("PLAIN > 0 > 0"), IFACE_MODEL) is None
 
 
-@pytest.mark.parametrize("op", ["&&", "||", "xor"])
-def test_bbin_is_only_implies_and_eqv(op):
-    with pytest.raises(ValueError):
-        BBin(op, BIdent("a"), BIdent("b"))
+@pytest.mark.parametrize("op", ["&&", "||", "implies", "eqv", "xor"])
+def test_binfix_needs_a_connective_and_two_operands(op):
+    a, b = BIdent("a"), BIdent("b")
+    for items in ((), (a,)):
+        with pytest.raises(ValueError):
+            BInfix(op, items)
+    if op == "xor":
+        with pytest.raises(ValueError):
+            BInfix(op, (a, b))
+    else:
+        assert BInfix(op, (a, b)).items == (a, b)
 
 
 def test_rewrite_conditional():
@@ -371,9 +380,16 @@ def test_choose_counts_binomials():
 def test_eval_p_basics():
     cp = PropConfig({"a": 1, "b": 0})
     assert eval_p(BConst(1), cp) == 1
-    assert eval_p(BBin("implies", BIdent("b"), BIdent("a")), cp) == 1
-    assert eval_p(BBin("implies", BIdent("a"), BIdent("b")), cp) == 0
-    assert eval_p(BBin("eqv", BIdent("a"), BIdent("b")), cp) == 0
+    a, b = BIdent("a"), BIdent("b")
+    assert eval_p(BInfix("implies", (b, a)), cp) == 1
+    assert eval_p(BInfix("implies", (a, b)), cp) == 0
+    assert eval_p(BInfix("eqv", (a, b)), cp) == 0
+    # chains fold left: (a implies b) implies b, (a eqv b) eqv b
+    assert eval_p(BInfix("implies", (a, b, b)), cp) == 1
+    assert eval_p(BInfix("implies", (a, b, a, b)), cp) == 0
+    assert eval_p(BInfix("eqv", (a, b, b)), cp) == 1
+    assert eval_p(BInfix("&&", (a, a, b)), cp) == 0
+    assert eval_p(BInfix("||", (b, b, a)), cp) == 1
     assert eval_p(BNot(BIdent("b")), cp) == 1
     assert eval_p(BCard(("a", "b"), 1, 1), cp) == 1
 
@@ -569,7 +585,19 @@ def test_load_prop_config_messages():
 
 
 def test_bool_to_source_minimal_parens():
-    e = BBin("implies", BIdent("a"), BAnd((BIdent("b"), BNot(BIdent("c")))))
+    a, b, c = BIdent("a"), BIdent("b"), BIdent("c")
+    e = BInfix("implies", (a, BInfix("&&", (b, BNot(c)))))
     assert bool_to_source(e) == "a implies b && !c"
-    e = BAnd((BOr((BIdent("a"), BIdent("b"))), BIdent("c")))
+    e = BInfix("&&", (BInfix("||", (a, b)), c))
     assert bool_to_source(e) == "(a || b) && c"
+    for op in ("implies", "eqv"):
+        e = BInfix(op, (a, b, c))
+        assert bool_to_source(e) == f"a {op} b {op} c"
+        e = BInfix(op, (a, BInfix(op, (b, c))))
+        assert bool_to_source(e) == f"a {op} (b {op} c)"
+        e = BInfix("&&", (BInfix(op, (a, b)), c))
+        assert bool_to_source(e) == f"(a {op} b) && c"
+    e = BInfix("&&", (BInfix("&&", (a, b)), c))
+    assert bool_to_source(e) == "(a && b) && c"
+    e = BInfix("||", (a, BInfix("||", (b, c))))
+    assert bool_to_source(e) == "a || (b || c)"

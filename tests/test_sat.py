@@ -8,13 +8,11 @@ import pytest
 from cdlsem import AnalysisError
 from cdlsem.cdcl import Solver
 from cdlsem.prop import (
-    BAnd,
-    BBin,
     BCard,
     BConst,
     BIdent,
+    BInfix,
     BNot,
-    BOr,
     BoolExpr,
     Constraint,
     PropConfig,
@@ -53,9 +51,7 @@ def _formula(*exprs: BoolExpr, names=None) -> PropFormula:
                 found.add(e.name)
             elif isinstance(e, BNot):
                 walk(e.child)
-            elif isinstance(e, BBin):
-                walk(e.left), walk(e.right)
-            elif isinstance(e, (BAnd, BOr)):
+            elif isinstance(e, BInfix):
                 for x in e.items:
                     walk(x)
             elif isinstance(e, BCard):
@@ -79,7 +75,7 @@ def test_single_ident_is_unit_clause():
 
 
 def test_eqv_is_two_clauses():
-    cnf = to_cnf(_formula(BBin("eqv", BIdent("a"), BIdent("b"))))
+    cnf = to_cnf(_formula(BInfix("eqv", (BIdent("a"), BIdent("b")))))
     assert set(cnf.clauses) == {(-1, 2), (1, -2)}
 
 
@@ -90,20 +86,34 @@ def test_false_constraint_is_empty_clause():
 
 
 def test_no_tautological_clauses():
-    cnf = to_cnf(_formula(BOr((BIdent("a"), BNot(BIdent("a"))))))
+    cnf = to_cnf(_formula(BInfix("||", (BIdent("a"), BNot(BIdent("a"))))))
     for cl in cnf.clauses:
         assert not any(-l in cl for l in cl)
 
 
 def test_chain_gets_one_auxiliary_variable():
-    chain = BOr(tuple(BIdent(n) for n in "abc"))
-    cnf = to_cnf(_formula(BBin("implies", BIdent("x"), chain)))
+    chain = BInfix("||", tuple(BIdent(n) for n in "abc"))
+    cnf = to_cnf(_formula(BInfix("implies", (BIdent("x"), chain))))
     assert cnf.num_vars == 5  # a, b, c, x and one definition of the chain
     assert set(cnf.clauses) == {(-4, 5), (-1, 5), (-2, 5), (-3, 5), (1, 2, 3, -5)}
 
 
+@pytest.mark.parametrize("op, clauses", [("implies", 3), ("eqv", 4)])
+def test_chain_shares_the_gates_of_its_prefix(op, clauses):
+    a, b, c, x, y = (BIdent(n) for n in "abcxy")
+    cnf = to_cnf(
+        _formula(
+            BInfix("||", (x, BInfix(op, (a, b)))),
+            BInfix("||", (y, BInfix(op, (a, b, c)))),
+        )
+    )
+    # a, b, c, x, y, the gate over a and b, and one more gate for c
+    assert cnf.num_vars == 7
+    assert len(cnf.clauses) == 2 + 2 * clauses
+
+
 def test_simplify_folds_constants():
-    e = BAnd((BConst(1), BOr((BIdent("a"), BConst(0)))))
+    e = BInfix("&&", (BConst(1), BInfix("||", (BIdent("a"), BConst(0)))))
     assert simplify(e) == BIdent("a")
     assert simplify(BNot(BConst(0))) == BConst(1)
     assert simplify(BCard(("a", "b"), 0, 2)) == BConst(1)
@@ -125,17 +135,10 @@ def _random_bool_expr(rng, names, depth=3) -> BoolExpr:
     op = rng.choice(["||", "&&", "implies", "eqv", "not"])
     if op == "not":
         return BNot(_random_bool_expr(rng, names, depth - 1))
-    if op in ("||", "&&"):
-        items = tuple(
-            _random_bool_expr(rng, names, depth - 1)
-            for _ in range(rng.randint(1, 4))
-        )
-        return BOr(items) if op == "||" else BAnd(items)
-    return BBin(
-        op,
-        _random_bool_expr(rng, names, depth - 1),
-        _random_bool_expr(rng, names, depth - 1),
+    items = tuple(
+        _random_bool_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 4))
     )
+    return BInfix(op, items)
 
 
 def test_to_cnf_projections_match_formula_models():
