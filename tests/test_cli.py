@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -494,3 +495,43 @@ def test_translate_output_is_pinned():
     # the expected text was generated before a change of the Boolean IR;
     # prop text, aux-variable numbering and clause order must not move
     assert _translate_golden_text() == GOLDEN_TRANSLATE.read_text()
+
+
+GOLDEN_ENUMERATE = FIXTURES.parent / "golden" / "enumerate.txt"
+
+
+def _enumerate_golden_text() -> str:
+    """``enumerate`` of every fixture, full and Boolean, text and JSON.
+
+    Some outputs run to megabytes, so stdout is pinned by its SHA-256 and
+    length; the exit code and stderr are pinned verbatim.
+    """
+    fixture = FIXTURES / "sound" / "s19_unloaded.cdl"
+    runs = [
+        (f"{group}/{path.name}", (str(path), *mode, *fmt))
+        for group in ("sound", "family", "analysis")
+        for path in sorted((FIXTURES / group).glob("*.cdl"))
+        for mode in (("--domain", "0,1,2"), ("--prop",))
+        for fmt in ((), ("--format", "json"))
+    ]
+    # the budget counts the whole candidate space: 4 * 12 with one unloaded
+    # reference and three data values, 2^2 valuations
+    for mode, space in ((("--domain", "0,1,2"), 48), (("--prop",), 4)):
+        for budget in (space - 1, space):
+            extra = (*mode, "--budget", str(budget))
+            runs.append(("sound/s19_unloaded.cdl", (str(fixture), *extra)))
+    blocks = []
+    for name, argv in runs:
+        code, out, err = run("enumerate", *argv)
+        head = " ".join((name, "enumerate", *argv[1:]))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        blocks.append(
+            f"## {head} (exit {code})\n{err}stdout {len(out)} bytes {digest}\n"
+        )
+    return "".join(blocks)
+
+
+def test_enumerate_output_is_pinned():
+    # generated before enumeration stopped building every candidate; the
+    # accepted configurations, their order and the budget check must not move
+    assert _enumerate_golden_text() == GOLDEN_ENUMERATE.read_text()
