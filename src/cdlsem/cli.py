@@ -82,13 +82,17 @@ class _Cli:
     def error(self, message: str) -> None:
         self.stderr.write(f"cdlsem: {message}\n")
 
-    def read_file(self, path: str) -> str | None:
+    def read_file(self, path: str) -> tuple[str | None, int]:
+        """The file's text, or None after reporting why, with the exit code."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
+                return fh.read(), EXIT_OK
         except OSError as err:
             self.error(f"cannot read {path}: {err}")
-            return None
+            return None, EXIT_IO
+        except UnicodeDecodeError as err:
+            self.error(f"cannot read {path}: not valid UTF-8 ({err.reason})")
+            return None, EXIT_INPUT
 
     def require_well_formed(self, m: Model) -> bool:
         violations = check_well_formed(m)
@@ -102,9 +106,9 @@ def _load_model_io(cli: _Cli, path: str) -> tuple[Model | None, int]:
     if not os.path.exists(path):
         cli.error(f"cannot read {path}: no such file")
         return None, EXIT_IO
-    text = cli.read_file(path)
+    text, code = cli.read_file(path)
     if text is None:
-        return None, EXIT_IO
+        return None, code
     nodes, diagnostics = parse_model(text, path)
     for d in diagnostics:
         cli.stderr.write(f"{d}\n")
@@ -158,9 +162,9 @@ def cmd_validate(cli: _Cli, args) -> int:
         return code
     if not cli.require_well_formed(m):
         return EXIT_NEGATIVE
-    text = cli.read_file(args.config)
+    text, code = cli.read_file(args.config)
     if text is None:
-        return EXIT_IO
+        return code
     universe = sorted(m.universe())
     try:
         if args.prop:

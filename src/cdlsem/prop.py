@@ -13,8 +13,8 @@ operators share ``exprs.Infix``: a long chain is one node, not a tree.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+from operator import or_
 
 from .errors import EvalError, FormulaError, OracleError
 from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not, to_source
@@ -213,32 +213,51 @@ def project(c: Configuration, m: Model) -> PropConfig:
 
 def eval_p(e: BoolExpr, cp: PropConfig) -> int:
     """Ordinary Boolean evaluation, plus counting for cardinality nodes."""
+    return _eval_masks(e, cp._map, 1)
+
+
+def _eval_masks(e: BoolExpr, masks, full: int) -> int:
+    """Mask of the valuations satisfying ``e``; bit ``k`` of ``masks[name]``
+    is the feature's value in valuation ``k``.  ``&&``/``||`` stop where
+    ``all``/``any`` would on one valuation; ``implies``/``eqv`` read all."""
     if isinstance(e, BIdent):
-        if e.name not in cp:
-            raise EvalError("unknown-id", f"unknown feature {e.name!r}")
-        return cp[e.name]
+        return _mask(e.name, masks)
     if isinstance(e, BConst):
-        return e.value
+        return full if e.value else 0
     if isinstance(e, BNot):
-        return 1 - eval_p(e.child, cp)
+        return full ^ _eval_masks(e.child, masks, full)
     if isinstance(e, BInfix):
-        if e.op == "&&":
-            return int(all(eval_p(x, cp) for x in e.items))
-        if e.op == "||":
-            return int(any(eval_p(x, cp) for x in e.items))
-        acc = eval_p(e.items[0], cp)
-        for x in e.items[1:]:
-            b = eval_p(x, cp)
-            acc = (1 - acc) | b if e.op == "implies" else int(acc == b)
+        op, items = e.op, iter(e.items)
+        acc = _eval_masks(next(items), masks, full)
+        stop = 0 if op == "&&" else full if op == "||" else None
+        for x in items:
+            if acc == stop:
+                break
+            b = _eval_masks(x, masks, full)
+            if op == "&&":
+                acc &= b
+            elif op == "||":
+                acc |= b
+            else:
+                acc = (full ^ acc) | b if op == "implies" else full ^ acc ^ b
         return acc
     if isinstance(e, BCard):
-        count = 0
+        # counts[j]: exactly j of the names so far are true; more drop out
+        counts = [full] + [0] * min(e.at_most, len(e.names))
         for name in e.names:
-            if name not in cp:
-                raise EvalError("unknown-id", f"unknown feature {name!r}")
-            count += cp[name]
-        return int(e.at_least <= count <= e.at_most)
+            x = _mask(name, masks)
+            for j in range(len(counts) - 1, 0, -1):
+                counts[j] = (counts[j] & (full ^ x)) | (counts[j - 1] & x)
+            counts[0] &= full ^ x
+        return functools.reduce(or_, counts[max(e.at_least, 0):e.at_most + 1], 0)
     raise TypeError(f"not a Boolean expression: {e!r}")
+
+
+def _mask(name: str, masks) -> int:
+    try:
+        return masks[name]
+    except KeyError:
+        raise EvalError("unknown-id", f"unknown feature {name!r}") from None
 
 
 def impls_syntactic(name: str, m: Model) -> frozenset[str]:
@@ -472,12 +491,25 @@ def enumerate_prop_configs(
             f"2^{len(ids)} valuations exceed budget of {budget}",
         )
     formula = build_formula(m)
-    accepted: list[PropConfig] = []
-    for bits in itertools.product((0, 1), repeat=len(ids)):
-        cp = PropConfig(zip(ids, bits))
-        if all(eval_p(con.expr, cp) for con in formula.constraints):
-            accepted.append(cp)
-    return accepted
+    # valuation k sets variable i to bit n-1-i of k: itertools.product order
+    n, width = len(ids), 2 ** len(ids)
+    full = (1 << width) - 1
+    masks = {}
+    for i, name in enumerate(ids):
+        run = 1 << (n - 1 - i)  # the variable is 1 on alternate runs of k
+        masks[name] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    acc = full
+    for con in formula.constraints:
+        acc &= _eval_masks(con.expr, masks, full)
+        if not acc:
+            break
+    # binary text has no digit limit; reversed, character k is valuation k
+    bits = format(acc, f"0{width}b")[::-1]
+    return [
+        PropConfig(zip(ids, map(int, format(k, f"0{n}b"))))
+        for k, bit in enumerate(bits)
+        if bit == "1"
+    ]
 
 
 # ---------------------------------------------------------------------------

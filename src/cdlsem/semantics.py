@@ -602,27 +602,31 @@ def enumerate_configurations(
 
     Candidate data values for declared features come from ``data_domain``;
     undeclared (referenced-only) features are pinned to data "0" since
-    their data can never matter.  Deterministic order.
+    their data can never matter.  Every candidate that could be accepted
+    is checked, in a deterministic order; ``budget`` bounds the whole space.
     """
     domain = tuple(dict.fromkeys(data_domain))
     if not domain:
         raise ValueError("data domain must not be empty")
     ids = sorted(m.universe())
-    loaded = m.ids()
     total = 1
+    choices = []
     for x in ids:
-        total *= 4 * len(domain) if x in loaded else 4
+        node = m.get(x)
+        total *= 4 * len(domain) if node is not None else 4
         if total > budget:
             raise OracleError(
                 "too-large",
                 f"candidate space exceeds budget of {budget} configurations",
             )
-    bits = (0, 1)
-    choices = []
-    for x in ids:
-        values = domain if x in loaded else ("0",)
+        # drop triples that fail every candidate by this feature alone: enabled
+        # unloaded, none/data value 0 (flavor_holds), state 1 with value 0 (node)
+        if node is None:
+            choices.append(((0, 0, "0"), (0, 1, "0")))
+            continue
+        values = (1,) if node.flavor in (Flavor.NONE, Flavor.DATA) else (0, 1)
         choices.append(
-            tuple((s, v, d) for s in bits for v in bits for d in values)
+            tuple((s, v, d) for s in (0, 1) for v in values if s <= v for d in domain)
         )
     accepted: list[Configuration] = []
     for combo in itertools.product(*choices):

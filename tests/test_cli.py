@@ -97,6 +97,38 @@ def test_check_unreadable_model_exit_3(tmp_path):
     )
 
 
+def test_non_utf8_files_exit_2(tmp_path):
+    # undecodable text is an input error, reported in one line
+    bad_model = tmp_path / "bad.cdl"
+    bad_model.write_bytes(b"cdl_option A {}\n\xff\n")
+    model = tmp_path / "ok.cdl"
+    model.write_text("cdl_option A {}\n")
+    bad_config = tmp_path / "bad.conf"
+    bad_config.write_bytes(b"A\t1\t1\t\xc3\n")
+    invalid = "not valid UTF-8 (invalid start byte)"
+    cut = "not valid UTF-8 (invalid continuation byte)"
+    cases = [
+        (("check", str(bad_model)), f"cannot read {bad_model}: {invalid}"),
+        (("validate", str(bad_model), str(bad_config)),
+         f"cannot read {bad_model}: {invalid}"),
+        (("validate", str(model), str(bad_config)),
+         f"cannot read {bad_config}: {cut}"),
+        (("validate", str(model), str(bad_config), "--prop"),
+         f"cannot read {bad_config}: {cut}"),
+    ]
+    for argv, message in cases:
+        assert run(*argv) == (2, "", f"cdlsem: {message}\n"), argv
+    for argv, message in cases[::2]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdlsem", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr == f"cdlsem: {message}\n", argv
+
+
 # ---------------------------------------------------------------------------
 # check
 

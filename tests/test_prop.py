@@ -15,7 +15,9 @@ from cdlsem.prop import (
     BIdent,
     BInfix,
     BNot,
+    Constraint,
     PropConfig,
+    PropFormula,
     bool_to_source,
     build_formula,
     choose,
@@ -397,6 +399,123 @@ def test_eval_p_basics():
 def test_eval_p_unknown_id():
     with pytest.raises(EvalError):
         eval_p(BIdent("nope"), PropConfig({}))
+
+
+_ON, _OFF, _GHOST = BIdent("on"), BIdent("off"), BIdent("ghost")
+
+
+@pytest.mark.parametrize(
+    "expr,expected",
+    [
+        # &&/|| stop where all/any would on one valuation
+        (BInfix("&&", (_OFF, _GHOST)), 0),
+        (BInfix("&&", (_ON, _OFF, _GHOST)), 0),
+        (BInfix("&&", (_ON, _GHOST)), None),
+        (BInfix("&&", (_GHOST, _OFF)), None),
+        (BInfix("||", (_ON, _GHOST)), 1),
+        (BInfix("||", (_OFF, _ON, _GHOST)), 1),
+        (BInfix("||", (_OFF, _GHOST)), None),
+        (BInfix("&&", (BInfix("||", (_ON, _GHOST)), _OFF, _GHOST)), 0),
+        # implies/eqv chains evaluate every operand
+        (BInfix("implies", (_OFF, _GHOST)), None),
+        (BInfix("implies", (_ON, _ON, _GHOST)), None),
+        (BInfix("eqv", (_ON, _GHOST)), None),
+        (BInfix("eqv", (_ON, _OFF, _GHOST)), None),
+        (BNot(_GHOST), None),
+        # every name of a cardinality node is looked up
+        (BCard(("ghost", "on"), 0, 2), None),
+        (BCard(("on", "ghost"), 0, 2), None),
+        (BCard(("on", "off"), 0, 1), 1),
+        (BCard(("on", "on2"), 0, 1), 0),
+        (BCard(("off", "off2"), 0, 0), 1),
+        (BCard(("on", "off", "on2"), 2, 3), 1),
+        (BCard(("on", "on2"), 2, 2), 1),
+        (BCard(("on", "off"), 2, 2), 0),
+        (BCard(("on",), 0, 5), 1),
+        (BCard(("on", "on2"), 1, 0), 0),
+    ],
+)
+def test_eval_p_pins_where_unknown_ids_raise(expr, expected):
+    cp = PropConfig({"on": 1, "on2": 1, "off": 0, "off2": 0})
+    if expected is None:
+        with pytest.raises(EvalError) as err:
+            eval_p(expr, cp)
+        assert err.value.code == "unknown-id"
+        assert "'ghost'" in str(err.value)
+    else:
+        assert eval_p(expr, cp) == expected
+
+
+def _truth(e, val) -> bool:
+    """One-valuation reference semantics of a Boolean expression."""
+    if isinstance(e, BIdent):
+        return bool(val[e.name])
+    if isinstance(e, BConst):
+        return bool(e.value)
+    if isinstance(e, BNot):
+        return not _truth(e.child, val)
+    if isinstance(e, BCard):
+        return e.at_least <= sum(val[n] for n in e.names) <= e.at_most
+    acc = _truth(e.items[0], val)
+    for x in e.items[1:]:
+        b = _truth(x, val)
+        acc = {
+            "&&": acc and b, "||": acc or b,
+            "implies": not acc or b, "eqv": acc == b,
+        }[e.op]
+    return acc
+
+
+def _random_expr(rng, names, depth):
+    if depth == 0 or rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.6:
+            return BIdent(rng.choice(names))
+        if roll < 0.75:
+            return BConst(rng.randint(0, 1))
+        # interface rewrites: == 1, > 1 and >= 2 over the implementors
+        ids = rng.sample(names, rng.randint(1, len(names)))
+        lo, hi = rng.choice([(1, 1), (2, len(ids)), (rng.randint(0, 2), 3)])
+        return BCard(tuple(sorted(ids)), lo, max(hi, lo))
+    if rng.random() < 0.2:
+        return BNot(_random_expr(rng, names, depth - 1))
+    op = rng.choice(["&&", "||", "implies", "eqv"])
+    items = [_random_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 4))]
+    if rng.random() < 0.2:
+        items.insert(rng.randrange(len(items) + 1), BConst(rng.randint(0, 1)))
+    return BInfix(op, tuple(items))
+
+
+def test_enumerate_prop_configs_equals_per_valuation_eval(monkeypatch):
+    rng = random.Random(909)
+    for n in list(range(1, 13)) * 3:
+        m = mk_model("\n".join(f"cdl_option V{i} {{}}" for i in range(n)))
+        ids = sorted(m.universe())
+        exprs = [_random_expr(rng, ids, 3) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            exprs.append(BNot(BNot(BInfix("||", (BIdent(ids[0]), BConst(0))))))
+        if rng.random() < 0.3:
+            # an || whose first operand holds on valuation 0 alone: mask 1
+            none_on = [BNot(BIdent(x)) for x in ids]
+            first = BInfix("&&", tuple(none_on)) if n > 1 else none_on[0]
+            exprs.append(BInfix("||", (first, BIdent(ids[-1]))))
+        formula = PropFormula(
+            tuple(Constraint("V0", "node", e) for e in exprs), tuple(ids)
+        )
+        monkeypatch.setattr("cdlsem.prop.build_formula", lambda _m: formula)
+        valuations = [
+            PropConfig(zip(ids, bits))
+            for bits in itertools.product((0, 1), repeat=n)
+        ]
+        for cp in valuations[:: max(1, len(valuations) // 64)]:
+            for e in exprs:
+                assert eval_p(e, cp) == _truth(e, dict(cp.items())), (e, cp)
+        expected = [
+            cp
+            for cp in valuations
+            if all(eval_p(e, cp) for e in exprs)
+        ]
+        assert enumerate_prop_configs(m) == expected, exprs
 
 
 # ---------------------------------------------------------------------------

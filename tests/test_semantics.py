@@ -1,5 +1,6 @@
 """Evaluation and validation semantics tests."""
 
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from cdlsem.semantics import (
     validate_configuration,
 )
 
-from conftest import mk_model
+from conftest import fixture_paths, load_model, mk_model
 
 
 EMPTY = mk_model("")
@@ -483,8 +484,6 @@ def test_enumerate_budget():
 
 def test_enumerate_equals_validation_filter():
     m = mk_model("cdl_component C { cdl_option A {} }\ncdl_option D { flavor data }")
-    import itertools
-
     ids = sorted(m.universe())
     expected = []
     for combo in itertools.product(
@@ -507,6 +506,108 @@ def test_enumerate_invariants_on_accepted_sets():
         # enabled children need enabled parents
         if c.state("A") == 1:
             assert c.state("C") == 1
+
+
+def _accepted_by_validation(m, domain):
+    """Reference oracle: validate every candidate of the unfiltered product."""
+    ids = sorted(m.universe())
+    loaded = m.ids()
+    choices = [
+        [
+            (s, v, d)
+            for s in (0, 1)
+            for v in (0, 1)
+            for d in (domain if x in loaded else ("0",))
+        ]
+        for x in ids
+    ]
+    candidates = (Configuration(zip(ids, t)) for t in itertools.product(*choices))
+    return [c for c in candidates if validate_configuration(m, c).accepted]
+
+
+_DOMAINS = [("", "1", "x"), ("0", "2", "abc"), ("", "x"), ("0", "1"), ("",), ("x",)]
+_MAX_CANDIDATES = 35_000  # keeps the reference oracle to about a second a model
+
+
+def _small_domain(m, domains):
+    """The first domain whose unfiltered candidate space fits the cap."""
+    loaded = len(m.ids())
+    unloaded = len(m.universe()) - loaded
+    for domain in domains:
+        if (4 * len(domain)) ** loaded * 4**unloaded <= _MAX_CANDIDATES:
+            return domain
+    raise AssertionError("model too large for the reference oracle")
+
+
+@pytest.mark.parametrize(
+    "path", fixture_paths("family", "sound"), ids=lambda p: p.stem
+)
+def test_enumerate_equals_validation_on_fixtures(path):
+    m = load_model(path)
+    domain = _small_domain(m, _DOMAINS)
+    assert enumerate_configurations(m, domain) == _accepted_by_validation(
+        m, domain
+    )
+
+
+_GOALS = [
+    "{X}", "{!X}", "{X == 0}", "{X != 0}", "{X > 1}", "{X == \"x\"}",
+    "{X && Y}", "{X || !Y}", "{X implies Y}", "{is_substr(X, \"x\")}",
+    "{get_data(X) == 1}", "{is_enabled(X)}",
+]
+
+
+def _random_model(rng):
+    """CDL source of 1-4 nodes with none/data flavors, interfaces,
+    nesting and references to the undeclared GHOST."""
+    n = rng.randint(1, 4)
+    names = [f"F{i}" for i in range(n)]
+    refs = names + ["GHOST"]
+    bodies = []
+    for name in names:
+        kind = rng.choice(["option", "component", "interface"])
+        flavors = ["bool", "booldata", "data"] + ["none"] * (kind != "interface")
+        lines = [f"flavor {rng.choice(flavors)}"]
+        for prop in ("requires", "active_if"):
+            if rng.random() < 0.4:
+                goal = rng.choice(_GOALS)
+                goal = goal.replace("X", rng.choice(refs))
+                lines.append(f"{prop} " + goal.replace("Y", rng.choice(refs)))
+        if kind != "interface":
+            if rng.random() < 0.2:
+                lines.append(f"calculated {rng.choice(refs + ['1', '2'])}")
+            elif rng.random() < 0.25:
+                lines.append(f"legal_values {rng.choice(['1 2', '0 to 1', 'x'])}")
+        bodies.append([kind, name, lines])
+    for i in range(1, n):
+        if bodies[i][0] != "interface" and rng.random() < 0.5:
+            iface = [b[1] for b in bodies if b[0] == "interface"]
+            if iface:
+                bodies[i][2].append(f"implements {rng.choice(iface)}")
+    text = ""
+    for kind, name, lines in reversed(bodies):
+        # a component may take every node after it as its children
+        nest = kind == "component" and rng.random() < 0.5
+        body = "\n".join(lines) + "\n" + (text if nest else "")
+        text = f"cdl_{kind} {name} {{\n{body}}}\n" + ("" if nest else text)
+    return text
+
+
+def test_enumerate_equals_validation_on_generated_models():
+    rng = random.Random(4242)
+    seen = set()
+    for _ in range(60):
+        source = _random_model(rng)
+        m = mk_model(source)
+        domains = _DOMAINS[:]
+        rng.shuffle(domains)
+        domain = _small_domain(m, domains)
+        got = enumerate_configurations(m, domain)
+        assert got == _accepted_by_validation(m, domain), (source, domain)
+        seen.update(n.flavor.value for n in m)
+        seen.add("unloaded" if m.unloaded_ids() else "loaded")
+        seen.add("accepting" if got else "void")
+    assert {"none", "data", "unloaded", "accepting"} <= seen
 
 
 # ---------------------------------------------------------------------------
