@@ -113,9 +113,17 @@ class Node:
 
 
 class Model:
-    """Immutable set of nodes indexed by name, tree-shaped under TOP."""
+    """Immutable set of nodes indexed by name, tree-shaped under TOP.
 
-    __slots__ = ("_nodes", "_by_name", "_hash", "_universe")
+    Derived facts (the ids, the referenced ids, the universe, the
+    interface implementers and the hash) are computed on first use and
+    kept, so asking for them per node or per interface costs a lookup.
+    """
+
+    __slots__ = (
+        "_nodes", "_by_name", "_hash", "_ids", "_referenced", "_universe",
+        "_implementers",
+    )
 
     def __init__(self, nodes):
         """Index the nodes; raises ``NormalizationError`` on a bad structure.
@@ -145,8 +153,11 @@ class Model:
         ordered = tuple(sorted(nodes, key=lambda n: n.name))
         self._nodes = ordered
         self._by_name = by_name
-        self._hash = hash(ordered)
+        self._hash: int | None = None
+        self._ids: frozenset[str] | None = None
+        self._referenced: frozenset[str] | None = None
         self._universe: frozenset[str] | None = None
+        self._implementers: dict[str, frozenset[str]] | None = None
 
     def __iter__(self):
         return iter(self._nodes)
@@ -161,6 +172,8 @@ class Model:
         return isinstance(other, Model) and self._nodes == other._nodes
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._nodes)
         return self._hash
 
     def node(self, name: str) -> Node:
@@ -170,19 +183,23 @@ class Model:
         return self._by_name.get(name)
 
     def ids(self) -> frozenset[str]:
-        return frozenset(self._by_name)
+        if self._ids is None:
+            self._ids = frozenset(self._by_name)
+        return self._ids
 
     def referenced_ids(self) -> frozenset[str]:
         """Every feature name mentioned by any expression in the model."""
-        acc: set[str] = set()
-        for n in self._nodes:
-            for e in n.constraints():
-                acc |= referenced_ids(e)
-            if n.calculated is not None:
-                acc |= referenced_ids(n.calculated)
-            if n.legal_values is not None:
-                acc |= list_referenced_ids(n.legal_values)
-        return frozenset(acc)
+        if self._referenced is None:
+            acc: set[str] = set()
+            for n in self._nodes:
+                for e in n.constraints():
+                    acc |= referenced_ids(e)
+                if n.calculated is not None:
+                    acc |= referenced_ids(n.calculated)
+                if n.legal_values is not None:
+                    acc |= list_referenced_ids(n.legal_values)
+            self._referenced = frozenset(acc)
+        return self._referenced
 
     def universe(self) -> frozenset[str]:
         """Declared ids plus referenced-but-unloaded ids (TOP excluded)."""
@@ -192,6 +209,20 @@ class Model:
 
     def unloaded_ids(self) -> frozenset[str]:
         return self.referenced_ids() - self.ids()
+
+    def implementers(self, interface: str) -> frozenset[str]:
+        """Names of the nodes that declare ``implements interface``.
+
+        The name need not be a node of the model.  One pass over the nodes
+        indexes every interface on the first call.
+        """
+        if self._implementers is None:
+            index: dict[str, set[str]] = {}
+            for n in self._nodes:
+                for i in n.implements:
+                    index.setdefault(i, set()).add(n.name)
+            self._implementers = {i: frozenset(s) for i, s in index.items()}
+        return self._implementers.get(interface, frozenset())
 
 
 def _find_cycle(parent_of: dict[str, str | None]) -> str | None:
@@ -325,22 +356,24 @@ def model_to_pretty(m: Model) -> str:
     children: dict[str, list[Node]] = {}
     for n in m:
         children.setdefault(n.parent, []).append(n)
-
-    def walk(parent: str, depth: int) -> None:
-        for n in children.get(parent, ()):
-            pad = "    " * depth
-            lines.append(f"{pad}{n.kind.value} {n.name} [{n.flavor.value}]")
-            for e in sorted(to_source(x) for x in n.active_if):
-                lines.append(f"{pad}    active_if {e}")
-            for e in sorted(to_source(x) for x in n.requires):
-                lines.append(f"{pad}    requires {e}")
-            if n.calculated is not None:
-                lines.append(f"{pad}    calculated {to_source(n.calculated)}")
-            if n.legal_values is not None:
-                lines.append(f"{pad}    legal_values {list_to_source(n.legal_values)}")
-            for i in sorted(n.implements):
-                lines.append(f"{pad}    implements {i}")
-            walk(n.name, depth + 1)
-
-    walk(TOP, 0)
+    # depth-first, children in name order: the stack holds (node, depth)
+    # pairs with the next node to print on top
+    stack = [(n, 0) for n in reversed(children.get(TOP, ()))]
+    while stack:
+        n, depth = stack.pop()
+        pad = "    " * depth
+        lines.append(f"{pad}{n.kind.value} {n.name} [{n.flavor.value}]")
+        for e in sorted(to_source(x) for x in n.active_if):
+            lines.append(f"{pad}    active_if {e}")
+        for e in sorted(to_source(x) for x in n.requires):
+            lines.append(f"{pad}    requires {e}")
+        if n.calculated is not None:
+            lines.append(f"{pad}    calculated {to_source(n.calculated)}")
+        if n.legal_values is not None:
+            lines.append(f"{pad}    legal_values {list_to_source(n.legal_values)}")
+        for i in sorted(n.implements):
+            lines.append(f"{pad}    implements {i}")
+        kids = children.get(n.name)
+        if kids:
+            stack.extend([(c, depth + 1) for c in reversed(kids)])
     return "\n".join(lines) + ("\n" if lines else "")

@@ -17,6 +17,13 @@ words, and expression tokens are ``(kind, text, start, end)`` tuples.
 Line and column numbers are worked out only when a diagnostic needs a
 position.
 
+A value word that is one identifier or one decimal integer becomes its
+``Ident`` or ``Const`` directly, without the tokenizer and the expression
+parser, which give the same node; every other value goes through them.
+Each ``legal_values`` item is tokenized in place, as a window of the
+property's joined text, so a long bare enumeration is parsed in linear
+time.
+
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
 """
@@ -81,13 +88,22 @@ _ESCAPE_RX = re.compile(r"\\(.)", re.S)
 _BRACE_RX = re.compile(r"\\.|[{}]", re.S)
 # Blanks (whitespace but newline) and backslash-newline continuations
 # separate words; then one token: a command separator, an opening brace, a
-# quoted word, a lone (unterminated) quote, a stray '}' or a bare word.
+# quoted word, a lone (unterminated) quote, a stray '}' or a bare word.  A
+# separator takes the blanks, continuations and separators after it along:
+# with no word pending they change nothing.  A run of blanks is a character
+# class repeated between continuations, not a loop over two alternatives:
+# on an indented line the regex engine takes about half the time.
+_BLANK_RUN = r"[^\S\n]*(?:\\\n[^\S\n]*)*"
+_SEP_RUN = r"[\n;][\s;]*(?:\\\n[\s;]*)*"
 _CMD_TOKEN_RX = re.compile(
-    r"(?:[^\S\n]|\\\n)*(?:(?P<sep>[\n;])|(?P<braced>\{)"
+    _BLANK_RUN + r"(?:(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
     r"|(?P<quoted>" + _QUOTED + r')|(?P<open>")|(?P<close>\})'
     r"|(?P<bare>(?:[^\s;\\]+|\\(?!\n))+))",
     re.S,
 )
+# a bare word that is one identifier or one decimal integer: such a value
+# becomes an Ident or a Const without the expression tokenizer
+_ONE_TOKEN_RX = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[0-9]+")
 # where a list word may end or change state
 _LIST_STOP_RX = re.compile(r'[\s"()]')
 _BLANKS_RX = re.compile(r"\s*")
@@ -165,22 +181,31 @@ class _Src:
         start, origin = self.pieces[k]
         return origin + p - start
 
-    def span(self, start: int, end: int) -> SourceSpan:
-        if self.pieces is None:
+    def span(self, start: int, end: int, stop: int | None = None) -> SourceSpan:
+        """File span of ``start:end``.
+
+        With ``stop`` set, or for a joined text, the span is clamped to
+        end before ``stop`` (by default the end of the text), so that it
+        stays inside the item or value being parsed.
+        """
+        if stop is None and self.pieces is not None:
+            stop = len(self.text)
+        if stop is None:
             a, b = start, end
-        elif self.text:
-            last = len(self.text) - 1
-            a = self.origin(min(start, last))
-            b = self.origin(min(max(end - 1, start), last)) + 1
+        elif stop:
+            a = self.origin(min(start, stop - 1))
+            b = self.origin(min(max(end - 1, start), stop - 1)) + 1
         else:
             a = b = 0
         l1, c1 = self.index.locate(a)
         l2, c2 = self.index.locate(max(a, b))
         return SourceSpan(self.file, l1, c1, l2, c2)
 
-    def error(self, start: int, end: int, message: str) -> ParseError:
+    def error(
+        self, start: int, end: int, message: str, stop: int | None = None
+    ) -> ParseError:
         return ParseError(
-            ParseDiagnostic("error", message, self.span(start, end))
+            ParseDiagnostic("error", message, self.span(start, end, stop))
         )
 
 
@@ -193,22 +218,32 @@ def _standalone(text: str, file: str = "<expr>") -> _Src:
 #
 # A token is a (kind, text, start, end) tuple: kind is NUM, STR, IDENT, OP
 # or EOF, and text is the lexeme, or the unescaped value of a string.
+#
+# The tokenizer reads ``src.text[pos:stop]`` in place (``stop`` None: to
+# the end), and every error of that window, from the parser too, has its
+# span clamped to the window.
 
 
-def _tokenize_expr(src: _Src, warnings: list | None = None) -> list[tuple]:
+def _tokenize_expr(
+    src: _Src, warnings: list | None = None, pos: int = 0, stop: int | None = None
+) -> list[tuple]:
     text = src.text
+    end = len(text) if stop is None else stop
     toks: list[tuple] = []
-    i = 0
+    i = pos
     while True:
-        m = _EXPR_TOKEN_RX.match(text, i)
+        m = _EXPR_TOKEN_RX.match(text, i, end)
         kind = m.lastgroup
         start, i = m.span(kind)
         if kind == "STR":
-            value, i = _scan_string(src, start, warnings)
+            value, i = _scan_string(src, start, stop, warnings)
             toks.append((kind, value, start, i))
         elif kind == "BAD":
             raise src.error(
-                start, i, f"unsupported character {text[start]!r} in expression"
+                start,
+                i,
+                f"unsupported character {text[start]!r} in expression",
+                stop,
             )
         else:
             toks.append((kind, m.group(kind), start, i))
@@ -216,10 +251,13 @@ def _tokenize_expr(src: _Src, warnings: list | None = None) -> list[tuple]:
                 return toks
 
 
-def _scan_string(src: _Src, start: int, warnings: list | None) -> tuple[str, int]:
+def _scan_string(
+    src: _Src, start: int, stop: int | None, warnings: list | None
+) -> tuple[str, int]:
     text = src.text
-    m = _QUOTED_RX.match(text, start)
-    body = text[start + 1:m.end() - 1 if m else len(text)]
+    end = len(text) if stop is None else stop
+    m = _QUOTED_RX.match(text, start, end)
+    body = text[start + 1:m.end() - 1 if m else end]
 
     def unescape(e: re.Match) -> str:
         esc = e.group(1)
@@ -233,7 +271,7 @@ def _scan_string(src: _Src, start: int, warnings: list | None) -> tuple[str, int
                 ParseDiagnostic(
                     "warning",
                     f"unsupported escape \\{esc}; kept literally",
-                    src.span(at, at + 2),
+                    src.span(at, at + 2, stop),
                 )
             )
         return esc
@@ -241,7 +279,7 @@ def _scan_string(src: _Src, start: int, warnings: list | None) -> tuple[str, int
     if "\\" in body:
         body = _ESCAPE_RX.sub(unescape, body)
     if m is None:
-        raise src.error(start, len(text), "unterminated string literal")
+        raise src.error(start, end, "unterminated string literal", stop)
     return body, m.end()
 
 
@@ -252,9 +290,10 @@ _TERNARY_PREC = 1
 
 
 class _ExprParser:
-    def __init__(self, src: _Src, toks: list[tuple]):
+    def __init__(self, src: _Src, toks: list[tuple], stop: int | None = None):
         self.src = src
         self.toks = toks
+        self.stop = stop  # error spans end before it; see _tokenize_expr
         self.i = 0
         self.depth = 0
 
@@ -263,7 +302,7 @@ class _ExprParser:
 
     def fail(self, tok: tuple, message: str):
         _, _, start, end = tok
-        raise self.src.error(start, max(end, start + 1), message)
+        raise self.src.error(start, max(end, start + 1), message, self.stop)
 
     def expect(self, text: str, message: str) -> None:
         """Consume the operator ``text`` or fail with ``message``."""
@@ -372,8 +411,10 @@ def _parse_expr_seq(src: _Src, warnings: list | None = None) -> list[GoalExpr]:
     return out
 
 
-def _parse_one_expr(src: _Src, warnings: list | None = None) -> GoalExpr:
-    parser = _ExprParser(src, _tokenize_expr(src, warnings))
+def _parse_one_expr(
+    src: _Src, warnings: list | None = None, start: int = 0, stop: int | None = None
+) -> GoalExpr:
+    parser = _ExprParser(src, _tokenize_expr(src, warnings, start, stop), stop)
     expr = parser.parse()
     trailing = parser.peek()
     if trailing[0] != "EOF":
@@ -436,15 +477,25 @@ def _list_item_expr(src: _Src, word: tuple, warnings) -> GoalExpr:
     if kind == "braced":
         # braces quote literally, like Tcl
         return Const(src.text[start + 1:end - 1])
-    return _parse_one_expr(_slice_src(src, start, end), warnings)
+    return _one_token(src.text, word) or _parse_one_expr(
+        src, warnings, start, end
+    )
 
 
-def _slice_src(src: _Src, start: int, end: int) -> _Src:
-    """``src.text[start:end]``, still mapped into the file."""
-    pieces = [(0, src.origin(start))]
-    if src.pieces is not None:
-        pieces += [(p - start, o) for p, o in src.pieces if start < p < end]
-    return _Src(src.text[start:end], src.file, src.index, pieces)
+def _one_token(text: str, word: tuple) -> GoalExpr | None:
+    """The Ident or Const of a bare word that is one identifier (not a word
+    operator) or one decimal integer; None for any other word.
+
+    The general parser gives the same node for such a word; this lane skips
+    its tokenizer for the commonest values.
+    """
+    kind, start, end = word
+    if kind == "bare" and (m := _ONE_TOKEN_RX.fullmatch(text, start, end)):
+        if m.lastindex is None:
+            return Const(m.group())
+        if m.group() not in _WORD_OPS:
+            return Ident(m.group())
+    return None
 
 
 def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
@@ -714,6 +765,10 @@ class _ModelBuilder:
         if not args:
             self.error(head, f"{self.text(head)} needs a value")
             return None
+        # an enumeration of one-token words is the tuple of their nodes
+        values = [_one_token(self.src.text, w) for w in args]
+        if all(values):
+            return tuple(values)
         joined = _join_args(self.src, args)
         try:
             return tuple(_parse_expr_seq(joined, self.diagnostics))

@@ -262,7 +262,7 @@ def _mask(name: str, masks) -> int:
 
 def impls_syntactic(name: str, m: Model) -> frozenset[str]:
     """Names of all nodes declaring that they implement the interface."""
-    return frozenset(n.name for n in m if name in n.implements)
+    return m.implementers(name)
 
 
 def choose(ids, at_least: int, at_most: int) -> BoolExpr:

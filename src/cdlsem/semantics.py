@@ -446,7 +446,7 @@ def legal_values_holds(
 def impls(name: str, c: Configuration, m: Model) -> frozenset[Node]:
     """Enabled nodes that implement the given interface."""
     return frozenset(
-        x for x in m if name in x.implements and c.state(x.name) == 1
+        m.node(x) for x in m.implementers(name) if c.state(x) == 1
     )
 
 

@@ -1,5 +1,8 @@
+import functools
+import importlib.util
 import pathlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +73,17 @@ def load_model(path: pathlib.Path):
     nodes, diagnostics = parse_model(path.read_text(), str(path))
     assert not has_errors(diagnostics), diagnostics
     return normalize_model(nodes)
+
+
+@functools.lru_cache(maxsize=None)
+def perfbench_gen():
+    """The benchmark's seeded model generator, ``perfbench/gen.py``."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def fixture_paths(*groups: str) -> list[pathlib.Path]:

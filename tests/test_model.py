@@ -1,6 +1,7 @@
 """Normalization, well-formedness and model container tests."""
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -16,10 +17,13 @@ from cdlsem import (
     model_to_json,
     normalize_model,
     parse_list_expr,
+    parse_model,
 )
 from cdlsem.model import Flavor, Kind, Model, model_to_pretty
+from cdlsem.prop import impls_syntactic
+from cdlsem.semantics import Configuration, impls
 
-from conftest import FIXTURES, fixture_paths, load_model, mk_model
+from conftest import FIXTURES, fixture_paths, load_model, mk_model, perfbench_gen
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +239,79 @@ def test_children_and_lookup():
     assert model_to_pretty(m) == (
         "component C [bool]\n    option A [bool]\n    option B [bool]\n"
     )
+
+
+def test_pretty_walks_deep_hierarchies_without_recursion():
+    depth = 1500
+    raw = [
+        RawNode(name=f"C{i}", kind=Kind.COMPONENT, parent=f"C{i - 1}" if i else None)
+        for i in range(depth)
+    ]
+    raw.append(RawNode(name="L", kind=Kind.OPTION, parent=f"C{depth - 1}"))
+    raw.append(RawNode(name="B", kind=Kind.OPTION, parent="C0"))
+    lines = model_to_pretty(normalize_model(raw)).splitlines()
+    assert len(lines) == depth + 2
+    # children in name order: B before C1 under C0
+    assert lines[:3] == [
+        "component C0 [bool]", "    option B [bool]", "    component C1 [bool]",
+    ]
+    assert lines[-1] == "    " * depth + "option L [bool]"
+
+
+# two interfaces on one node, an interface nobody implements, and an
+# implemented name that is no node
+_TWO_INTERFACES = (
+    "cdl_interface I {}\ncdl_interface J {}\ncdl_interface K {}\n"
+    "cdl_option A { implements I J }\ncdl_option B { implements I U }\n"
+)
+
+
+def _implementer_models():
+    paths = fixture_paths("family", "sound", "analysis", "wf")
+    yield from ((p.name, load_model(p)) for p in paths)
+    gen = perfbench_gen()
+    for seed in (1, 2, 3):
+        for size in (36, 130, 500):
+            nodes, _ = parse_model(gen.generate(seed, size).text)
+            yield f"gen{seed}_{size}", normalize_model(nodes)
+    yield "two-interfaces", mk_model(_TWO_INTERFACES)
+
+
+def test_implementers_index_matches_node_scan():
+    rng = random.Random(7)
+    seen = 0
+    for label, m in _implementer_models():
+        c = Configuration(
+            {x: (rng.randint(0, 1), rng.randint(0, 1), "1") for x in m.universe()}
+        )
+        names = {i for n in m for i in n.implements}
+        names |= {n.name for n in m if n.kind == Kind.INTERFACE}
+        for name in sorted(names) + ["NO_SUCH_NAME"]:
+            scan = frozenset(n.name for n in m if name in n.implements)
+            assert m.implementers(name) == scan, (label, name)
+            assert impls_syntactic(name, m) == scan, (label, name)
+            enabled = frozenset(
+                n for n in m if name in n.implements and c.state(n.name) == 1
+            )
+            assert impls(name, c, m) == enabled, (label, name)
+            seen += bool(scan)
+    assert seen > 50
+    hand = mk_model(_TWO_INTERFACES)
+    assert hand.implementers("I") == {"A", "B"}
+    assert hand.implementers("J") == {"A"}
+    assert hand.implementers("U") == {"B"} and "U" not in hand
+    assert hand.implementers("K") == hand.implementers("A") == frozenset()
+
+
+def test_derived_facts_are_computed_once():
+    source = "cdl_option A { requires { X > 0 }\n implements I }"
+    m = mk_model(source)
+    assert m.ids() is m.ids()
+    assert m.referenced_ids() is m.referenced_ids()
+    assert m.universe() is m.universe()
+    assert m.implementers("I") is m.implementers("I")
+    assert m.implementers("I") == {"A"}
+    assert hash(m) == hash(mk_model(source))
 
 
 def test_universe_includes_referenced_ids():

@@ -219,6 +219,28 @@ def test_list_braced_item_is_literal():
     )
 
 
+def test_bare_list_equals_braced_list():
+    values = " ".join(
+        ("-%d" % i if i % 3 == 0 else "V%d" % i) if i % 2 else str(i)
+        for i in range(3000)
+    )
+    lists = []
+    for value in (values, "{ " + values + " }"):
+        nodes, diags = parse_model(
+            "cdl_option A {\n flavor data\n legal_values " + value + "\n}\n"
+        )
+        assert diags == []
+        lists.append(nodes[0].legal_values)
+    assert lists[0] == lists[1]
+    assert len(lists[0].items) == 3000
+    assert lists[0].items[:4] == (
+        Single(Const("0")),
+        Single(Ident("V1")),
+        Single(Const("2")),
+        Single(Const("-3")),
+    )
+
+
 @pytest.mark.parametrize("text", ["", "1 to", "to 3", "1 to to", "4 to 5 to 6"])
 def test_list_errors(text):
     with pytest.raises(ParseError):
@@ -528,12 +550,100 @@ def _opt(name, **fields):
             ["m.cdl:1:15: error: unbalanced '{'"],
             id="inner-brace-past-body-end-depth-3",
         ),
+        # an error inside a legal_values item points into that item, even
+        # when the item's text ends before the next word starts
+        pytest.param(
+            "cdl_option A {\n flavor data\n legal_values 2+ 3\n}\n",
+            [_opt("A", flavor=Flavor.DATA)],
+            ["m.cdl:3:16: error: unexpected end of expression"],
+            id="legal-values-item-ends-early",
+        ),
+        pytest.param(
+            "cdl_option A {\n flavor data\n legal_values 1 2 $x\n}\n",
+            [_opt("A", flavor=Flavor.DATA)],
+            ["m.cdl:3:19: error: unsupported character '$' in expression"],
+            id="legal-values-bad-character-in-later-item",
+        ),
+        pytest.param(
+            'cdl_option A {\n flavor data\n legal_values 1 "a\\qb"\n}\n',
+            [_opt("A", flavor=Flavor.DATA, legal_values=ListExpr(
+                (Single(Const("1")), Single(Const("aqb")))))],
+            ["m.cdl:3:19: warning: unsupported escape \\q; kept literally"],
+            id="legal-values-unsupported-escape-in-quoted-item",
+        ),
+        pytest.param(
+            "cdl_option A {\n requires implies\n}\n",
+            [_opt("A")],
+            ["m.cdl:2:11: error: 'implies' is an operator, not a value"],
+            id="requires-word-operator",
+        ),
+        pytest.param(
+            "cdl_option A {\n requires 007\n active_if B C\n calculated x1\n}\n",
+            [_opt("A", requires=[(Const("007"),)],
+                  active_if=[(Ident("B"), Ident("C"))],
+                  calculated=(Ident("x1"),))],
+            [],
+            id="one-token-values",
+        ),
+        pytest.param(
+            "cdl_option A {\n\n ;; requires B\\\n\n;\t\n active_if C\n\n}\n\n\n",
+            [_opt("A", requires=[(Ident("B"),)], active_if=[(Ident("C"),)])],
+            [],
+            id="separator-runs",
+        ),
     ],
 )
 def test_splitter_nodes_and_diagnostics(source, nodes, diagnostics):
     got_nodes, got_diagnostics = parse_model(source, "m.cdl")
     assert got_nodes == nodes
     assert [str(d) for d in got_diagnostics] == diagnostics
+
+
+# words around the one-token values: identifiers, builtin names, word
+# operators, decimal, hex, float and signed numbers, and near misses
+_VALUE_WORDS = [
+    "A", "B_1", "_x", "get_data", "is_substr", "implies", "eqv", "xor",
+    "0", "7", "007", "123456789012345678901234567890", "0x1F", "0X0",
+    "1.5", "1.", ".5", "1e3", "2E-2", "-3", "+4", "-0x10", "-1.5",
+    "12abc", "1_", "A-", "A.B", "!A",
+]
+
+
+def _general(parse, text):
+    """``parse(text)``, or the message of the error it raises."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.diagnostic.message
+
+
+def _reported(diags, word_col, word):
+    """The one diagnostic's message; its span must start inside ``word``."""
+    assert len(diags) == 1
+    assert word_col <= diags[0].span.start_col < word_col + len(word)
+    return diags[0].message
+
+
+@pytest.mark.parametrize("word", _VALUE_WORDS)
+def test_one_word_values_match_general_parser(word):
+    nodes, diags = parse_model(f"cdl_option A {{\n requires {word}\n}}\n")
+    expected = _general(parse_goal_exprs, word)
+    if isinstance(expected, str):
+        assert nodes[0].requires == []
+        assert _reported(diags, 11, word) == expected
+    else:
+        assert diags == [] and nodes[0].requires == [tuple(expected)]
+
+    nodes, diags = parse_model(
+        f"cdl_option A {{\n flavor data\n legal_values {word}\n}}\n"
+    )
+    expected = _general(parse_goal_expr, word)
+    if isinstance(expected, str):
+        assert nodes[0].legal_values is None
+        assert _reported(diags, 15, word) == expected
+    else:
+        assert diags == []
+        assert nodes[0].legal_values == ListExpr((Single(expected),))
 
 
 def test_fuzz_never_raises_short():
