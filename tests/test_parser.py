@@ -1,6 +1,8 @@
 """Parser tests: expressions, lists, model syntax, robustness."""
 
+import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,8 @@ from cdlsem import (
 from cdlsem.exprs import PRECEDENCE, infix
 from cdlsem.model import Flavor, Kind, RawNode
 from cdlsem.parser import ParseError
+
+from conftest import FIXTURES, fixture_paths
 
 
 # ---------------------------------------------------------------------------
@@ -653,3 +657,55 @@ def test_fuzz_never_raises_short():
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
         nodes, diags = parse_model(text)  # must not raise
         assert isinstance(nodes, list) and isinstance(diags, list)
+
+
+# ---------------------------------------------------------------------------
+# pinned parses of every fixture and of faulty variants of them
+
+GOLDEN_PARSE = FIXTURES.parent / "golden" / "parse.txt"
+_EMPTY_VALUES = ("requires", "active_if", "calculated", "legal_values")
+
+
+def _fault(rng: random.Random, text: str) -> str:
+    """``text`` with one or two seeded faults of a hand-edited model."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice(("drop", "double", "stray", "empty"))
+        if op in ("drop", "double"):
+            spots = [m.start() for m in re.finditer(r'[{}"]', text)]
+            if spots:
+                at = rng.choice(spots)
+                kept = text[at] * 2 if op == "double" else ""
+                text = text[:at] + kept + text[at + 1:]
+        elif op == "stray":
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice("\\;#") + text[at:]
+        else:  # an empty braced value at the start of some body
+            spots = [m.end() for m in re.finditer(r"\{", text)]
+            if spots:
+                at = rng.choice(spots)
+                prop = rng.choice(_EMPTY_VALUES)
+                text = f"{text[:at]}\n {prop} {{}}\n{text[at:]}"
+    return text
+
+
+def _parse_golden_text() -> str:
+    """Nodes (by the SHA-256 of their repr) and diagnostics of each input."""
+    rng = random.Random(0x9A75E)
+    blocks = []
+    for path in fixture_paths("sound", "family", "analysis", "wf"):
+        name = f"{path.parent.name}/{path.name}"
+        text = path.read_text()
+        inputs = [(name, text)]
+        inputs += [(f"{name} #{k}", _fault(rng, text)) for k in range(8)]
+        for label, source in inputs:
+            nodes, diagnostics = parse_model(source, "m.cdl")
+            digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
+            lines = [f"## {label} nodes {digest}"] + [str(d) for d in diagnostics]
+            blocks.append("\n".join(lines) + "\n")
+    return "".join(blocks)
+
+
+def test_parse_output_is_pinned():
+    # generated before the front end parsed values in place on the file
+    # text; nodes and diagnostics must not move
+    assert _parse_golden_text() == GOLDEN_PARSE.read_text()
