@@ -177,7 +177,7 @@ class _Src:
     def origin(self, p: int) -> int:
         if self.pieces is None:
             return p
-        k = bisect.bisect_right(self.pieces, (p, math.inf)) - 1
+        k = max(bisect.bisect_right(self.pieces, (p, math.inf)) - 1, 0)
         start, origin = self.pieces[k]
         return origin + p - start
 
@@ -186,17 +186,17 @@ class _Src:
 
         With ``stop`` set, or for a joined text, the span is clamped to
         end before ``stop`` (by default the end of the text), so that it
-        stays inside the item or value being parsed.
+        stays inside the item or value being parsed.  An empty value, such
+        as ``{}``, has nothing before ``stop``: its span is the character
+        just before it, the value's '{'.
         """
         if stop is None and self.pieces is not None:
             stop = len(self.text)
         if stop is None:
             a, b = start, end
-        elif stop:
+        else:
             a = self.origin(min(start, stop - 1))
             b = self.origin(min(max(end - 1, start), stop - 1)) + 1
-        else:
-            a = b = 0
         l1, c1 = self.index.locate(a)
         l2, c2 = self.index.locate(max(a, b))
         return SourceSpan(self.file, l1, c1, l2, c2)

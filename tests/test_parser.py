@@ -595,6 +595,31 @@ def _opt(name, **fields):
             [],
             id="separator-runs",
         ),
+        # an empty braced value is reported at its '{'
+        pytest.param(
+            "cdl_option A {\n requires {}\n}\n",
+            [_opt("A")],
+            ["m.cdl:2:11: error: empty expression"],
+            id="empty-braced-requires",
+        ),
+        pytest.param(
+            "cdl_option A {\n active_if {}\n}\n",
+            [_opt("A")],
+            ["m.cdl:2:12: error: empty expression"],
+            id="empty-braced-active-if",
+        ),
+        pytest.param(
+            "cdl_option A {\n flavor data\n calculated {}\n}\n",
+            [_opt("A", flavor=Flavor.DATA)],
+            ["m.cdl:3:13: error: empty expression"],
+            id="empty-braced-calculated",
+        ),
+        pytest.param(
+            "cdl_option A {\n flavor data\n legal_values {}\n}\n",
+            [_opt("A", flavor=Flavor.DATA)],
+            ["m.cdl:3:15: error: empty list expression"],
+            id="empty-braced-legal-values",
+        ),
     ],
 )
 def test_splitter_nodes_and_diagnostics(source, nodes, diagnostics):
