@@ -116,13 +116,14 @@ class Model:
     """Immutable set of nodes indexed by name, tree-shaped under TOP.
 
     Derived facts (the ids, the referenced ids, the universe, the
-    interface implementers and the hash) are computed on first use and
-    kept, so asking for them per node or per interface costs a lookup.
+    interface implementers, the well-formedness violations and the hash)
+    are computed on first use and kept, so asking for them per node or per
+    interface costs a lookup.
     """
 
     __slots__ = (
         "_nodes", "_by_name", "_hash", "_ids", "_referenced", "_universe",
-        "_implementers",
+        "_implementers", "_violations",
     )
 
     def __init__(self, nodes):
@@ -158,6 +159,7 @@ class Model:
         self._referenced: frozenset[str] | None = None
         self._universe: frozenset[str] | None = None
         self._implementers: dict[str, frozenset[str]] | None = None
+        self._violations: tuple[Violation, ...] | None = None
 
     def __iter__(self):
         return iter(self._nodes)
@@ -172,8 +174,10 @@ class Model:
         return isinstance(other, Model) and self._nodes == other._nodes
 
     def __hash__(self):
+        # the names in sorted order: equal models have equal names, and
+        # hashing every expression tree would cost far more
         if self._hash is None:
-            self._hash = hash(self._nodes)
+            self._hash = hash(tuple([n.name for n in self._nodes]))
         return self._hash
 
     def node(self, name: str) -> Node:
@@ -247,23 +251,20 @@ def normalize_model(raw) -> Model:
     whitespace enumerations in requires/active_if/calculated into
     disjunctions.  ``Model`` checks names, parents and cycles.
     """
+    empty: frozenset = frozenset()  # shared by every empty field
     nodes = []
     for r in raw:
-        flavor = r.flavor if r.flavor is not None else DEFAULT_FLAVOR[r.kind]
-        calculated = None
-        if r.calculated is not None:
-            calculated = _disjoin(r.calculated)
         nodes.append(
             Node(
-                name=r.name,
-                parent=TOP if r.parent in (None, TOP) else r.parent,
-                flavor=flavor,
-                active_if=frozenset(_disjoin(entry) for entry in r.active_if),
-                requires=frozenset(_disjoin(entry) for entry in r.requires),
-                calculated=calculated,
-                legal_values=r.legal_values,
-                kind=r.kind,
-                implements=frozenset(r.implements),
+                r.name,
+                TOP if r.parent is None else r.parent,
+                DEFAULT_FLAVOR[r.kind] if r.flavor is None else r.flavor,
+                frozenset([_disjoin(e) for e in r.active_if]) if r.active_if else empty,
+                frozenset([_disjoin(e) for e in r.requires]) if r.requires else empty,
+                None if r.calculated is None else _disjoin(r.calculated),
+                r.legal_values,
+                r.kind,
+                frozenset(r.implements) if r.implements else empty,
             )
         )
     return Model(nodes)
@@ -286,7 +287,16 @@ class Violation:
 
 
 def check_well_formed(m: Model) -> list[Violation]:
-    """Check the five structural rules; returns one violation per breach."""
+    """Check the five structural rules; returns one violation per breach.
+
+    The check runs once per model; each call returns a new list.
+    """
+    if m._violations is None:
+        m._violations = tuple(_violations(m))
+    return list(m._violations)
+
+
+def _violations(m: Model) -> list[Violation]:
     out: list[Violation] = []
     for n in m:
         if n.flavor == Flavor.NONE and n.calculated is not None:

@@ -9,20 +9,20 @@ Three layers:
 
 The splitter and the tokenizer are regex-driven: compiled patterns
 consume the text, and Python code runs once per word or token, not once
-per character.  Braces are paired once per text, on the first brace group
-met, by one pass with a stack; after that, finding the end of a body is a
-dictionary lookup, so nested bodies are not rescanned per enclosing level.
-Words are ``(kind, start, end)`` tuples, a command is the tuple of its
-words, and expression tokens are ``(kind, text, start, end)`` tuples.
-Line and column numbers are worked out only when a diagnostic needs a
-position.
+per character.  Every brace of the file is paired up front in one pass
+with a stack, and the splitter reads the end of each body from that one
+table, so nested bodies are not rescanned per enclosing level.  Words are
+``(kind, start, end)`` tuples, a command is the tuple of its words, and
+expression tokens are ``(kind, text, start, end)`` tuples.  Line and
+column numbers are worked out only when a diagnostic needs a position.
 
-A value word that is one identifier or one decimal integer becomes its
-``Ident`` or ``Const`` directly, without the tokenizer and the expression
-parser, which give the same node; every other value goes through them.
-Each ``legal_values`` item is tokenized in place, as a window of the
-property's joined text, so a long bare enumeration is parsed in linear
-time.
+Values are parsed as windows of the file text where they can be.  A word
+that is one identifier or one decimal integer becomes its ``Ident`` or
+``Const`` directly; any other one-word value is tokenized in place,
+braces stripped; bare ``legal_values`` words without quotes, parentheses
+or braces are the list's words as they stand.  Only other values of
+several words are first joined into a text of their own.  Each list item
+is tokenized in place, so a long bare enumeration parses in linear time.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -104,11 +104,15 @@ _CMD_TOKEN_RX = re.compile(
 # a bare word that is one identifier or one decimal integer: such a value
 # becomes an Ident or a Const without the expression tokenizer
 _ONE_TOKEN_RX = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[0-9]+")
+# a character that keeps a run of bare legal_values words from being its
+# own list split: a quote, a parenthesis or a brace
+_LIST_MARK_RX = re.compile(r'["(){}]')
 # where a list word may end or change state
 _LIST_STOP_RX = re.compile(r'[\s"()]')
 _BLANKS_RX = re.compile(r"\s*")
 
 _ESCAPE_MAP = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+_FLAVORS = {f.value: f for f in Flavor}
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,14 +169,13 @@ class _Src:
     next piece, position ``p`` comes from file offset ``origin + p - start``.
     """
 
-    __slots__ = ("text", "pieces", "file", "index", "partners")
+    __slots__ = ("text", "pieces", "file", "index")
 
     def __init__(self, text, file, index, pieces=None):
         self.text = text
         self.file = file
         self.index = index
         self.pieces = pieces
-        self.partners: dict[int, int] | None = None  # see _scan_braces
 
     def origin(self, p: int) -> int:
         if self.pieces is None:
@@ -401,13 +404,16 @@ class _ExprParser:
         return Call(name, tuple(args))
 
 
-def _parse_expr_seq(src: _Src, warnings: list | None = None) -> list[GoalExpr]:
-    parser = _ExprParser(src, _tokenize_expr(src, warnings))
+def _parse_expr_seq(
+    src: _Src, warnings: list | None = None, start: int = 0, stop: int | None = None
+) -> list[GoalExpr]:
+    parser = _ExprParser(src, _tokenize_expr(src, warnings, start, stop), stop)
     out: list[GoalExpr] = []
     while parser.peek()[0] != "EOF":
         out.append(parser.parse())
     if not out:
-        raise src.error(0, len(src.text) or 1, "empty expression")
+        end = len(src.text) if stop is None else stop
+        raise src.error(start, max(end, start + 1), "empty expression", stop)
     return out
 
 
@@ -438,12 +444,13 @@ def parse_goal_exprs(text: str, file: str = "<expr>") -> list[GoalExpr]:
 
 def parse_list_expr(text: str, file: str = "<list>") -> ListExpr:
     """Parse a legal_values enumeration; raises ParseError on bad input."""
-    return _parse_list(_standalone(text, file))
+    src = _standalone(text, file)
+    return _parse_list(src, _split_list_words(src))
 
 
-def _parse_list(src: _Src, warnings: list | None = None) -> ListExpr:
+def _parse_list(src: _Src, words, warnings: list | None = None) -> ListExpr:
+    """The list of ``words``, (kind, start, end) words of ``src``."""
     text = src.text
-    words = _split_list_words(src)
     if not words:
         raise src.error(0, len(text) or 1, "empty list expression")
 
@@ -506,11 +513,16 @@ def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
     """
     text = src.text
     words: list[tuple[str, int, int]] = []
+    partners = None
     i, n = 0, len(text)
     while (i := _BLANKS_RX.match(text, i).end()) < n:
         start = i
         if text[i] == "{":
-            i = _scan_braces(src, i, n)
+            if partners is None:
+                partners = _pair_braces(text)
+            if start not in partners:
+                raise src.error(start, n, "unbalanced '{'")
+            i = partners[start]
             words.append(("braced", start, i))
             continue
         depth = 0
@@ -540,86 +552,24 @@ def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
     return words
 
 
-def _scan_braces(src: _Src, start: int, end: int) -> int:
-    """End (past '}') of the brace group opening at ``start``, which must
-    close before ``end``.
+def _pair_braces(text: str) -> dict[int, int]:
+    """Map the offset of each paired '{' of ``text`` to the end of its '}'.
 
-    The first call pairs every brace of the text in one pass with a stack;
-    a backslash escapes the character after it, as in the splitter.  The
-    pairing of a '{' depends only on the braces after it, and wherever a
-    group can open, the backslash pairs of that pass line up with those of
-    a scan from there, so one pairing serves every nested body.
+    One pass with a stack; a backslash escapes the character after it, as
+    in the splitter.  The pairing of a '{' depends only on the braces after
+    it, and wherever a group can open, the backslash pairs of this pass
+    line up with those of a scan from there, so one table serves every
+    nested body.
     """
-    if src.partners is None:
-        src.partners, opens = {}, []
-        for m in _BRACE_RX.finditer(src.text):
-            brace = m.group()
-            if brace == "{":
-                opens.append(m.start())
-            elif brace == "}" and opens:
-                src.partners[opens.pop()] = m.end()
-    close = src.partners.get(start, end + 1)
-    if close > end:
-        raise src.error(start, end, "unbalanced '{'")
-    return close
-
-
-# ---------------------------------------------------------------------------
-# command splitting
-#
-# A word is a (kind, start, end) tuple: kind is "bare", "quoted" or
-# "braced", and start and end bound the lexeme in the file text, quotes and
-# braces included.  A command is the tuple of its words.
-
-
-def _split_commands(
-    src: _Src, start: int, end: int, sink: list[ParseDiagnostic]
-) -> list[tuple]:
-    text = src.text
-    commands: list[tuple] = []
-    words: list[tuple[str, int, int]] = []
-    i = start
-    while (m := _CMD_TOKEN_RX.match(text, i, end)) is not None:
-        kind = m.lastgroup
-        s, i = m.span(kind)
-        if kind == "sep":
-            if words:
-                commands.append(tuple(words))
-                words = []
-        elif kind == "bare":
-            if text[s] != "#" or words:
-                words.append((kind, s, i))
-            else:  # a comment runs to the end of the line
-                i = text.find("\n", s, end)
-                if i < 0:
-                    i = end
-        elif kind == "quoted":
-            words.append((kind, s, i))
-        elif kind == "braced":
-            try:
-                i = _scan_braces(src, s, end)
-            except ParseError as err:
-                sink.append(err.diagnostic)
-                return commands
-            words.append((kind, s, i))
-        elif kind == "open":
-            sink.append(
-                ParseDiagnostic(
-                    "error", "unterminated string literal", src.span(s, end)
-                )
-            )
-            return commands
-        else:
-            sink.append(
-                ParseDiagnostic("error", "unexpected '}'", src.span(s, i))
-            )
-    if words:
-        commands.append(tuple(words))
-    return commands
-
-
-# ---------------------------------------------------------------------------
-# node building
+    partners: dict[int, int] = {}
+    opens: list[int] = []
+    for m in _BRACE_RX.finditer(text):
+        brace = m.group()
+        if brace == "{":
+            opens.append(m.start())
+        elif brace == "}" and opens:
+            partners[opens.pop()] = m.end()
+    return partners
 
 
 def _join_args(src: _Src, args: tuple) -> _Src:
@@ -644,9 +594,18 @@ def _join_args(src: _Src, args: tuple) -> _Src:
     return _Src("".join(parts), src.file, src.index, pieces)
 
 
+# ---------------------------------------------------------------------------
+# command splitting and node building
+#
+# A word is a (kind, start, end) tuple: kind is "bare", "quoted" or
+# "braced", and start and end bound the lexeme in the file text, quotes and
+# braces included.  A command is the tuple of its words.
+
+
 class _ModelBuilder:
     def __init__(self, src: _Src):
         self.src = src
+        self.partners = _pair_braces(src.text)
         self.nodes: list[RawNode] = []
         self.diagnostics: list[ParseDiagnostic] = []
 
@@ -663,11 +622,54 @@ class _ModelBuilder:
             ParseDiagnostic("warning", message, self.src.span(w[1], w[2]))
         )
 
+    def split(self, start: int, end: int) -> list[tuple]:
+        """The commands of the file text from ``start`` to ``end``."""
+        src, partners, sink = self.src, self.partners, self.diagnostics
+        text = src.text
+        commands: list[tuple] = []
+        words: list[tuple[str, int, int]] = []
+        i = start
+        while (m := _CMD_TOKEN_RX.match(text, i, end)) is not None:
+            kind = m.lastgroup
+            s, i = m.span(kind)
+            if kind == "sep":
+                if words:
+                    commands.append(tuple(words))
+                    words = []
+            elif kind == "bare":
+                if text[s] != "#" or words:
+                    words.append((kind, s, i))
+                else:  # a comment runs to the end of the line
+                    i = text.find("\n", s, end)
+                    if i < 0:
+                        i = end
+            elif kind == "quoted":
+                words.append((kind, s, i))
+            elif kind == "braced":
+                i = partners.get(s, end + 1)
+                if i > end:
+                    sink.append(
+                        ParseDiagnostic("error", "unbalanced '{'", src.span(s, end))
+                    )
+                    return commands
+                words.append((kind, s, i))
+            elif kind == "open":
+                sink.append(
+                    ParseDiagnostic(
+                        "error", "unterminated string literal", src.span(s, end)
+                    )
+                )
+                return commands
+            else:
+                sink.append(
+                    ParseDiagnostic("error", "unexpected '}'", src.span(s, i))
+                )
+        if words:
+            commands.append(tuple(words))
+        return commands
+
     def build(self) -> None:
-        commands = _split_commands(
-            self.src, 0, len(self.src.text), self.diagnostics
-        )
-        for cmd in commands:
+        for cmd in self.split(0, len(self.src.text)):
             head = cmd[0]
             name = self.text(head)
             if head[0] == "bare" and name in _NODE_COMMANDS:
@@ -699,7 +701,7 @@ class _ModelBuilder:
             if depth > MAX_NESTING:
                 self.error(body, "node nesting too deep")
                 return
-            for sub in _split_commands(self.src, a + 1, b - 1, self.diagnostics):
+            for sub in self.split(a + 1, b - 1):
                 self.body_command(sub, node, depth)
 
     def body_command(self, cmd: tuple, node: RawNode, depth: int) -> None:
@@ -727,9 +729,16 @@ class _ModelBuilder:
             if not args:
                 self.error(head, "legal_values needs a value")
                 return
-            joined = _join_args(self.src, args)
+            # bare words without quotes, parentheses or braces are their
+            # own list split: joined and split again, they come back as is
+            src, words = self.src, args
             try:
-                node.legal_values = _parse_list(joined, self.diagnostics)
+                if any(w[0] != "bare" for w in args) or _LIST_MARK_RX.search(
+                    src.text, args[0][1], args[-1][2]
+                ):
+                    src = _join_args(src, args)
+                    words = _split_list_words(src)
+                node.legal_values = _parse_list(src, words, self.diagnostics)
             except ParseError as err:
                 self.diagnostics.append(err.diagnostic)
         elif prop == "implements":
@@ -756,9 +765,8 @@ class _ModelBuilder:
             self.error(head, "flavor needs exactly one value")
             return
         value = self.text(args[0])
-        try:
-            node.flavor = Flavor(value)
-        except ValueError:
+        node.flavor = _FLAVORS.get(value)
+        if node.flavor is None:
             self.error(args[0], f"unknown flavor {value!r}")
 
     def parse_entry(self, head: tuple, args: tuple) -> tuple[GoalExpr, ...] | None:
@@ -769,9 +777,15 @@ class _ModelBuilder:
         values = [_one_token(self.src.text, w) for w in args]
         if all(values):
             return tuple(values)
-        joined = _join_args(self.src, args)
         try:
-            return tuple(_parse_expr_seq(joined, self.diagnostics))
+            if len(args) > 1:
+                joined = _join_args(self.src, args)
+                return tuple(_parse_expr_seq(joined, self.diagnostics))
+            # one word is parsed in place, braces stripped
+            kind, a, b = args[0]
+            if kind == "braced":
+                a, b = a + 1, b - 1
+            return tuple(_parse_expr_seq(self.src, self.diagnostics, a, b))
         except ParseError as err:
             self.diagnostics.append(err.diagnostic)
             return None

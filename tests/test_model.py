@@ -20,7 +20,7 @@ from cdlsem import (
     parse_model,
 )
 from cdlsem.model import Flavor, Kind, Model, model_to_pretty
-from cdlsem.prop import impls_syntactic
+from cdlsem.prop import build_formula, impls_syntactic
 from cdlsem.semantics import Configuration, impls
 
 from conftest import FIXTURES, fixture_paths, load_model, mk_model, perfbench_gen
@@ -178,6 +178,23 @@ def test_minimal_fixture_pairs(rule):
     assert check_well_formed(ok) == []
 
 
+def test_well_formedness_is_checked_once_per_model(monkeypatch):
+    import cdlsem.model as model_module
+
+    m = mk_model("cdl_option A { cdl_option B {} }\ncdl_option C {}")
+    calls = []
+    check = model_module._violations
+    monkeypatch.setattr(
+        model_module, "_violations", lambda m: calls.append(m) or check(m)
+    )
+    first = check_well_formed(m)
+    first.append("not a violation")
+    first.clear()
+    assert [(v.rule, v.node) for v in check_well_formed(m)] == [("e", "A")]
+    assert check_well_formed(m) is not check_well_formed(m)
+    assert calls == [m]
+
+
 def test_all_shipped_fixture_models_are_well_formed():
     for path in fixture_paths("family", "sound", "analysis"):
         assert check_well_formed(load_model(path)) == [], path
@@ -312,6 +329,24 @@ def test_derived_facts_are_computed_once():
     assert m.implementers("I") is m.implementers("I")
     assert m.implementers("I") == {"A"}
     assert hash(m) == hash(mk_model(source))
+
+
+def test_equal_models_hash_equal_whatever_the_node_order():
+    source = (
+        "cdl_package P {\n cdl_option A { flavor data; requires { B || !C }\n"
+        " legal_values 1 to 4 } }\ncdl_option B { calculated { A + 1 } }\n"
+        "cdl_interface C { implements C }\n"
+    )
+    raw, _ = parse_model(source)
+    orders = [raw, raw[::-1], raw[1:] + raw[:1]]
+    models = [normalize_model(order) for order in orders]
+    assert models[0] == models[1] == models[2]
+    assert len({hash(m) for m in models}) == 1
+    build_formula.cache_clear()
+    formulas = [build_formula(m) for m in models]
+    assert formulas[0] is formulas[1] is formulas[2]
+    info = build_formula.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_universe_includes_referenced_ids():
