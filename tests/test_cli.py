@@ -11,7 +11,7 @@ import pytest
 
 from cdlsem.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, perfbench_gen
 
 
 def run(*argv):
@@ -567,3 +567,39 @@ def test_enumerate_output_is_pinned():
     # generated before enumeration stopped building every candidate; the
     # accepted configurations, their order and the budget check must not move
     assert _enumerate_golden_text() == GOLDEN_ENUMERATE.read_text()
+
+
+GOLDEN_GENERATED = FIXTURES.parent / "golden" / "generated.txt"
+
+
+def _generated_golden_text(directory) -> str:
+    """``translate`` of ``perfbench/gen.py`` models, prop text and DIMACS,
+    plus ``analyze --dead``/``--core`` of the smaller ones.
+
+    Stdout is pinned by its SHA-256 and length, as in ``enumerate.txt``;
+    the exit code and stderr are pinned verbatim.
+    """
+    gen = perfbench_gen()
+    blocks = []
+    for seed in (1, 2, 3):
+        for size in (36, 130, 500, 2000):
+            path = directory / f"gen{seed}_{size}.cdl"
+            path.write_text(gen.generate(seed, size).text, encoding="utf-8")
+            runs = [("translate", "--format", "prop"),
+                    ("translate", "--format", "dimacs")]
+            if size <= 130:
+                runs += [("analyze", "--dead"), ("analyze", "--core")]
+            for command, *extra in runs:
+                code, out, err = run(command, str(path), *extra)
+                head = " ".join((f"gen seed {seed} size {size}", command, *extra))
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                blocks.append(
+                    f"## {head} (exit {code})\n{err}stdout {len(out)} bytes {digest}\n"
+                )
+    return "".join(blocks)
+
+
+def test_generated_model_output_is_pinned(tmp_path):
+    # generated before the CNF encoder and the solver's clause loading
+    # changed; prop text, DIMACS and the analyses' answers must not move
+    assert _generated_golden_text(tmp_path) == GOLDEN_GENERATED.read_text()
