@@ -25,6 +25,13 @@ class Solver:
     clauses of a Tseitin encoding are binary, so a binary clause (x, y)
     is stored only as the int y in x's watch list and x in y's, and the
     reason of a literal it implies is the true literal ``-x``.
+
+    The constructor loads ``clauses`` in order, as one ``add_clause``
+    call each would.  A two-literal tuple over two distinct, unset
+    variables in range goes straight onto the watch lists; every other
+    clause takes ``add_clause``, with its level-0 simplification and its
+    ``ValueError``s.  Once the clauses are unsatisfiable, the rest are
+    ignored, as ``add_clause`` ignores them.
     """
 
     def __init__(self, num_vars: int, clauses=()):
@@ -48,8 +55,19 @@ class Solver:
         self.qhead = 0
         self.ok = True  # false once the clauses alone are unsatisfiable
         self.model: list[int] = []  # ``value`` as of the last sat answer
+        value, watches = self.value, self.watches
         for cl in clauses:
+            if cl.__class__ is tuple and len(cl) == 2:
+                a, b = cl
+                # what add_clause would attach: distinct unset variables
+                if (a and b and a != b and a != -b and -n <= a <= n
+                        and -n <= b <= n and not (value[a] or value[b])):
+                    watches[a].append(b)
+                    watches[b].append(a)
+                    continue
             self.add_clause(cl)
+            if not self.ok:
+                break  # every later clause would be ignored
 
     def add_clause(self, lits) -> None:
         """Add a clause for good; it must follow from, or define, the CNF."""

@@ -116,14 +116,14 @@ class Model:
     """Immutable set of nodes indexed by name, tree-shaped under TOP.
 
     Derived facts (the ids, the referenced ids, the universe, the
-    interface implementers, the well-formedness violations and the hash)
-    are computed on first use and kept, so asking for them per node or per
-    interface costs a lookup.
+    interface implementers, each node's sorted constraints, the
+    well-formedness violations and the hash) are computed on first use
+    and kept, so asking for them per node or per interface costs a lookup.
     """
 
     __slots__ = (
         "_nodes", "_by_name", "_hash", "_ids", "_referenced", "_universe",
-        "_implementers", "_violations",
+        "_implementers", "_sorted", "_violations",
     )
 
     def __init__(self, nodes):
@@ -159,6 +159,7 @@ class Model:
         self._referenced: frozenset[str] | None = None
         self._universe: frozenset[str] | None = None
         self._implementers: dict[str, frozenset[str]] | None = None
+        self._sorted: dict[str, tuple[GoalExpr, ...]] | None = None
         self._violations: tuple[Violation, ...] | None = None
 
     def __iter__(self):
@@ -227,6 +228,23 @@ class Model:
                     index.setdefault(i, set()).add(n.name)
             self._implementers = {i: frozenset(s) for i, s in index.items()}
         return self._implementers.get(interface, frozenset())
+
+    def sorted_constraints(self, name: str) -> tuple[GoalExpr, ...]:
+        """The node's ``active_if`` and ``requires`` in source-text order.
+
+        The order every layer checks and prints them in.  One pass over
+        the nodes builds the table on the first call.
+        """
+        if self._sorted is None:
+            table = {}
+            for n in self._nodes:
+                cs = n.constraints()
+                # sorting one expression would still print it for its key
+                if len(cs) > 1:
+                    cs = sorted(cs, key=to_source)
+                table[n.name] = tuple(cs)
+            self._sorted = table
+        return self._sorted[name]
 
 
 def _find_cycle(parent_of: dict[str, str | None]) -> str | None:

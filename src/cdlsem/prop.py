@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import or_
 
 from .errors import EvalError, FormulaError, OracleError
-from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not, to_source
+from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not
 from .model import TOP, Flavor, Kind, Model, check_well_formed
 from .semantics import (
     Configuration,
@@ -407,7 +407,7 @@ class PropFormula:
 
 def _ctc_p(node, m: Model) -> list[BoolExpr]:
     out = []
-    for e in sorted(node.constraints(), key=to_source):
+    for e in m.sorted_constraints(node.name):
         r = rewrite(e, m)
         if r is not None:
             out.append(r)
@@ -428,7 +428,7 @@ def build_formula(m: Model) -> PropFormula:
     for n in m:  # sorted by name
         parent = BConst(1) if n.parent == TOP else BIdent(n.parent)
         ctc = _ctc_p(n, m)
-        context = band([parent, *ctc])
+        context = band([parent, *ctc]) if ctc else parent
         me = BIdent(n.name)
         constraints.append(Constraint(n.name, "node", implies(me, context)))
         if n.flavor in (Flavor.NONE, Flavor.DATA) and n.kind != Kind.INTERFACE:

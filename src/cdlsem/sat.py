@@ -14,6 +14,7 @@ candidates they refute, so those cost no query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 from .cdcl import Solver
 from .errors import AnalysisError
@@ -62,22 +63,38 @@ class SatResult:
 
 
 def simplify(e: BoolExpr) -> BoolExpr:
-    """Constant folding; the result contains no reachable constants."""
-    if isinstance(e, (BIdent, BConst)):
+    """Constant folding; the result contains no reachable constants.
+
+    An expression with nothing to fold comes back as the same object.
+    """
+    cls = e.__class__
+    if cls is BIdent or cls is BConst:
         return e
-    if isinstance(e, BNot):
-        return bnot(simplify(e.child))
-    if isinstance(e, BInfix):
-        if e.op == "&&":
-            return band([simplify(x) for x in e.items])
-        if e.op == "||":
-            return bor([simplify(x) for x in e.items])
-        gate = bimplies if e.op == "implies" else beqv
-        acc = simplify(e.items[0])
-        for x in e.items[1:]:
-            acc = gate(acc, simplify(x))
+    if cls is BNot:
+        child = simplify(e.child)
+        if child is e.child and child.__class__ not in (BNot, BConst):
+            return e
+        return bnot(child)
+    if cls is BInfix:
+        op, old = e.op, e.items
+        items = [x if x.__class__ is BIdent else simplify(x) for x in old]
+        first = items[0]
+        if (
+            all(map(is_, items, old))
+            and BConst not in map(type, items)
+            and (op in ("&&", "||") or first.__class__ is not BInfix or first.op != op)
+        ):
+            return e  # folding would neither drop an item nor flatten one
+        if op == "&&":
+            return band(items)
+        if op == "||":
+            return bor(items)
+        gate = bimplies if op == "implies" else beqv
+        acc = first
+        for x in items[1:]:
+            acc = gate(acc, x)
         return acc
-    if isinstance(e, BCard):
+    if cls is BCard:
         n = len(e.names)
         if e.at_least > n:
             return BConst(0)
@@ -87,7 +104,7 @@ def simplify(e: BoolExpr) -> BoolExpr:
         if n == 1:
             # single id: between-bounds degenerates to a literal
             return BIdent(e.names[0]) if e.at_least == 1 else bnot(BIdent(e.names[0]))
-        return BCard(e.names, e.at_least, hi)
+        return e if hi == e.at_most else BCard(e.names, e.at_least, hi)
     raise TypeError(f"not a Boolean expression: {e!r}")
 
 
@@ -105,11 +122,24 @@ class _CnfBuilder:
         self.index[name] = len(self.names)
         return len(self.names)
 
-    def add_clause(self, lits) -> None:
-        clause = tuple(sorted(set(lits), key=lambda l: (abs(l), l < 0)))
-        for l in clause:
-            if -l in clause:
+    def add_clause(self, lits: tuple[int, ...]) -> None:
+        """Keep the clause, its literals sorted by variable, unless it is a
+        tautology or already kept."""
+        if len(lits) == 2:
+            a, b = lits
+            if a == -b:
                 return  # tautology
+            if a == b:
+                clause = (a,)
+            else:
+                clause = (a, b) if abs(a) < abs(b) else (b, a)
+        else:
+            members = set(lits)
+            for l in members:
+                if -l in members:
+                    return  # tautology
+            # no variable occurs twice, so ordering by variable is total
+            clause = tuple(sorted(members, key=abs))
         if clause not in self.seen:
             self.seen.add(clause)
             self.clauses.append(clause)
@@ -158,23 +188,29 @@ class _CnfBuilder:
     # --- expression to literal
 
     def lit(self, e: BoolExpr) -> int:
-        if isinstance(e, BIdent):
+        cls = e.__class__
+        if cls is BIdent:
             return self.index[e.name]
-        if isinstance(e, BNot):
+        if cls is BNot:
             return -self.lit(e.child)
-        if e in self.memo:
-            return self.memo[e]
-        if isinstance(e, BInfix):
+        x = self.memo.get(e)
+        if x is not None:
+            return x
+        if cls is BInfix:
             if e.op in ("implies", "eqv"):
                 x = self.chain_lit(e.op, e.items)
             else:
-                lits = [self.lit(x) for x in e.items]
+                index = self.index
+                lits = [
+                    index[x.name] if x.__class__ is BIdent else self.lit(x)
+                    for x in e.items
+                ]
                 x = self.new_aux("def")
                 s = 1 if e.op == "&&" else -1  # || is && with every sign flipped
                 for l in lits:
                     self.add_clause((-s * x, s * l))
                 self.add_clause(tuple([s * x] + [-s * l for l in lits]))
-        elif isinstance(e, BCard):
+        elif cls is BCard:
             x = self.card_lit(e)
         else:
             raise TypeError(f"cannot encode {e!r}")
@@ -218,17 +254,18 @@ class _CnfBuilder:
     # --- top-level assertion
 
     def assert_expr(self, e: BoolExpr) -> None:
-        if isinstance(e, BConst):
+        cls = e.__class__
+        if cls is BConst:
             if e.value == 0:
                 self.add_clause(())
             return
-        if isinstance(e, BIdent):
+        if cls is BIdent:
             self.add_clause((self.index[e.name],))
             return
-        if isinstance(e, BNot):
+        if cls is BNot:
             self.add_clause((-self.lit(e.child),))
             return
-        if isinstance(e, BInfix):
+        if cls is BInfix:
             if e.op == "&&":
                 for x in e.items:
                     self.assert_expr(x)
@@ -240,7 +277,7 @@ class _CnfBuilder:
                 if e.op == "eqv":
                     self.add_clause((-b, a))
             return
-        if isinstance(e, BCard):
+        if cls is BCard:
             self.assert_card(e)
             return
         raise TypeError(f"cannot assert {e!r}")

@@ -14,7 +14,6 @@ number.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -377,11 +376,6 @@ def satisfies_legal(
 # per-node checks
 
 
-@functools.lru_cache(maxsize=4096)
-def _sorted_constraints(n: Node) -> tuple[GoalExpr, ...]:
-    return tuple(sorted(n.constraints(), key=to_source))
-
-
 def _ctc_detail(
     n: Node, c: Configuration, m: Model, builtins: Builtins, first: bool = False
 ) -> tuple[int, list[str]]:
@@ -392,7 +386,7 @@ def _ctc_detail(
     """
     holds = 1
     reasons: list[str] = []
-    for e in _sorted_constraints(n):
+    for e in m.sorted_constraints(n.name):
         try:
             if to_bool(eval_expr(e, c, m, builtins)):
                 continue

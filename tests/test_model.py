@@ -19,6 +19,7 @@ from cdlsem import (
     parse_list_expr,
     parse_model,
 )
+from cdlsem.exprs import to_source
 from cdlsem.model import Flavor, Kind, Model, model_to_pretty
 from cdlsem.prop import build_formula, impls_syntactic
 from cdlsem.semantics import Configuration, impls
@@ -320,9 +321,28 @@ def test_implementers_index_matches_node_scan():
     assert hand.implementers("K") == hand.implementers("A") == frozenset()
 
 
+def test_sorted_constraints_table_matches_node_sort():
+    seen = 0
+    for label, m in _implementer_models():
+        for n in m:
+            want = tuple(sorted(n.constraints(), key=to_source))
+            assert m.sorted_constraints(n.name) == want, (label, n.name)
+            seen += len(want) > 1
+    assert seen > 50
+    m = mk_model(
+        "cdl_option A { requires B C\n active_if { D || E }\n requires C }\n"
+        "cdl_option B { requires { C > 1 } }\ncdl_option C {}"
+    )
+    table = {n.name: [to_source(e) for e in m.sorted_constraints(n.name)] for n in m}
+    assert table == {"A": ["B || C", "C", "D || E"], "B": ["C > 1"], "C": []}
+    with pytest.raises(KeyError):
+        m.sorted_constraints("NO_SUCH_NAME")
+
+
 def test_derived_facts_are_computed_once():
     source = "cdl_option A { requires { X > 0 }\n implements I }"
     m = mk_model(source)
+    assert m.sorted_constraints("A") is m.sorted_constraints("A")
     assert m.ids() is m.ids()
     assert m.referenced_ids() is m.referenced_ids()
     assert m.universe() is m.universe()

@@ -17,9 +17,14 @@ from cdlsem.prop import (
     Constraint,
     PropConfig,
     PropFormula,
+    band,
+    bnot,
+    bor,
     build_formula,
     enumerate_prop_configs,
+    eqv,
     eval_p,
+    implies,
 )
 from cdlsem.sat import (
     Cnf,
@@ -118,6 +123,52 @@ def test_simplify_folds_constants():
     assert simplify(BNot(BConst(0))) == BConst(1)
     assert simplify(BCard(("a", "b"), 0, 2)) == BConst(1)
     assert simplify(BCard(("a", "b"), 3, 3)) == BConst(0)
+
+
+def _fold_by_rebuilding(e: BoolExpr) -> BoolExpr:
+    """Constant folding that rebuilds every node through the smart
+    constructors; ``simplify`` must give an equal result."""
+    if isinstance(e, (BIdent, BConst)):
+        return e
+    if isinstance(e, BNot):
+        return bnot(_fold_by_rebuilding(e.child))
+    if isinstance(e, BInfix):
+        items = [_fold_by_rebuilding(x) for x in e.items]
+        if e.op in ("&&", "||"):
+            return (band if e.op == "&&" else bor)(items)
+        gate = implies if e.op == "implies" else eqv
+        acc = items[0]
+        for x in items[1:]:
+            acc = gate(acc, x)
+        return acc
+    n, hi = len(e.names), min(e.at_most, len(e.names))
+    if e.at_least > n:
+        return BConst(0)
+    if e.at_least == 0 and hi == n:
+        return BConst(1)
+    if n == 1:
+        return BIdent(e.names[0]) if e.at_least == 1 else BNot(BIdent(e.names[0]))
+    return BCard(e.names, e.at_least, hi)
+
+
+def test_simplify_equals_rebuilding_and_keeps_what_does_not_fold():
+    rng = random.Random(5)
+    names = ("a", "b", "c", "d")
+    kept = 0
+    for _ in range(3000):
+        e = _random_bool_expr(rng, names, depth=4)
+        if rng.random() < 0.2:
+            e = BNot(BNot(e))
+        if rng.random() < 0.2:  # a chain whose first item is a chain of its op
+            op = rng.choice(["implies", "eqv"])
+            e = BInfix(op, (BInfix(op, (e, BIdent("a"))), BIdent("b")))
+        got = simplify(e)
+        assert got == _fold_by_rebuilding(e), e
+        # nothing to fold: the same object, so no node is rebuilt
+        assert (got is e) == (got == e), e
+        kept += got is e
+    assert kept > 300
+    assert simplify(BCard(("a", "b", "c"), 1, 5)) == BCard(("a", "b", "c"), 1, 3)
 
 
 def _random_bool_expr(rng, names, depth=3) -> BoolExpr:
@@ -245,6 +296,72 @@ def test_solver_reuse_keeps_queries_independent():
                 true = lambda l: solver.model[l] == 1
                 assert all(any(true(l) for l in cl) for cl in cnf.clauses)
                 assert all(true(a) for a in assumps)
+
+
+def _random_load_list(rng: random.Random, n: int) -> list:
+    """Clauses that stress loading: repeated and complementary literals,
+    units before and after binary clauses on the same variables, empty
+    clauses, and the same clause as a tuple or a list."""
+    lit = lambda: rng.randint(1, n) * rng.choice((1, -1))
+    clauses = []
+    for _ in range(rng.randint(0, 4 * n)):
+        kind = rng.random()
+        if kind < 0.4:
+            cl = (lit(), lit())
+        elif kind < 0.5:
+            v = lit()
+            cl = (v, v) if rng.random() < 0.5 else (v, -v)
+        elif kind < 0.65:
+            a, b = lit(), lit()
+            cl = (a, b)
+            clauses.append((rng.choice((a, b, -a, -b)),))  # a unit before it
+        elif kind < 0.8:
+            cl = (lit(),)
+        elif kind < 0.82:
+            cl = ()
+        else:
+            cl = tuple(lit() for _ in range(rng.randint(3, 4)))
+        clauses.append(list(cl) if rng.random() < 0.1 else cl)
+    return clauses
+
+
+def test_constructor_loads_like_one_add_clause_per_clause():
+    rng = random.Random(77)
+    statuses = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        clauses = _random_load_list(rng, n)
+        loaded = Solver(n, clauses)
+        added = Solver(n)
+        for cl in clauses:
+            added.add_clause(cl)
+        # the same level-0 state and the same watch lists, in the same order
+        assert loaded.ok == added.ok, clauses
+        assert loaded.trail == added.trail, clauses
+        assert loaded.value == added.value, clauses
+        assert loaded.watches == added.watches, clauses
+        cnf = Cnf(n, tuple(tuple(cl) for cl in clauses), tuple(f"x{i}" for i in range(1, n + 1)))
+        queries = [()] + [(l,) for v in range(1, n + 1) for l in (v, -v)]
+        queries += [
+            tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), min(n, 2)))
+            for _ in range(3)
+        ]
+        for assumps in queries:
+            with_units = Cnf(n, cnf.clauses + tuple((a,) for a in assumps), cnf.variables)
+            want = brute_cnf_status(with_units) == "sat"
+            assert loaded.solve(assumps) == added.solve(assumps) == want, (clauses, assumps)
+            if want:
+                assert loaded.model == added.model
+            statuses.add(want)
+    assert statuses == {True, False}
+
+
+@pytest.mark.parametrize("clauses", [
+    [(1, 0)], [(0, 2)], [(1, 4)], [(-4, 1)], [(2, -3), (3, 5)], [(-1,), (1, 0)],
+])
+def test_constructor_rejects_bad_binary_literals(clauses):
+    with pytest.raises(ValueError):
+        Solver(3, clauses)
 
 
 def test_assumption_out_of_range():
