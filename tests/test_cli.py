@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 from cdlsem.cli import main
 
-from conftest import FIXTURES, perfbench_gen
+from conftest import FIXTURES, load_model, perfbench_gen
 
 
 def run(*argv):
@@ -603,3 +604,149 @@ def test_generated_model_output_is_pinned(tmp_path):
     # generated before the CNF encoder and the solver's clause loading
     # changed; prop text, DIMACS and the analyses' answers must not move
     assert _generated_golden_text(tmp_path) == GOLDEN_GENERATED.read_text()
+
+
+GOLDEN_VALIDATE = FIXTURES.parent / "golden" / "validate.txt"
+_FULL_FAMILIES = {"node", "flavor", "calculated", "legal_values", "interface",
+                  "unloaded"}
+
+
+def _fixture_validate_cases(path):
+    """(label, full TSV, bits TSV) of seeded configurations of a fixture."""
+    ids = sorted(load_model(path).universe())
+    rng = random.Random(path.name)
+    rows = lambda triples: "".join(
+        f"{x}\t{s}\t{v}\t{d}\n" for x, (s, v, d) in zip(ids, triples)
+    )
+    bits = lambda values: "".join(f"{x}\t{b}\n" for x, b in zip(ids, values))
+    cases = [
+        ("all-on", rows([(1, 1, "1")] * len(ids)), bits([1] * len(ids))),
+        ("all-off", rows([(0, 0, "0")] * len(ids)), bits([0] * len(ids))),
+        ("ghost", rows([(1, 1, "1")] * len(ids)) + "GHOST\t1\t1\t1\n",
+         bits([0] * len(ids)) + "GHOST\t1\n"),
+    ]
+    for k in range(3):
+        triples = [
+            (rng.randint(0, 1), rng.randint(0, 1), rng.choice(("0", "1", "2", "x")))
+            for _ in ids
+        ]
+        cases.append((f"random{k}", rows(triples),
+                      bits([rng.randint(0, 1) for _ in ids])))
+    return cases
+
+
+def _generated_validate_cases(g, rng):
+    """(label, full TSV, bits TSV) of a ``perfbench/gen.py`` model: the
+    planted accepted configuration and seeded changes of it that break
+    each family, the node family both on and off its guard."""
+    gen = perfbench_gen()
+    acc, bits = g.accepted_full(), g.accepted_bits()
+    feats = g.features
+    live = [f for f in feats if f.live]
+    parents = {f.parent for f in live if f.parent is not None}
+    pick = lambda pred: rng.choice([f.name for f in feats if pred(f)])
+    dead = pick(lambda f: not f.live)
+    container = pick(lambda f: f.live and f.name in parents and f.flavor != "none")
+    option = pick(lambda f: f.live and f.kind == "option" and f.flavor == "bool"
+                  and f.calculated is None)
+    data = pick(lambda f: f.live and f.flavor == "data" and f.kind == "option")
+    calc = pick(lambda f: f.live and f.calculated is not None)
+    legal = pick(lambda f: f.live and f.legal_values is not None)
+    iface = pick(lambda f: f.kind == "interface")
+    unloaded = rng.choice(g.unloaded)
+    s, v, d = acc[calc]
+    full = [
+        ("accepted", {}),
+        ("node-on-guard", {dead: (1, 1, acc[dead][2])}),
+        ("node-off-guard", {dead: (1, 0, acc[dead][2])}),
+        ("parent-off", {container: (0, 0, acc[container][2])}),
+        ("node-should-be-on", {option: (0, 1, acc[option][2])}),
+        ("flavor", {data: (1, 0, acc[data][2])}),
+        ("calculated-data", {calc: (s, v, "999")}),
+        ("calculated-value", {calc: (s, 1 - v, d)}),
+        ("legal-values", {legal: (*acc[legal][:2], "1000")}),
+        ("interface-data", {iface: (*acc[iface][:2], "99")}),
+        ("interface-value", {iface: (acc[iface][0], 0, acc[iface][2])}),
+        ("unloaded", {unloaded: (1, 1, "1")}),
+    ]
+    prop = [
+        ("accepted", {}),
+        ("node-dead-on", {dead: 1}),
+        ("flavor-core-off", {g.core[0]: 0}),
+        ("parent-off", {container: 0}),
+        ("calculated", {calc: 1 - bits[calc]}),
+        ("interface", {iface: 1 - bits[iface]}),
+        ("unloaded", {unloaded: 1}),
+    ]
+    names = g.universe()
+    for k in range(2):
+        chosen = rng.sample(names, 3)
+        full.append((f"random{k}", {
+            x: (rng.randint(0, 1), rng.randint(0, 1),
+                rng.choice(("0", "1", "x", *gen.DATA_VALUES)))
+            for x in chosen
+        }))
+        prop.append((f"random{k}", {x: 1 - bits[x] for x in rng.sample(names, 3)}))
+    cases = [(label, gen.full_tsv({**acc, **change}), None) for label, change in full]
+    cases += [(label, None, gen.bits_tsv({**bits, **change})) for label, change in prop]
+    return cases
+
+
+def _validate_golden_text(directory) -> tuple[str, set]:
+    """``validate`` of seeded configurations of every fixture and of
+    ``perfbench/gen.py`` models, full and ``--prop``, text and JSON.
+
+    Stdout is pinned by its SHA-256 and length, as in ``enumerate.txt``;
+    the exit code and stderr are pinned verbatim.  Also returns the
+    (mode, family) pairs of the failures reported, plus ``on-guard`` and
+    ``off-guard`` when a node failure lists the failing constraints.
+    """
+    runs = []
+    for group in ("sound", "family", "analysis", "wf"):
+        for path in sorted((FIXTURES / group).glob("*.cdl")):
+            for label, rows, bits in _fixture_validate_cases(path):
+                runs.append((f"{group}/{path.name}", str(path), label, rows, bits))
+    gen = perfbench_gen()
+    for seed in (1, 2, 3):
+        for size in (36, 130):
+            g = gen.generate(seed, size)
+            path = directory / f"gen{seed}_{size}.cdl"
+            path.write_text(g.text, encoding="utf-8")
+            rng = random.Random(seed * 1000 + size)
+            for label, rows, bits in _generated_validate_cases(g, rng):
+                runs.append((f"gen seed {seed} size {size}", str(path), label,
+                             rows, bits))
+    blocks, seen = [], set()
+    config = directory / "config.tsv"
+    for name, model, label, rows, bits in runs:
+        for mode, text in (((), rows), (("--prop",), bits)):
+            if text is None:
+                continue
+            config.write_text(text, encoding="utf-8")
+            for fmt in ((), ("--format", "json")):
+                code, out, err = run("validate", model, str(config), *mode, *fmt)
+                head = " ".join((name, "validate", label, *mode, *fmt))
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                blocks.append(
+                    f"## {head} (exit {code})\n{err}stdout {len(out)} bytes {digest}\n"
+                )
+                if fmt:
+                    continue
+                for line in out.splitlines()[1:]:
+                    family, _, explanation = line.split("\t")
+                    seen.add((mode, family))
+                    if family == "node" and "; constraint " in explanation:
+                        on = "parent_state=1, enabled_value=1," in explanation
+                        seen.add((mode, "on-guard" if on else "off-guard"))
+    return "".join(blocks), seen
+
+
+def test_validate_output_is_pinned(tmp_path):
+    # generated before validation became one lazy walk with explanations
+    # written only for the report; verdicts, failure order, explanations
+    # and exit codes must not move
+    text, seen = _validate_golden_text(tmp_path)
+    assert str(tmp_path) not in text
+    assert {((), f) for f in _FULL_FAMILIES | {"on-guard", "off-guard"}} <= seen
+    assert {(("--prop",), f) for f in _FULL_FAMILIES - {"legal_values"}} <= seen
+    assert text == GOLDEN_VALIDATE.read_text()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cdlsem import EvalError, FormulaError, ValidationError
-from cdlsem.model import Model
+from cdlsem.model import TOP, Model
 from cdlsem.parser import parse_goal_expr as pg
 from cdlsem.prop import (
     BCard,
@@ -79,11 +79,38 @@ def def_set(names, predicate):
 
 def test_propconfig_root_fixed():
     cp = PropConfig({"A": 1})
-    from cdlsem.model import TOP
-
     assert cp[TOP] == 1
     with pytest.raises(ValueError):
         PropConfig({TOP: 0})
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ([("A", 2)], "bit of 'A' must be 0 or 1"),
+        ([("A", "1")], "bit of 'A' must be 0 or 1"),
+        ([(TOP, 0)], "the root is fixed at 1"),
+        ([("A", 1), ("A", 0)], "duplicate entry for 'A'"),
+        ([(TOP, 2)], "bit of '\u22a4' must be 0 or 1"),  # bit check first
+    ],
+)
+def test_propconfig_constructor_errors(entries, message):
+    with pytest.raises(ValueError) as err:
+        PropConfig(entries)
+    assert str(err.value) == message
+
+
+def test_propconfig_repr_and_root():
+    cp = PropConfig({"B": 0, TOP: 1, "A": 1})
+    assert repr(cp) == "PropConfig(A=1, B=0)" and repr(PropConfig()) == "PropConfig()"
+    assert cp.domain == {"A", "B"} and cp.items() == [("A", 1), ("B", 0)]
+    assert PropConfig({TOP: 1}) == PropConfig()
+
+
+def test_full_and_boolean_configurations_never_compare_equal():
+    assert Configuration({}) != PropConfig({})
+    assert PropConfig({}) != Configuration({})
+    assert Configuration({"A": (1, 1, "1")}) != PropConfig({"A": 1})
 
 
 def test_propconfig_hash_follows_equality():

@@ -26,6 +26,8 @@ from cdlsem.semantics import (
     validate_configuration,
 )
 
+from cdlsem.model import TOP
+
 from conftest import fixture_paths, load_model, mk_model
 
 
@@ -34,6 +36,41 @@ EMPTY = mk_model("")
 
 def cfg(**entries):
     return Configuration({k: tuple(v) for k, v in entries.items()})
+
+
+# ---------------------------------------------------------------------------
+# the Configuration constructor
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ([("A", (2, 1, "1"))], "bits must be 0/1 for 'A'"),
+        ([("A", (1, -1, "1"))], "bits must be 0/1 for 'A'"),
+        ([("A", (1, 1, 1))], "data value of 'A' must be a string"),
+        ([(TOP, (0, 1, "1"))], 'the root is fixed at (1, 1, "1")'),
+        ([(TOP, (1, 1, "0"))], 'the root is fixed at (1, 1, "1")'),
+        ([("A", (1, 1, "1")), ("A", (0, 0, "0"))], "duplicate entry for 'A'"),
+        # the entry checks come before the root and duplicate checks
+        ([(TOP, (2, 1, "1"))], "bits must be 0/1 for '⊤'"),
+        ([("A", (1, 1, "1")), ("A", (1, 1, None))],
+         "data value of 'A' must be a string"),
+    ],
+)
+def test_configuration_constructor_errors(entries, message):
+    with pytest.raises(ValueError) as err:
+        Configuration(entries)
+    assert str(err.value) == message
+
+
+def test_configuration_root_and_repr():
+    c = Configuration({"B": (0, 0, "0"), TOP: (1, 1, "1"), "A": (1, 1, "x")})
+    assert c[TOP] == (1, 1, "1") and c.domain == {"A", "B"}
+    assert c.items() == [("A", (1, 1, "x")), ("B", (0, 0, "0"))]
+    assert repr(c) == "Configuration(A=(1, 1, 'x'), B=(0, 0, '0'))"
+    assert repr(Configuration()) == "Configuration()"
+    assert Configuration({TOP: (1, 1, "1")}) == Configuration()
+    assert (c.state("A"), c.value("A"), c.data("A")) == (1, 1, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +645,23 @@ def test_enumerate_equals_validation_on_generated_models():
         seen.add("unloaded" if m.unloaded_ids() else "loaded")
         seen.add("accepting" if got else "void")
     assert {"none", "data", "unloaded", "accepting"} <= seen
+
+
+def test_enumerated_configurations_equal_checked_ones():
+    # enumeration wraps its candidates without the constructor's checks; each
+    # one must be the configuration the checked constructor builds
+    rng = random.Random(99)
+    models = [load_model(p) for p in fixture_paths("family", "sound")]
+    models += [mk_model(_random_model(rng)) for _ in range(30)]
+    listed = 0
+    for m in models:
+        for c in enumerate_configurations(m, _small_domain(m, _DOMAINS)):
+            checked = Configuration(c.items())
+            assert c == checked and checked == c and hash(c) == hash(checked)
+            assert c.domain == m.universe() and repr(c) == repr(checked)
+            assert validate_configuration(m, c).accepted
+            listed += 1
+    assert listed > 1000
 
 
 # ---------------------------------------------------------------------------
