@@ -163,7 +163,6 @@ PRECEDENCE = {
 }
 _UNARY_PREC = 14
 
-_IDENT_RX = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER_RX = (
     r"[+-]?(?:0[xX][0-9a-fA-F]+"
     r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?"

@@ -20,6 +20,7 @@ from .errors import EvalError, FormulaError, OracleError
 from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not
 from .model import TOP, Flavor, Kind, Model, check_well_formed
 from .semantics import (
+    Assignment,
     Configuration,
     Failure,
     ValidationReport,
@@ -144,52 +145,18 @@ def _extend(op: str, left: BoolExpr, right: BoolExpr) -> BInfix:
     return BInfix(op, (left, right))
 
 
-class PropConfig:
+class PropConfig(Assignment):
     """Immutable bit per feature; the synthetic root is fixed at 1."""
 
-    __slots__ = ("_map", "_hash")
+    __slots__ = ()
+    _ROOT = 1
+    _ROOT_TEXT = "1"
 
-    def __init__(self, assignment=()):
-        d: dict[str, int] = {}
-        items = assignment.items() if hasattr(assignment, "items") else assignment
-        for name, bit in items:
-            if bit not in (0, 1):
-                raise ValueError(f"bit of {name!r} must be 0 or 1")
-            if name == TOP:
-                if bit != 1:
-                    raise ValueError("the root is fixed at 1")
-                continue
-            if name in d:
-                raise ValueError(f"duplicate entry for {name!r}")
-            d[name] = int(bit)
-        d[TOP] = 1
-        self._map = d
-        self._hash = None  # computed lazily; enumeration makes many of these
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(k for k in self._map if k != TOP)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
-
-    def __getitem__(self, name: str) -> int:
-        return self._map[name]
-
-    def items(self):
-        return sorted((k, v) for k, v in self._map.items() if k != TOP)
-
-    def __eq__(self, other):
-        return isinstance(other, PropConfig) and self._map == other._map
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._map.items()))
-        return self._hash
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.items())
-        return f"PropConfig({inner})"
+    @staticmethod
+    def _entry(name: str, bit) -> int:
+        if bit not in (0, 1):
+            raise ValueError(f"bit of {name!r} must be 0 or 1")
+        return int(bit)
 
 
 def project(c: Configuration, m: Model) -> PropConfig:
@@ -258,11 +225,6 @@ def _mask(name: str, masks) -> int:
         return masks[name]
     except KeyError:
         raise EvalError("unknown-id", f"unknown feature {name!r}") from None
-
-
-def impls_syntactic(name: str, m: Model) -> frozenset[str]:
-    """Names of all nodes declaring that they implement the interface."""
-    return m.implementers(name)
 
 
 def choose(ids, at_least: int, at_most: int) -> BoolExpr:
@@ -365,7 +327,7 @@ def _rewrite_cmp(e: Infix, m: Model) -> BoolExpr | None:
 
 
 def _rewrite_interface_cmp(name: str, op: str, value, m: Model) -> BoolExpr | None:
-    ids = impls_syntactic(name, m)
+    ids = m.implementers(name)
     me = BIdent(name)
     any_impl = bor(BIdent(i) for i in sorted(ids))
     if op == "==" and value == 0:
@@ -442,9 +404,7 @@ def build_formula(m: Model) -> PropFormula:
                     )
                 )
         if n.kind == Kind.INTERFACE:
-            any_impl = bor(
-                BIdent(i) for i in sorted(impls_syntactic(n.name, m))
-            )
+            any_impl = bor(BIdent(i) for i in sorted(m.implementers(n.name)))
             constraints.append(
                 Constraint(
                     n.name, "interface", implies(context, eqv(me, any_impl))
@@ -505,8 +465,8 @@ def enumerate_prop_configs(
             break
     # binary text has no digit limit; reversed, character k is valuation k
     bits = format(acc, f"0{width}b")[::-1]
-    return [
-        PropConfig(zip(ids, map(int, format(k, f"0{n}b"))))
+    return [  # well formed by construction
+        PropConfig._wrap(dict(zip(ids, map(int, format(k, f"0{n}b")))))
         for k, bit in enumerate(bits)
         if bit == "1"
     ]

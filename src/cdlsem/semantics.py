@@ -114,33 +114,43 @@ def values_equal(a: str, b: str) -> bool:
     return compare_values(a, b) == 0
 
 
-class Configuration:
-    """Immutable assignment of (state, value, data) triples to features.
+class Assignment:
+    """Immutable map from feature ids to entries, the synthetic root pinned.
 
-    The synthetic root always maps to (1, 1, "1").
+    ``Configuration`` and ``prop.PropConfig`` differ only in their entries:
+    each subclass checks one entry in ``_entry`` and names the root's entry
+    in ``_ROOT``.  An assignment never equals one of another class.
     """
 
     __slots__ = ("_map", "_hash")
+    _ROOT: object
+    _ROOT_TEXT: str
 
     def __init__(self, assignment=()):
-        d: dict[str, tuple[int, int, str]] = {}
+        d = {}
         items = assignment.items() if hasattr(assignment, "items") else assignment
-        for name, triple in items:
-            s, v, data = triple
-            if s not in (0, 1) or v not in (0, 1):
-                raise ValueError(f"bits must be 0/1 for {name!r}")
-            if not isinstance(data, str):
-                raise ValueError(f"data value of {name!r} must be a string")
+        for name, entry in items:
+            entry = self._entry(name, entry)
             if name == TOP:
-                if (s, v, data) != (1, 1, "1"):
-                    raise ValueError("the root is fixed at (1, 1, \"1\")")
+                if entry != self._ROOT:
+                    raise ValueError(f"the root is fixed at {self._ROOT_TEXT}")
                 continue
             if name in d:
                 raise ValueError(f"duplicate entry for {name!r}")
-            d[name] = (int(s), int(v), data)
-        d[TOP] = (1, 1, "1")
+            d[name] = entry
+        d[TOP] = self._ROOT
         self._map = d
         self._hash = None  # computed lazily; enumeration makes many of these
+
+    @classmethod
+    def _wrap(cls, d: dict):
+        """An assignment over ``d`` itself, unchecked: for callers whose
+        entries are well formed by construction and hold no root entry."""
+        self = object.__new__(cls)
+        d[TOP] = cls._ROOT
+        self._map = d
+        self._hash = None
+        return self
 
     @property
     def domain(self) -> frozenset[str]:
@@ -150,8 +160,44 @@ class Configuration:
     def __contains__(self, name: str) -> bool:
         return name in self._map
 
-    def __getitem__(self, name: str) -> tuple[int, int, str]:
+    def __getitem__(self, name: str):
         return self._map[name]
+
+    def items(self):
+        """(name, entry) pairs sorted by name, root excluded."""
+        return sorted((k, v) for k, v in self._map.items() if k != TOP)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._map == other._map
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._map.items()))
+        return self._hash
+
+    def __repr__(self):
+        inner = ", ".join(f"{k}={v}" for k, v in self.items())
+        return f"{type(self).__name__}({inner})"
+
+
+class Configuration(Assignment):
+    """Immutable assignment of (state, value, data) triples to features.
+
+    The synthetic root always maps to (1, 1, "1").
+    """
+
+    __slots__ = ()
+    _ROOT = (1, 1, "1")
+    _ROOT_TEXT = '(1, 1, "1")'
+
+    @staticmethod
+    def _entry(name: str, triple) -> tuple[int, int, str]:
+        s, v, data = triple
+        if s not in (0, 1) or v not in (0, 1):
+            raise ValueError(f"bits must be 0/1 for {name!r}")
+        if not isinstance(data, str):
+            raise ValueError(f"data value of {name!r} must be a string")
+        return (int(s), int(v), data)
 
     def state(self, name: str) -> int:
         return self._map[name][0]
@@ -161,22 +207,6 @@ class Configuration:
 
     def data(self, name: str) -> str:
         return self._map[name][2]
-
-    def items(self):
-        """(name, triple) pairs sorted by name, root excluded."""
-        return sorted((k, v) for k, v in self._map.items() if k != TOP)
-
-    def __eq__(self, other):
-        return isinstance(other, Configuration) and self._map == other._map
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._map.items()))
-        return self._hash
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v}" for k, v in self.items())
-        return f"Configuration({inner})"
 
 
 def access(x: str, c: Configuration) -> str:
@@ -376,16 +406,9 @@ def satisfies_legal(
 # per-node checks
 
 
-def _ctc_detail(
-    n: Node, c: Configuration, m: Model, builtins: Builtins, first: bool = False
-) -> tuple[int, list[str]]:
-    """Cross-tree constraint conjunction, with reasons for failures.
-
-    With ``first`` set it stops at the first failing constraint and gives
-    no reasons.
-    """
-    holds = 1
-    reasons: list[str] = []
+def _ctc_failures(n: Node, c: Configuration, m: Model, builtins: Builtins):
+    """(constraint, reason) of each cross-tree constraint of ``n`` that does
+    not hold, lazily and in the model's constraint order."""
     for e in m.sorted_constraints(n.name):
         try:
             if to_bool(eval_expr(e, c, m, builtins)):
@@ -393,11 +416,7 @@ def _ctc_detail(
             reason = "is false"
         except EvalError as err:
             reason = f"failed: {err.message}"
-        if first:
-            return 0, reasons
-        holds = 0
-        reasons.append(f"constraint {to_source(e)} {reason}")
-    return holds, reasons
+        yield e, reason
 
 
 def flavor_holds(n: Node, c: Configuration) -> int:
@@ -489,7 +508,10 @@ def validate_configuration(
 ) -> ValidationReport:
     """Check a configuration against every denotation family of the model."""
     check_total(m.universe(), c.domain)
-    return ValidationReport(tuple(_failures(m, c, builtins)))
+    return ValidationReport(tuple(
+        Failure(name, family, _explain(name, family, c, m, builtins))
+        for name, family in _failures(m, c, builtins)
+    ))
 
 
 def check_total(universe, domain) -> None:
@@ -501,89 +523,57 @@ def check_total(universe, domain) -> None:
         )
 
 
-def _failures(
-    m: Model, c: Configuration, builtins: Builtins, first: bool = False
-) -> list[Failure]:
-    """Every failure of a total configuration, in report order.
-
-    With ``first`` set it stops at the first failure and leaves that
-    failure's explanation empty, so acceptance checks format no text.
-    """
-    out: list[Failure] = []
+def _failures(m: Model, c: Configuration, builtins: Builtins):
+    """(feature, family) of every failure of a total configuration, lazily
+    and in report order, so an acceptance check stops at the first."""
     for x in sorted(c.domain - m.ids()):
         if c.state(x) == 1:
-            out.append(
-                Failure(x, "unloaded", "feature is not in the model but enabled")
-            )
-            if first:
-                return out
+            yield x, "unloaded"
     for n in m:
-        found = _node_failures(n, c, m, builtins, first)
-        if found and first:
-            return found
-        out += found
-    return out
+        name = n.name
+        # the guard short-circuits, so constraints are read only where
+        # they decide the verdict
+        guard = c.state(n.parent) and c.value(name)
+        if c.state(name) != (
+            guard and next(_ctc_failures(n, c, m, builtins), None) is None
+        ):
+            yield name, "node"
+        if not flavor_holds(n, c):
+            yield name, "flavor"
+        if n.calculated is not None and not calculated_holds(n, c, m, builtins):
+            yield name, "calculated"
+        if n.legal_values is not None and not legal_values_holds(n, c, m, builtins):
+            yield name, "legal_values"
+        if n.kind == Kind.INTERFACE and not interface_holds(n, c, m):
+            yield name, "interface"
 
 
-def _node_failures(n, c, m, builtins, first=False) -> list[Failure]:
-    out: list[Failure] = []
-    guard = c.state(n.parent) and c.value(n.name)
-    ctc, reasons = 1, ()
-    if guard or (c.state(n.name) and not first):
-        # off the guard the constraints only feed a failure's explanation
-        ctc, reasons = _ctc_detail(n, c, m, builtins, first)
-    if c.state(n.name) != (guard and ctc):
-        if first:
-            return [Failure(n.name, "node", "")]
-        parts = [
-            f"enabled_state={c.state(n.name)} but parent_state="
-            f"{c.state(n.parent)}, enabled_value={c.value(n.name)}, "
-            f"constraints={'ok' if ctc else 'failing'}"
+def _explain(
+    name: str, family: str, c: Configuration, m: Model, builtins: Builtins
+) -> str:
+    """Explanation of one failure that ``_failures`` found."""
+    if family == "unloaded":
+        return "feature is not in the model but enabled"
+    n = m.node(name)
+    if family == "node":
+        reasons = [
+            f"constraint {to_source(e)} {reason}"
+            for e, reason in _ctc_failures(n, c, m, builtins)
         ]
-        parts.extend(reasons)
-        out.append(Failure(n.name, "node", "; ".join(parts)))
-    if not flavor_holds(n, c):
-        if first:
-            return [Failure(n.name, "flavor", "")]
-        out.append(
-            Failure(
-                n.name,
-                "flavor",
-                f"flavor {n.flavor.value} requires enabled_value=1",
-            )
-        )
-    if n.calculated is not None and not calculated_holds(n, c, m, builtins):
-        if first:
-            return [Failure(n.name, "calculated", "")]
-        out.append(
-            Failure(
-                n.name,
-                "calculated",
-                f"value must follow calculated {to_source(n.calculated)}",
-            )
-        )
-    if n.legal_values is not None and not legal_values_holds(n, c, m, builtins):
-        if first:
-            return [Failure(n.name, "legal_values", "")]
-        out.append(
-            Failure(
-                n.name,
-                "legal_values",
-                f"data value {c.data(n.name)!r} is not among the legal values",
-            )
-        )
-    if n.kind == Kind.INTERFACE and not interface_holds(n, c, m):
-        if first:
-            return [Failure(n.name, "interface", "")]
-        k = len(impls(n.name, c, m))
-        out.append(
-            Failure(
-                n.name,
-                "interface",
-                f"interface valuation must mirror its {k} enabled implementor(s)",
-            )
-        )
-    return out
+        return "; ".join([
+            f"enabled_state={c.state(name)} but parent_state="
+            f"{c.state(n.parent)}, enabled_value={c.value(name)}, "
+            f"constraints={'failing' if reasons else 'ok'}",
+            *reasons,
+        ])
+    if family == "flavor":
+        return f"flavor {n.flavor.value} requires enabled_value=1"
+    if family == "calculated":
+        return f"value must follow calculated {to_source(n.calculated)}"
+    if family == "legal_values":
+        return f"data value {c.data(name)!r} is not among the legal values"
+    k = len(impls(name, c, m))
+    return f"interface valuation must mirror its {k} enabled implementor(s)"
 
 
 def enumerate_configurations(
@@ -624,8 +614,9 @@ def enumerate_configurations(
         )
     accepted: list[Configuration] = []
     for combo in itertools.product(*choices):
-        c = Configuration(zip(ids, combo))  # total over the universe by construction
-        if not _failures(m, c, builtins, first=True):
+        # well formed and total over the universe by construction
+        c = Configuration._wrap(dict(zip(ids, combo)))
+        if next(_failures(m, c, builtins), None) is None:
             accepted.append(c)
     return accepted
 

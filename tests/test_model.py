@@ -21,7 +21,7 @@ from cdlsem import (
 )
 from cdlsem.exprs import to_source
 from cdlsem.model import Flavor, Kind, Model, model_to_pretty
-from cdlsem.prop import build_formula, impls_syntactic
+from cdlsem.prop import build_formula
 from cdlsem.semantics import Configuration, impls
 
 from conftest import FIXTURES, fixture_paths, load_model, mk_model, perfbench_gen
@@ -307,7 +307,6 @@ def test_implementers_index_matches_node_scan():
         for name in sorted(names) + ["NO_SUCH_NAME"]:
             scan = frozenset(n.name for n in m if name in n.implements)
             assert m.implementers(name) == scan, (label, name)
-            assert impls_syntactic(name, m) == scan, (label, name)
             enabled = frozenset(
                 n for n in m if name in n.implements and c.state(n.name) == 1
             )

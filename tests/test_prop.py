@@ -25,7 +25,6 @@ from cdlsem.prop import (
     enumerate_prop_configs,
     eval_p,
     formula_to_text,
-    impls_syntactic,
     load_prop_config,
     project,
     rewrite,
@@ -356,14 +355,14 @@ def test_rewrite_is_deterministic():
         assert rewrite(pg(text), IFACE_MODEL) == rewrite(pg(text), IFACE_MODEL)
 
 
-def test_impls_syntactic_ignores_configuration():
-    assert impls_syntactic("IFACE", IFACE_MODEL) == {"IMP_A", "IMP_B", "IMP_C"}
-    assert impls_syntactic("NOBODY", IFACE_MODEL) == frozenset()
+def test_implementers_ignore_configuration():
+    assert IFACE_MODEL.implementers("IFACE") == {"IMP_A", "IMP_B", "IMP_C"}
+    assert IFACE_MODEL.implementers("NOBODY") == frozenset()
 
 
-def test_impls_syntactic_interface_implementor():
+def test_implementers_include_interfaces():
     m = mk_model("cdl_interface I {}\ncdl_interface J { implements I }")
-    assert impls_syntactic("I", m) == {"J"}
+    assert m.implementers("I") == {"J"}
 
 
 # ---------------------------------------------------------------------------

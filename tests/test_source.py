@@ -42,3 +42,49 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names (a leading underscore, not a dunder) that a module
+    assigns, defines or declares as a class at its top level, and that no
+    module of ``sources`` reads: as a name, an attribute or an import."""
+    defined: list[tuple[str, str, int]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [(stmt.name, stmt.lineno)]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                roots = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = [(n.id, n.lineno) for t in roots
+                           for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, line) for name, line in targets
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}: {name} (line {line})" for module, name, line in defined
+            if name not in read]
+
+
+def test_unused_private_names_are_found():
+    sources = {
+        "a": "_A = 1\n_B, (_C, d) = 2, (3, 4)\n_E: int = 5\n__all__ = []\n"
+             "def _f():\n    return _f()\nclass _K: pass\n_G = 6\nx = _A\n",
+        "b": "from .a import _E\nimport a\na._G\ndef g(_unused):\n    _local = 1\n",
+    }
+    assert unused_private_names(sources) == [
+        "a: _B (line 2)", "a: _C (line 2)", "a: _K (line 7)"
+    ]
+
+
+def test_no_unused_private_names():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unused_private_names(sources) == []
