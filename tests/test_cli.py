@@ -750,3 +750,49 @@ def test_validate_output_is_pinned(tmp_path):
     assert {((), f) for f in _FULL_FAMILIES | {"on-guard", "off-guard"}} <= seen
     assert {(("--prop",), f) for f in _FULL_FAMILIES - {"legal_values"}} <= seen
     assert text == GOLDEN_VALIDATE.read_text()
+
+
+GOLDEN_ANALYZE = FIXTURES.parent / "golden" / "analyze.txt"
+
+
+def _analyze_golden_text(directory) -> str:
+    """``analyze --dead``, ``--core`` and ``--implications`` (plain,
+    ``--reduce``, ``--dot`` and JSON) of every fixture and of
+    ``perfbench/gen.py`` seeds 1-3 at 36 and 130 features.
+
+    Stdout is pinned by its SHA-256 and length, as in ``enumerate.txt``;
+    the exit code and stderr are pinned verbatim.
+    """
+    runs = [
+        (f"{group}/{path.name}", str(path))
+        for group in ("sound", "family", "analysis", "wf")
+        for path in sorted((FIXTURES / group).glob("*.cdl"))
+    ]
+    gen = perfbench_gen()
+    for seed in (1, 2, 3):
+        for size in (36, 130):
+            path = directory / f"gen{seed}_{size}.cdl"
+            path.write_text(gen.generate(seed, size).text, encoding="utf-8")
+            runs.append((f"gen seed {seed} size {size}", str(path)))
+    analyses = [("--dead",), ("--core",), ("--implications",),
+                ("--implications", "--reduce"), ("--implications", "--dot"),
+                ("--implications", "--format", "json")]
+    blocks = []
+    for name, model in runs:
+        for extra in analyses:
+            code, out, err = run("analyze", model, *extra)
+            head = " ".join((name, "analyze", *extra))
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            blocks.append(
+                f"## {head} (exit {code})\n{err}stdout {len(out)} bytes {digest}\n"
+            )
+    return "".join(blocks)
+
+
+def test_analyze_output_is_pinned(tmp_path):
+    # generated before the implication graph and the backbone began to
+    # settle candidates by unit propagation; every edge, dead and core
+    # feature, DOT and JSON text and exit code must not move
+    text = _analyze_golden_text(tmp_path)
+    assert str(tmp_path) not in text
+    assert text == GOLDEN_ANALYZE.read_text()
