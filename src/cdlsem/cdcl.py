@@ -133,6 +133,46 @@ class Solver:
         self._cancel_until(0)
         return False
 
+    def probe(self, lit: int) -> list[int] | None:
+        """The literals true once ``lit`` is assumed and propagated, or None.
+
+        Opens one decision level, assumes ``lit``, runs unit propagation
+        and undoes the level; no search, no learning.  The result is the
+        level-0 facts followed by what ``lit`` implies, ``lit`` included,
+        or None when propagation meets a conflict (or ``lit`` is false at
+        level 0).  Call it between queries: ``value``, ``trail``,
+        ``trail_lim``, ``qhead``, the phases and the watch lists are left
+        as they were found, so later answers and models do not move.
+        """
+        if not 1 <= abs(lit) <= self.num_vars:
+            raise ValueError(f"probe {lit} out of range")
+        value, trail = self.value, self.trail
+        if not self.ok or value[lit] == -1:
+            return None
+        if value[lit] == 1:
+            return trail[:]
+        mark = len(trail)
+        moves: list = []
+        self.trail_lim.append(mark)
+        self._assign(lit, None)
+        implied = trail[:] if self._propagate(moves) is None else None
+        watches = self.watches
+        for c, k, at, old, new in reversed(moves):
+            # put the watch back on old: at its place in old's list, and
+            # new back at c[k]; c[0] and c[1] may have swapped since
+            c[0 if c[0] == new else 1] = old
+            c[k] = new
+            watches[new].pop()
+            watches[old].insert(at, c)
+        reason = self.reason
+        for l in trail[mark:]:
+            value[l] = value[-l] = 0
+            reason[abs(l)] = None
+        del trail[mark:]
+        self.trail_lim.pop()
+        self.qhead = mark
+        return implied
+
     def _attach(self, clause: list[int]) -> None:
         if len(clause) == 2:
             a, b = clause
@@ -150,8 +190,12 @@ class Solver:
         self.reason[v] = reason
         self.trail.append(lit)
 
-    def _propagate(self) -> list[int] | None:
-        """Unit propagation from ``qhead``; returns a conflicting clause."""
+    def _propagate(self, moves=None) -> list[int] | None:
+        """Unit propagation from ``qhead``; returns a conflicting clause.
+
+        With a ``moves`` list, every watch moved off a long clause is
+        logged as (clause, index, place in the old list, old, new).
+        """
         value, watches, trail = self.value, self.watches, self.trail
         level, reason = self.level, self.reason
         depth = len(self.trail_lim)
@@ -195,6 +239,8 @@ class Solver:
                         c[k] = false_lit
                         watches[lit].append(c)
                         keep.pop()
+                        if moves is not None:
+                            moves.append((c, k, len(keep), false_lit, lit))
                         break
                 else:
                     if value[first] == -1:

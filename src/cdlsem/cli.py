@@ -333,12 +333,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--emit-ast", action="store_true",
                    help="alias for --emit ast")
     common(p)
-    p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("check", help="well-formedness check")
     p.add_argument("model")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("validate", help="validate a configuration")
     p.add_argument("model")
@@ -348,14 +346,12 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="fail instead of defaulting missing features")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("translate", help="emit the propositional model")
     p.add_argument("model")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", default="prop",
                    choices=["prop", "dimacs", "json"])
-    p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("analyze", help="SAT-based analyses")
     p.add_argument("model")
@@ -369,7 +365,6 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--reduce", action="store_true",
                    help="transitive reduction of the implication graph")
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("enumerate", help="brute-force accepted configurations")
     p.add_argument("model")
@@ -380,21 +375,24 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--prop", action="store_true",
                    help="enumerate Boolean configurations instead")
     common(p)
-    p.set_defaults(func=cmd_enumerate)
     return ap
+
+
+# built once: every main call parses with it and looks up cmd_<command>
+# when it runs, so a replaced cmd_ function is the one called
+_ARGPARSER = _build_argparser()
 
 
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    ap = _build_argparser()
     try:
-        args = ap.parse_args(argv)
+        args = _ARGPARSER.parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
     cli = _Cli(stdout, stderr)
     try:
-        return args.func(cli, args)
+        return globals()["cmd_" + args.command](cli, args)
     except RecursionError:
         # the last resort: operator chains are flat in the goal and Boolean
         # trees alike, and the parser caps all other nesting

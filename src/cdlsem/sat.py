@@ -8,7 +8,11 @@ two watched literals, first-UIP learning with backjumping, an activity
 order for decisions, and assumptions as the first decision levels.  The
 analyses build one solver per model and query it under assumptions,
 keeping its learnt clauses; witnesses found on the way rule out the
-candidates they refute, so those cost no query.
+candidates they refute, so those cost no query.  Before querying, an
+analysis probes: ``Solver.probe`` assumes one literal and propagates,
+which settles many candidates with no search, and the phases of the
+candidates still open are pushed so that each new witness refutes as
+many of them as it can.
 """
 
 from __future__ import annotations
@@ -406,7 +410,9 @@ def _backbone(m: Model) -> tuple[frozenset[str], frozenset[str]]:
     Every witness refutes each candidate it gives the other value, so a
     query is spent only on candidates no witness has refuted yet, and the
     solver's phases push each new witness to refute as many as it can
-    (Janota, Lynce & Marques-Silva, AI Comm. 2015).
+    (Janota, Lynce & Marques-Silva, AI Comm. 2015).  Each candidate is
+    probed first: when unit propagation alone refutes its other value,
+    it is settled with no search.
     """
     solver, table = _analysis_solver(m)
     model, phase = solver.model, solver.phase
@@ -418,14 +424,15 @@ def _backbone(m: Model) -> tuple[frozenset[str], frozenset[str]]:
     while cands:
         f, lit = next(iter(cands.items()))
         del cands[f]
-        for other in cands.values():
-            phase[abs(other)] = other < 0
-        if solver.solve((-lit,)):
-            model = solver.model
-            cands = {g: l for g, l in cands.items() if model[l] == 1}
-        else:
-            (core if lit > 0 else dead).add(f)
-            solver.add_clause((lit,))
+        if solver.probe(-lit) is not None:
+            for other in cands.values():
+                phase[abs(other)] = other < 0
+            if solver.solve((-lit,)):
+                model = solver.model
+                cands = {g: l for g, l in cands.items() if model[l] == 1}
+                continue
+        (core if lit > 0 else dead).add(f)
+        solver.add_clause((lit,))
     return frozenset(dead), frozenset(core)
 
 
@@ -445,10 +452,15 @@ def implication_graph(
     """Edges (a, b) where enabling a forces b, over non-dead features.
 
     A witness with a = 1 and b = 0 refutes (a, b), so only pairs that no
-    witness found so far refutes cost a query, and every sat answer joins
-    the witnesses.
+    witness found so far refutes can cost a query, and every sat answer
+    joins the witnesses.  Before each query the phases of the candidates
+    still open are pushed the way that would settle them: true while
+    looking for live features, false while looking for edges.  Probing
+    a, unit propagation with a assumed, gives every b it forces true as
+    an edge with no query; only the rest are asked of the solver.
     """
     solver, table = _analysis_solver(m)
+    phase = solver.phase
     features = sorted(m.ids())
     ones = dict.fromkeys(features, 0)  # bit i set: true in witness i
     count = 0
@@ -463,19 +475,34 @@ def implication_graph(
 
     keep_witness()
     alive = []
-    for f in features:
+    for i, f in enumerate(features):
         if not ones[f]:
+            for g in features[i + 1:]:
+                if not ones[g]:
+                    phase[table[g]] = True
             if not solver.solve((table[f],)):
                 continue
             keep_witness()
         alive.append(f)
     edges = set()
     for a in alive:
+        va = table[a]
+        forced = set(solver.probe(va))  # a is live: no conflict
+        open_ = []
         for b in alive:
             if a == b or ones[a] & ~ones[b]:
                 continue
-            if solver.solve((table[a], -table[b])):
+            if table[b] in forced:
+                edges.add((a, b))
+            else:
+                open_.append(b)
+        while open_:
+            b = open_.pop()
+            for c in open_:
+                phase[table[c]] = False
+            if solver.solve((va, -table[b])):
                 keep_witness()
+                open_ = [c for c in open_ if not ones[a] & ~ones[c]]
             else:
                 edges.add((a, b))
     if reduce_transitive:

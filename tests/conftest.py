@@ -75,6 +75,49 @@ def load_model(path: pathlib.Path):
     return normalize_model(nodes)
 
 
+_GOALS = [
+    "{X}", "{!X}", "{X == 0}", "{X != 0}", "{X > 1}", "{X == \"x\"}",
+    "{X && Y}", "{X || !Y}", "{X implies Y}", "{is_substr(X, \"x\")}",
+    "{get_data(X) == 1}", "{is_enabled(X)}",
+]
+
+
+def random_model(rng) -> str:
+    """CDL source of 1-4 nodes with none/data flavors, interfaces,
+    nesting and references to the undeclared GHOST."""
+    n = rng.randint(1, 4)
+    names = [f"F{i}" for i in range(n)]
+    refs = names + ["GHOST"]
+    bodies = []
+    for name in names:
+        kind = rng.choice(["option", "component", "interface"])
+        flavors = ["bool", "booldata", "data"] + ["none"] * (kind != "interface")
+        lines = [f"flavor {rng.choice(flavors)}"]
+        for prop in ("requires", "active_if"):
+            if rng.random() < 0.4:
+                goal = rng.choice(_GOALS)
+                goal = goal.replace("X", rng.choice(refs))
+                lines.append(f"{prop} " + goal.replace("Y", rng.choice(refs)))
+        if kind != "interface":
+            if rng.random() < 0.2:
+                lines.append(f"calculated {rng.choice(refs + ['1', '2'])}")
+            elif rng.random() < 0.25:
+                lines.append(f"legal_values {rng.choice(['1 2', '0 to 1', 'x'])}")
+        bodies.append([kind, name, lines])
+    for i in range(1, n):
+        if bodies[i][0] != "interface" and rng.random() < 0.5:
+            iface = [b[1] for b in bodies if b[0] == "interface"]
+            if iface:
+                bodies[i][2].append(f"implements {rng.choice(iface)}")
+    text = ""
+    for kind, name, lines in reversed(bodies):
+        # a component may take every node after it as its children
+        nest = kind == "component" and rng.random() < 0.5
+        body = "\n".join(lines) + "\n" + (text if nest else "")
+        text = f"cdl_{kind} {name} {{\n{body}}}\n" + ("" if nest else text)
+    return text
+
+
 @functools.lru_cache(maxsize=None)
 def perfbench_gen():
     """The benchmark's seeded model generator, ``perfbench/gen.py``."""

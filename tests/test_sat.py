@@ -7,6 +7,7 @@ import pytest
 
 from cdlsem import AnalysisError
 from cdlsem.cdcl import Solver
+from cdlsem.model import check_well_formed
 from cdlsem.prop import (
     BCard,
     BConst,
@@ -32,7 +33,9 @@ from cdlsem.sat import (
     dead_features,
     export_dimacs,
     export_dot,
+    _transitive_reduction,
     implication_graph,
+    model_cnf,
     model_sat,
     parse_dimacs,
     simplify,
@@ -40,7 +43,16 @@ from cdlsem.sat import (
     to_cnf,
 )
 
-from conftest import brute_cnf_status, fixture_paths, load_model, mk_model, pigeonhole_cnf, random_cnf
+from conftest import (
+    brute_cnf_status,
+    fixture_paths,
+    load_model,
+    mk_model,
+    perfbench_gen,
+    pigeonhole_cnf,
+    random_cnf,
+    random_model,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +386,105 @@ def test_witness_is_deterministic():
     assert solve(cnf) == solve(cnf)
 
 
+def _unit_closure(clauses, lit: int) -> set[int] | None:
+    """Every literal unit propagation derives from ``lit`` and the unit
+    clauses, found by rescanning all clauses; None on a conflict."""
+    true = {lit}
+    changed = True
+    while changed:
+        changed = False
+        for cl in clauses:
+            if any(l in true for l in cl):
+                continue
+            open_ = [l for l in cl if -l not in true]
+            if not open_:
+                return None
+            if len(open_) == 1:
+                true.add(open_[0])
+                changed = True
+    return true
+
+
+def _solver_state(solver: Solver) -> tuple:
+    """Everything a probe could disturb, copied.  Which of a long
+    clause's two watched literals comes first is left out: propagation
+    puts the false one second before it reads either."""
+    watches = [[w if w.__class__ is int else (frozenset(w[:2]), tuple(w[2:]))
+                for w in ws] for ws in solver.watches]
+    return (solver.value[:], solver.trail[:], solver.trail_lim[:],
+            solver.qhead, solver.phase[:], solver.activity[:], watches)
+
+
+def test_probe_is_the_unit_propagation_closure():
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(300):
+        cnf = random_cnf(rng, max_vars=10, max_clauses=30)
+        solver = Solver(cnf.num_vars, cnf.clauses)
+        facts = solver.trail[:]
+        for v in range(1, cnf.num_vars + 1):
+            for lit in (v, -v):
+                want = _unit_closure(cnf.clauses, lit)
+                got = solver.probe(lit)
+                if want is None:
+                    assert got is None, (cnf, lit)
+                else:
+                    assert got is not None and set(got) == want, (cnf, lit)
+                    assert len(got) == len(want) and got[:len(facts)] == facts
+                outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_probe_of_a_level_zero_literal():
+    solver = Solver(3, [(1,), (-1, 2), (-3, -2, 1)])
+    assert solver.trail == [1, 2]
+    before = _solver_state(solver)
+    assert solver.probe(1) == solver.probe(2) == [1, 2]
+    assert solver.probe(-1) is None and solver.probe(-2) is None
+    assert solver.probe(3) == [1, 2, 3]
+    assert _solver_state(solver) == before
+    with pytest.raises(ValueError):
+        solver.probe(4)
+    with pytest.raises(ValueError):
+        solver.probe(0)
+    void = Solver(2, [(1,), (-1,)])
+    assert not void.ok and void.probe(2) is None
+
+
+def test_probes_leave_the_search_unchanged(monkeypatch):
+    # a probe moves watches and may hit a conflict; it must put everything
+    # back, so the same queries give the same answers and the same models
+    moved = []
+    propagate = Solver._propagate
+
+    def logged(self, moves=None):
+        confl = propagate(self, moves)
+        if moves:
+            moved.append(len(moves))
+        return confl
+
+    monkeypatch.setattr(Solver, "_propagate", logged)
+    rng = random.Random(61)
+    conflicts = 0
+    for _ in range(150):
+        cnf = random_cnf(rng, max_vars=15, max_clauses=60)
+        plain = Solver(cnf.num_vars, cnf.clauses)
+        probed = Solver(cnf.num_vars, cnf.clauses)
+        for _ in range(12):
+            for _ in range(rng.randint(0, 4)):
+                state = _solver_state(probed)
+                conflicts += probed.probe(rng.randint(1, cnf.num_vars)
+                                          * rng.choice((1, -1))) is None
+                assert _solver_state(probed) == state, cnf
+            k = rng.randint(0, min(4, cnf.num_vars))
+            assumps = tuple(v * rng.choice((1, -1))
+                            for v in rng.sample(range(1, cnf.num_vars + 1), k))
+            assert plain.solve(assumps) == probed.solve(assumps), (cnf, assumps)
+            assert plain.model == probed.model, (cnf, assumps)
+            assert _solver_state(plain) == _solver_state(probed), (cnf, assumps)
+    assert moved and conflicts
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 
@@ -533,6 +644,98 @@ def test_analyses_match_brute_force_on_fixtures():
         assert dead_features(m) == brute_dead(m), path
         assert core_features(m) == brute_core(m), path
         assert implication_graph(m) == brute_implications(m), path
+
+
+def _reference_solver(m):
+    cnf = model_cnf(m)
+    solver = Solver(cnf.num_vars, cnf.clauses)
+    if not solver.solve():
+        raise AnalysisError("void-model", "the model has no valid configuration")
+    return solver, cnf.var_table()
+
+
+def _reference_backbone(m):
+    """Dead and core features, one query per feature and value."""
+    solver, table = _reference_solver(m)
+    features = sorted(m.ids())
+    dead = frozenset(f for f in features if not solver.solve((table[f],)))
+    core = frozenset(f for f in features if not solver.solve((-table[f],)))
+    return dead, core
+
+
+def _reference_graph(m):
+    """The implication graph as computed before probes: one query per
+    pair that no witness refutes, with phases left to the solver."""
+    solver, table = _reference_solver(m)
+    features = sorted(m.ids())
+    ones = dict.fromkeys(features, 0)  # bit i set: true in witness i
+    count = 0
+
+    def keep_witness() -> None:
+        nonlocal count
+        model, bit = solver.model, 1 << count
+        count += 1
+        for f in features:
+            if model[table[f]] == 1:
+                ones[f] |= bit
+
+    keep_witness()
+    alive = []
+    for f in features:
+        if not ones[f]:
+            if not solver.solve((table[f],)):
+                continue
+            keep_witness()
+        alive.append(f)
+    edges = set()
+    for a in alive:
+        for b in alive:
+            if a == b or ones[a] & ~ones[b]:
+                continue
+            if solver.solve((table[a], -table[b])):
+                keep_witness()
+            else:
+                edges.add((a, b))
+    return frozenset(edges)
+
+
+def test_analyses_equal_the_query_per_pair_reference():
+    rng = random.Random(2024)
+    models = []
+    while len(models) < 30:
+        m = mk_model(random_model(rng))
+        if not check_well_formed(m):
+            models.append(m)
+    gen = perfbench_gen()
+    models += [mk_model(gen.generate(seed, size).text)
+               for seed in (1, 2, 3) for size in (36, 130)]
+    graphs = 0
+    for m in models:
+        dead, core = _reference_backbone(m)
+        assert dead_features(m) == dead and core_features(m) == core
+        edges = _reference_graph(m)
+        assert implication_graph(m) == edges
+        reduced = frozenset(_transitive_reduction(set(edges)))
+        assert implication_graph(m, reduce_transitive=True) == reduced
+        graphs += bool(edges)
+    assert graphs > 10
+
+
+def test_probes_halve_the_graph_queries(monkeypatch):
+    m = mk_model(perfbench_gen().generate(1, 130).text)
+    calls = []
+    query = Solver.solve
+
+    def counted(self, assumptions=()):
+        calls.append(assumptions)
+        return query(self, assumptions)
+
+    monkeypatch.setattr(Solver, "solve", counted)
+    reference = _reference_graph(m)
+    reference_calls = len(calls)
+    calls.clear()
+    assert implication_graph(m) == reference
+    assert len(calls) <= reference_calls // 2
 
 
 def test_export_dot():

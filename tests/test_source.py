@@ -88,3 +88,34 @@ def test_unused_private_names_are_found():
 def test_no_unused_private_names():
     sources = {path.name: path.read_text() for path in SOURCES}
     assert unused_private_names(sources) == []
+
+
+def solver_internals(source: str) -> list[str]:
+    """Attributes a module touches that are private to the solver: any name
+    with one leading underscore (dunders aside), and ``trail_lim``."""
+    found = [
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "trail_lim"
+             or node.attr.startswith("_") and not node.attr.endswith("__"))
+    ]
+    return [f"{attr} (line {line})" for line, _, attr in sorted(found)]
+
+
+def test_solver_internals_are_found():
+    source = (
+        "s.solve(); s._propagate()\nx = s.trail_lim[-1] + s.trail[0]\n"
+        "class A:\n    def f(self):\n"
+        "        return self.__class__, s.model, s.phase, s._cancel_until(0)\n"
+    )
+    assert solver_internals(source) == [
+        "_propagate (line 1)", "trail_lim (line 2)", "_cancel_until (line 5)"
+    ]
+
+
+def test_analyses_use_only_the_public_solver():
+    # sat.py talks to the solver through solve, probe, add_clause, model
+    # and phase; the search's own state stays inside cdcl.py
+    sat = SOURCES[0].with_name("sat.py")
+    assert solver_internals(sat.read_text()) == []
