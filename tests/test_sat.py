@@ -465,24 +465,26 @@ def test_probes_leave_the_search_unchanged(monkeypatch):
 
     monkeypatch.setattr(Solver, "_propagate", logged)
     rng = random.Random(61)
-    conflicts = 0
-    for _ in range(150):
-        cnf = random_cnf(rng, max_vars=15, max_clauses=60)
-        plain = Solver(cnf.num_vars, cnf.clauses)
-        probed = Solver(cnf.num_vars, cnf.clauses)
+    signed = lambda vs: tuple(v * rng.choice((1, -1)) for v in vs)
+    answers, conflicts = set(), 0
+    for _ in range(40):
+        # random 3-SAT at four clauses per variable: searches that learn,
+        # where a watch left moved by a probe changes later models
+        n = rng.randint(20, 40)
+        clauses = [signed(rng.sample(range(1, n + 1), 3)) for _ in range(4 * n)]
+        plain, probed = Solver(n, clauses), Solver(n, clauses)
         for _ in range(12):
             for _ in range(rng.randint(0, 4)):
                 state = _solver_state(probed)
-                conflicts += probed.probe(rng.randint(1, cnf.num_vars)
-                                          * rng.choice((1, -1))) is None
-                assert _solver_state(probed) == state, cnf
-            k = rng.randint(0, min(4, cnf.num_vars))
-            assumps = tuple(v * rng.choice((1, -1))
-                            for v in rng.sample(range(1, cnf.num_vars + 1), k))
-            assert plain.solve(assumps) == probed.solve(assumps), (cnf, assumps)
-            assert plain.model == probed.model, (cnf, assumps)
-            assert _solver_state(plain) == _solver_state(probed), (cnf, assumps)
-    assert moved and conflicts
+                conflicts += probed.probe(signed([rng.randint(1, n)])[0]) is None
+                assert _solver_state(probed) == state, clauses
+            assumps = signed(rng.sample(range(1, n + 1), rng.randint(0, 3)))
+            answer = plain.solve(assumps)
+            assert probed.solve(assumps) == answer, (clauses, assumps)
+            assert plain.model == probed.model, (clauses, assumps)
+            assert _solver_state(plain) == _solver_state(probed), (clauses, assumps)
+            answers.add(answer)
+    assert moved and conflicts and answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
