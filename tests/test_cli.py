@@ -575,7 +575,8 @@ GOLDEN_GENERATED = FIXTURES.parent / "golden" / "generated.txt"
 
 def _generated_golden_text(directory) -> str:
     """``translate`` of ``perfbench/gen.py`` models, prop text and DIMACS,
-    plus ``analyze --dead``/``--core`` of the smaller ones.
+    ``parse`` of each, JSON and pretty, plus ``analyze --dead``/``--core``
+    of the smaller ones.
 
     Stdout is pinned by its SHA-256 and length, as in ``enumerate.txt``;
     the exit code and stderr are pinned verbatim.
@@ -590,6 +591,7 @@ def _generated_golden_text(directory) -> str:
                     ("translate", "--format", "dimacs")]
             if size <= 130:
                 runs += [("analyze", "--dead"), ("analyze", "--core")]
+            runs += [("parse",), ("parse", "--emit", "pretty")]
             for command, *extra in runs:
                 code, out, err = run(command, str(path), *extra)
                 head = " ".join((f"gen seed {seed} size {size}", command, *extra))
@@ -602,7 +604,8 @@ def _generated_golden_text(directory) -> str:
 
 def test_generated_model_output_is_pinned(tmp_path):
     # generated before the CNF encoder and the solver's clause loading
-    # changed; prop text, DIMACS and the analyses' answers must not move
+    # changed, the parse runs before the one-pass front end; prop text,
+    # DIMACS, the parse output and the analyses' answers must not move
     assert _generated_golden_text(tmp_path) == GOLDEN_GENERATED.read_text()
 
 

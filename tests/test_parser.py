@@ -675,9 +675,12 @@ def test_one_word_values_match_general_parser(word):
         assert nodes[0].legal_values == ListExpr((Single(expected),))
 
 
+_FUZZ_ALPHABET = "cdl_option{}\"\\#;\n\t ABC01&&||!?:()best_substr,"
+
+
 def test_fuzz_never_raises_short():
     rng = random.Random(20240809)
-    alphabet = "cdl_option{}\"\\#;\n\t ABC01&&||!?:()best_substr,"
+    alphabet = _FUZZ_ALPHABET
     for _ in range(3000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
         nodes, diags = parse_model(text)  # must not raise
@@ -713,24 +716,79 @@ def _fault(rng: random.Random, text: str) -> str:
     return text
 
 
+# Brace edge cases: every unescaped brace counts, also inside bare words,
+# quoted words and comments, so a body ends where the braces pair up.
+_BRACE_CASES = {
+    "brace in bare word": "cdl_option A {\n flavor bool}\n}\ncdl_option B {}\n",
+    "brace in quoted word": 'cdl_option A {\n requires "}"\n}\n',
+    "open brace in quoted word": 'cdl_option A {\n requires "{"\n}\n}\n',
+    "brace in comment": (
+        "cdl_option A {\n # a { here\n flavor bool\n}\ncdl_option B {}\n}\n"
+    ),
+    "close brace in comment": "cdl_option A {\n # } here\n flavor bool\n}\n",
+    "words after body": (
+        "cdl_component A {\n cdl_option B {}\n} extra\ncdl_option C {}\n"
+    ),
+    "words after nested body": (
+        "cdl_component A {\n cdl_option B { flavor x } extra\n"
+        " cdl_option C { flavor y }\n}\n"
+    ),
+    "unpaired brace at end under nested bodies": (
+        "cdl_package P {\n cdl_component C {\n  cdl_option O {\n   flavor bool\n"
+        "  }\n  requires {\n}\n"
+    ),
+    "unpaired brace at end in nested body": (
+        "cdl_option X { flavor q }\ncdl_package P {\n flavor z\n"
+        " cdl_component C {\n  flavor w\n  cdl_option O {\n   flavor v\n }\n"
+    ),
+    "stray brace after nested body": (
+        "cdl_component A {\n cdl_option B { flavor x }\n }  }\ncdl_option C {}\n"
+    ),
+    "stray brace at top": "}\ncdl_option A { flavor x }\n} }\n",
+    "nested braced values": (
+        "cdl_option A {\n flavor data\n calculated { {1} + 2 }\n"
+        " legal_values {a {b c}} 3 { {d} }\n requires {{A}}\n}\n"
+    ),
+    "escaped braces": (
+        "cdl_option A {\n requires \\{ B\n display \\}x\n}\n"
+        "cdl_option B { requires {C \\} } }\n"
+    ),
+    "continuation and separators": (
+        "cdl_option A {\\\n flavor bool ; requires \\\n B;;\n}; cdl_option B {}\n"
+    ),
+    "unterminated quote in body": 'cdl_option A {\n requires "B\n}\ncdl_option B {}\n',
+    "unterminated quote at top": 'cdl_option A {}\n"cdl_option B {}\n',
+    "brace word as name": "cdl_option {A} {}\ncdl_option A B\ncdl_option\n",
+    "hash after words": "cdl_option A {\n requires B # C\n flavor bool #x\n}\n",
+}
+
+
 def _parse_golden_text() -> str:
     """Nodes (by the SHA-256 of their repr) and diagnostics of each input."""
     rng = random.Random(0x9A75E)
-    blocks = []
+    inputs = []
     for path in fixture_paths("sound", "family", "analysis", "wf"):
         name = f"{path.parent.name}/{path.name}"
         text = path.read_text()
-        inputs = [(name, text)]
+        inputs.append((name, text))
         inputs += [(f"{name} #{k}", _fault(rng, text)) for k in range(8)]
-        for label, source in inputs:
-            nodes, diagnostics = parse_model(source, "m.cdl")
-            digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
-            lines = [f"## {label} nodes {digest}"] + [str(d) for d in diagnostics]
-            blocks.append("\n".join(lines) + "\n")
+    inputs += [(f"case {label}", text) for label, text in _BRACE_CASES.items()]
+    rng = random.Random(0xB4ACE)
+    for k in range(200):
+        size = rng.randint(0, 80)
+        text = "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(size))
+        inputs.append((f"random #{k}", text))
+    blocks = []
+    for label, source in inputs:
+        nodes, diagnostics = parse_model(source, "m.cdl")
+        digest = hashlib.sha256(repr(nodes).encode()).hexdigest()
+        lines = [f"## {label} nodes {digest}"] + [str(d) for d in diagnostics]
+        blocks.append("\n".join(lines) + "\n")
     return "".join(blocks)
 
 
 def test_parse_output_is_pinned():
     # generated before the front end parsed values in place on the file
-    # text; nodes and diagnostics must not move
+    # text, the brace cases and random texts before the one-pass scan;
+    # nodes and diagnostics must not move
     assert _parse_golden_text() == GOLDEN_PARSE.read_text()
