@@ -357,25 +357,45 @@ def _violations(m: Model) -> list[Violation]:
 
 
 def model_to_json(m: Model) -> str:
-    """Canonical JSON dump of a normalized model, stable across runs."""
-    nodes = []
-    for n in m:  # already sorted by name
-        nodes.append(
-            {
-                "name": n.name,
-                "parent": n.parent,
-                "flavor": n.flavor.value,
-                "kind": n.kind.value,
-                "active_if": sorted(to_source(e) for e in n.active_if),
-                "requires": sorted(to_source(e) for e in n.requires),
-                "calculated": to_source(n.calculated) if n.calculated else None,
-                "legal_values": (
-                    list_to_source(n.legal_values) if n.legal_values else None
-                ),
-                "implements": sorted(n.implements),
-            }
-        )
-    return json.dumps({"nodes": nodes}, indent=2, sort_keys=True)
+    """Canonical JSON dump of a normalized model, stable across runs.
+
+    The text is that of ``json.dumps({"nodes": [...]}, indent=2,
+    sort_keys=True)``, laid out here record by record: an indented dump
+    cannot use the C encoder, so only the strings go through it.
+    """
+    records = [
+        "    {\n"
+        f'      "active_if": {_json_list(to_source(e) for e in n.active_if)},\n'
+        f'      "calculated": {_json_opt(n.calculated and to_source(n.calculated))},\n'
+        f'      "flavor": {_json_str(n.flavor.value)},\n'
+        f'      "implements": {_json_list(n.implements)},\n'
+        f'      "kind": {_json_str(n.kind.value)},\n'
+        f'      "legal_values": '
+        f'{_json_opt(n.legal_values and list_to_source(n.legal_values))},\n'
+        f'      "name": {_json_str(n.name)},\n'
+        f'      "parent": {_json_opt(n.parent)},\n'
+        f'      "requires": {_json_list(to_source(e) for e in n.requires)}\n'
+        "    }"
+        for n in m  # already sorted by name; the keys are in sorted order
+    ]
+    if not records:
+        return '{\n  "nodes": []\n}'
+    return '{\n  "nodes": [\n' + ",\n".join(records) + "\n  ]\n}"
+
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_opt(s: str | None) -> str:
+    return "null" if s is None else _json_str(s)
+
+
+def _json_list(items) -> str:
+    """A sorted list of strings as a value of a node record."""
+    items = sorted(items)
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_json_str, items)) + "\n      ]"
 
 
 def model_to_pretty(m: Model) -> str:

@@ -2,19 +2,24 @@
 
 Three layers:
 
-* a Tcl-style command splitter (words, braces, quotes, comments),
+* a Tcl-style command scanner (words, braces, quotes, comments),
 * an expression tokenizer plus precedence-climbing parser for goal
   expressions,
-* a node builder that walks ``cdl_*`` commands and their bodies.
+* a node builder that runs each ``cdl_*`` command and property as soon as
+  the scanner reaches its end.
 
-The splitter and the tokenizer are regex-driven: compiled patterns
+The scanner and the tokenizer are regex-driven: compiled patterns
 consume the text, and Python code runs once per word or token, not once
-per character.  Every brace of the file is paired up front in one pass
-with a stack, and the splitter reads the end of each body from that one
-table, so nested bodies are not rescanned per enclosing level.  Words are
-``(kind, start, end)`` tuples, a command is the tuple of its words, and
-expression tokens are ``(kind, text, start, end)`` tuples.  Line and
-column numbers are worked out only when a diagnostic needs a position.
+per character.  The scanner reads the file once, front to back, with an
+explicit stack of open node bodies, so nothing recurses per level of
+nesting and no body is first split into a list of commands.  As in Tcl,
+every unescaped brace counts, also inside words, quoted words and
+comments: a braced value finds its '}' by a brace scan from its '{', and
+so does a body once such a brace or a lone quote makes its end matter.
+Words are ``(kind, start, end)`` tuples, a command is the list of its
+words, and expression tokens are ``(kind, text, start, end)`` tuples.
+Line and column numbers are worked out only when a diagnostic needs a
+position.
 
 Values are parsed as windows of the file text where they can be.  A word
 that is one identifier or one decimal integer becomes its ``Ident`` or
@@ -62,8 +67,10 @@ _NODE_COMMANDS = {
     "cdl_interface": Kind.INTERFACE,
 }
 
-# goal-expression properties keep one entry per occurrence
+# goal-expression properties keep one entry per occurrence; these others
+# may occur once per node
 _EXPR_PROPERTIES = ("active_if", "requires")
+_SINGLE_PROPERTIES = ("flavor", "calculated", "legal_values")
 
 _WORD_OPS = {"implies", "eqv", "xor"}
 
@@ -85,20 +92,32 @@ _EXPR_TOKEN_RX = re.compile(
 _QUOTED = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _QUOTED_RX = re.compile(_QUOTED, re.S)
 _ESCAPE_RX = re.compile(r"\\(.)", re.S)
-_BRACE_RX = re.compile(r"\\.|[{}]", re.S)
+# the next unescaped brace; a backslash escapes the character after it
+_NEXT_BRACE_RX = re.compile(r"[^{}\\]*(?:\\.[^{}\\]*)*([{}])", re.S)
+# a comment line; the group is its first brace, if any
+_COMMENT_RX = re.compile(r"[^\n{}]*([{}])?[^\n]*")
 # Blanks (whitespace but newline) and backslash-newline continuations
 # separate words; then one token: a command separator, an opening brace, a
-# quoted word, a lone (unterminated) quote, a stray '}' or a bare word.  A
-# separator takes the blanks, continuations and separators after it along:
-# with no word pending they change nothing.  A run of blanks is a character
-# class repeated between continuations, not a loop over two alternatives:
-# on an indented line the regex engine takes about half the time.
+# node command's head and name up to its '{', a '}', a quoted word, a lone
+# (unterminated) quote or a bare word.  A separator takes the blanks,
+# continuations and separators after it along: with no word pending they
+# change nothing.  A run of blanks is a character class repeated between
+# continuations, not a loop over two alternatives: on an indented line the
+# regex engine takes about half the time.  A quoted or bare word with a
+# brace in it is a token of its own kind, "wquoted" or "wild": every
+# unescaped brace counts, so such a word may end the body it is in.
 _BLANK_RUN = r"[^\S\n]*(?:\\\n[^\S\n]*)*"
 _SEP_RUN = r"[\n;][\s;]*(?:\\\n[\s;]*)*"
+_PLAIN = r"[^\s;\\{}]"  # a bare word's character other than a backslash
 _CMD_TOKEN_RX = re.compile(
     _BLANK_RUN + r"(?:(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
-    r"|(?P<quoted>" + _QUOTED + r')|(?P<open>")|(?P<close>\})'
-    r"|(?P<bare>(?:[^\s;\\]+|\\(?!\n))+))",
+    r"|(?P<head>" + "|".join(_NODE_COMMANDS) + r")(?:[^\S\n]|\\\n)+"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:[^\S\n]|\\\n)+\{|(?P<close>\})"
+    r'|(?P<quoted>"[^"\\{}]*(?:\\[^{}][^"\\{}]*)*")'
+    r"|(?P<wquoted>" + _QUOTED + r')|(?P<open>")'
+    r"|(?P<bare>(?:" + _PLAIN + r"|\\(?!\n))" + _PLAIN + r"*(?:\\(?!\n)"
+    + _PLAIN + r"*)*(?=[\s;]|\\\n|\Z))"
+    r"|(?P<wild>(?:[^\s;\\]+|\\(?!\n))+))",
     re.S,
 )
 # a bare word that is one identifier or one decimal integer: such a value
@@ -513,16 +532,13 @@ def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
     """
     text = src.text
     words: list[tuple[str, int, int]] = []
-    partners = None
     i, n = 0, len(text)
     while (i := _BLANKS_RX.match(text, i).end()) < n:
         start = i
         if text[i] == "{":
-            if partners is None:
-                partners = _pair_braces(text)
-            if start not in partners:
+            i = _brace_end(text, start)
+            if i is None:
                 raise src.error(start, n, "unbalanced '{'")
-            i = partners[start]
             words.append(("braced", start, i))
             continue
         depth = 0
@@ -552,24 +568,25 @@ def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
     return words
 
 
-def _pair_braces(text: str) -> dict[int, int]:
-    """Map the offset of each paired '{' of ``text`` to the end of its '}'.
+def _brace_end(text: str, start: int) -> int | None:
+    """The end of the '}' that pairs the '{' at ``start``, or None.
 
-    One pass with a stack; a backslash escapes the character after it, as
-    in the splitter.  The pairing of a '{' depends only on the braces after
-    it, and wherever a group can open, the backslash pairs of this pass
-    line up with those of a scan from there, so one table serves every
-    nested body.
+    A backslash escapes the character after it, as in the scanner.
+    Wherever a group can open, the backslash pairs of this scan line up
+    with those of a scan from the start of the file, so every brace pairs
+    as it would with a stack over the whole text.
     """
-    partners: dict[int, int] = {}
-    opens: list[int] = []
-    for m in _BRACE_RX.finditer(text):
-        brace = m.group()
-        if brace == "{":
-            opens.append(m.start())
-        elif brace == "}" and opens:
-            partners[opens.pop()] = m.end()
-    return partners
+    depth = 0
+    i = start
+    while (m := _NEXT_BRACE_RX.match(text, i)) is not None:
+        i = m.end()
+        if m.group(1) == "{":
+            depth += 1
+        else:
+            depth -= 1
+            if not depth:
+                return i
+    return None
 
 
 def _join_args(src: _Src, args: tuple) -> _Src:
@@ -595,140 +612,221 @@ def _join_args(src: _Src, args: tuple) -> _Src:
 
 
 # ---------------------------------------------------------------------------
-# command splitting and node building
+# command scanning and node building
 #
 # A word is a (kind, start, end) tuple: kind is "bare", "quoted" or
 # "braced", and start and end bound the lexeme in the file text, quotes and
-# braces included.  A command is the tuple of its words.
+# braces included.  A command is the list of its words.
+
+
+class _Frame:
+    """A body being read: the top level, or the body of ``node`` whose '{'
+    is at ``open``.  ``nodes`` and ``diagnostics`` are the lengths of the
+    builder's lists when it opened: a body whose node is rejected after it
+    was read is cut off there.  The scanner's own diagnostics of a body come
+    before those of its commands, so they wait in ``diags``."""
+
+    __slots__ = ("node", "depth", "open", "end", "nodes", "diagnostics",
+                 "words", "child", "diags")
+
+    def __init__(self, node, depth, open_, end, builder):
+        self.node, self.depth, self.open = node, depth, open_
+        self.end = end  # offset of the closing '}'; None until it is needed
+        self.nodes = len(builder.nodes)
+        self.diagnostics = len(builder.diagnostics)
+        self.words: list[tuple] = []  # of the command being read
+        self.child: _Frame | None = None  # the read body among ``words``
+        self.diags: list[ParseDiagnostic] = []
 
 
 class _ModelBuilder:
     def __init__(self, src: _Src):
         self.src = src
-        self.partners = _pair_braces(src.text)
         self.nodes: list[RawNode] = []
         self.diagnostics: list[ParseDiagnostic] = []
 
     def text(self, w: tuple) -> str:
         return self.src.text[w[1]:w[2]]
 
-    def error(self, w: tuple, message: str) -> None:
+    def error(self, w: tuple, message: str, severity: str = "error") -> None:
         self.diagnostics.append(
-            ParseDiagnostic("error", message, self.src.span(w[1], w[2]))
+            ParseDiagnostic(severity, message, self.src.span(w[1], w[2]))
         )
-
-    def warn(self, w: tuple, message: str) -> None:
-        self.diagnostics.append(
-            ParseDiagnostic("warning", message, self.src.span(w[1], w[2]))
-        )
-
-    def split(self, start: int, end: int) -> list[tuple]:
-        """The commands of the file text from ``start`` to ``end``."""
-        src, partners, sink = self.src, self.partners, self.diagnostics
-        text = src.text
-        commands: list[tuple] = []
-        words: list[tuple[str, int, int]] = []
-        i = start
-        while (m := _CMD_TOKEN_RX.match(text, i, end)) is not None:
-            kind = m.lastgroup
-            s, i = m.span(kind)
-            if kind == "sep":
-                if words:
-                    commands.append(tuple(words))
-                    words = []
-            elif kind == "bare":
-                if text[s] != "#" or words:
-                    words.append((kind, s, i))
-                else:  # a comment runs to the end of the line
-                    i = text.find("\n", s, end)
-                    if i < 0:
-                        i = end
-            elif kind == "quoted":
-                words.append((kind, s, i))
-            elif kind == "braced":
-                i = partners.get(s, end + 1)
-                if i > end:
-                    sink.append(
-                        ParseDiagnostic("error", "unbalanced '{'", src.span(s, end))
-                    )
-                    return commands
-                words.append((kind, s, i))
-            elif kind == "open":
-                sink.append(
-                    ParseDiagnostic(
-                        "error", "unterminated string literal", src.span(s, end)
-                    )
-                )
-                return commands
-            else:
-                sink.append(
-                    ParseDiagnostic("error", "unexpected '}'", src.span(s, i))
-                )
-        if words:
-            commands.append(tuple(words))
-        return commands
 
     def build(self) -> None:
-        for cmd in self.split(0, len(self.src.text)):
-            head = cmd[0]
-            name = self.text(head)
-            if head[0] == "bare" and name in _NODE_COMMANDS:
-                self.node_command(cmd, parent=None, depth=1)
-            else:
-                self.error(head, f"unknown top-level command {name!r}")
+        """Read the file front to back; a command runs when its separator
+        or its body's '}' is reached.  A body is read without knowing its
+        end until a brace in a word or a comment, or a lone quote, needs it:
+        a brace scan then finds the end, and it bounds the rest of the body.
+        """
+        src, text = self.src, self.src.text
+        n = len(text)
+        match = _CMD_TOKEN_RX.match
+        top = frame = _Frame(None, 0, -1, n, self)
+        stack, words, bound, i = [top], top.words, n, 0
+        while True:
+            m = match(text, i, bound)
+            if m is not None:
+                kind = m.lastgroup
+                s, i = m.span(kind)
+            elif frame is top or frame.end is None:
+                break
+            else:  # the '}' of a body whose end was found
+                kind, s, i = "close", bound, bound + 1
+            if kind == "sep":
+                if words:
+                    self.command(frame, words)
+                    words = frame.words = []
+            elif kind == "bare" and (words or text[s] != "#") or kind == "quoted":
+                words.append((kind, s, i))
+            elif kind == "name":  # a node command up to its '{'
+                a, b = m.span("head")
+                words += (("bare", a, b), ("bare", s, i))
+                if len(words) > 2 or frame.depth >= MAX_NESTING:
+                    i = m.end() - 1  # the '{' is read as a value
+                    continue
+                frame = self.open_body(stack, text[a:b], text[s:i], m.end() - 1)
+                words, bound, i = frame.words, n, m.end()
+            elif kind == "braced":
+                if len(words) == 2 and frame.depth < MAX_NESTING and (
+                    name := self.body_owner(words)
+                ):  # a node command with a stray '}' in it, say
+                    frame = self.open_body(stack, self.text(words[0]), name, s)
+                    words, bound = frame.words, n
+                    continue
+                i = _brace_end(text, s)  # a value
+                if i is None:
+                    self.unpaired(stack, s)
+                    break
+                words.append((kind, s, i))
+            elif kind == "close" and frame.end is not None and s < frame.end:
+                frame.diags.append(
+                    ParseDiagnostic("error", "unexpected '}'", src.span(s, i))
+                )
+            elif kind == "close":  # this body's '}'
+                frame.end = s
+                if words:
+                    self.command(frame, words)
+                self.close(frame)
+                stack.pop()
+                body, frame = frame, stack[-1]
+                words, bound = frame.words, frame.end or n
+                words.append(("braced", body.open, i))
+                frame.child = body
+            else:  # a comment, a word or quote with a brace, a lone quote
+                if kind == "bare" or kind == "wild" and not words and text[s] == "#":
+                    line = _COMMENT_RX.match(text, s, bound)  # to the line's end
+                    i = line.end()
+                    if frame.end is not None or line.group(1) is None:
+                        continue
+                if frame.end is None:  # find the body's end, then read again
+                    end = _brace_end(text, frame.open)
+                    if end is None:
+                        self.unpaired(stack, 0)
+                        break
+                    frame.end = bound = end - 1
+                    i = s
+                elif kind != "open":
+                    words.append(("bare" if kind == "wild" else "quoted", s, i))
+                else:
+                    frame.diags.append(ParseDiagnostic(
+                        "error", "unterminated string literal", src.span(s, bound)
+                    ))
+                    self.forget(frame)
+                    if frame is top:
+                        break
+                    words, i = frame.words, bound
+        if m is None and frame is top and words:
+            self.command(frame, words)
+        elif m is None and frame is not top:  # the file ends inside a body
+            self.unpaired(stack, 0)
+        self.close(top)
 
-    def node_command(self, cmd: tuple, parent: str | None, depth: int) -> None:
-        head = cmd[0]
-        kind = _NODE_COMMANDS[self.text(head)]
-        if len(cmd) < 2:
-            self.error(head, f"{self.text(head)} needs a name")
-            return
-        name_word = cmd[1]
-        name = self.text(name_word)
-        if name_word[0] != "bare" or not is_valid_feature_id(name):
-            self.error(name_word, f"invalid node name {name!r}")
-            return
-        if len(cmd) > 3:
-            self.error(cmd[3], "unexpected extra arguments after node body")
-            return
-        node = RawNode(name=name, kind=kind, parent=parent)
+    def open_body(self, stack: list[_Frame], head: str, name: str, at: int) -> _Frame:
+        """Make the node ``name`` and read its body from the '{' at ``at``."""
+        frame = stack[-1]
+        node = RawNode(name, _NODE_COMMANDS[head], frame.node and frame.node.name)
+        stack.append(_Frame(node, frame.depth + 1, at, None, self))
         self.nodes.append(node)
-        if len(cmd) == 3:
-            body_kind, a, b = body = cmd[2]
-            if body_kind != "braced":
-                self.error(body, "node body must be a braced block")
-                return
-            if depth > MAX_NESTING:
-                self.error(body, "node nesting too deep")
-                return
-            for sub in self.split(a + 1, b - 1):
-                self.body_command(sub, node, depth)
+        return stack[-1]
 
-    def body_command(self, cmd: tuple, node: RawNode, depth: int) -> None:
+    def body_owner(self, words: list) -> str | None:
+        """The node name of a command whose next word is its body."""
+        head, name = words
+        if head[0] == "bare" and self.text(head) in _NODE_COMMANDS and (
+            name[0] == "bare" and is_valid_feature_id(self.text(name))
+        ):
+            return self.text(name)
+        return None
+
+    def close(self, frame: _Frame) -> None:
+        """Put the scanner's diagnostics of a body before its commands'."""
+        self.diagnostics[frame.diagnostics:frame.diagnostics] = frame.diags
+
+    def forget(self, frame: _Frame) -> None:
+        """Drop the command being read in ``frame``, with its read body."""
+        if frame.child is not None:
+            del self.nodes[frame.child.nodes:]
+            del self.diagnostics[frame.child.diagnostics:]
+            frame.child = None
+        frame.words = []
+
+    def unpaired(self, stack: list[_Frame], at: int) -> None:
+        """A '{' has no '}': the outermost open body's, or else the one at
+        ``at``.  Nothing after it is read."""
+        top = stack[0]
+        if len(stack) > 1:  # that body is the command being read at the top
+            top.child, at = stack[1], stack[1].open
+        self.forget(top)
+        top.diags.append(ParseDiagnostic(
+            "error", "unbalanced '{'", self.src.span(at, len(self.src.text))
+        ))
+
+    def command(self, frame: _Frame, cmd: list) -> None:
         head = cmd[0]
         prop = self.text(head)
-        if head[0] == "bare" and prop in _NODE_COMMANDS:
-            self.node_command(cmd, parent=node.name, depth=depth + 1)
-            return
-        args = cmd[1:]
-        if prop == "flavor":
-            self.set_flavor(node, head, args)
+        if head[0] != "bare" or prop not in _NODE_COMMANDS:
+            if frame.node is None:
+                self.error(head, f"unknown top-level command {prop!r}")
+            else:
+                self.property(frame.node, head, prop, cmd[1:])
+        elif frame.child is not None:  # the node and its body are read
+            if len(cmd) > 3:
+                self.forget(frame)
+                self.error(cmd[3], "unexpected extra arguments after node body")
+            frame.child = None
+        elif len(cmd) < 2:
+            self.error(head, f"{prop} needs a name")
+        elif cmd[1][0] != "bare" or not is_valid_feature_id(self.text(cmd[1])):
+            self.error(cmd[1], f"invalid node name {self.text(cmd[1])!r}")
+        elif len(cmd) > 3:
+            self.error(cmd[3], "unexpected extra arguments after node body")
+        else:
+            parent = frame.node and frame.node.name
+            self.nodes.append(RawNode(self.text(cmd[1]), _NODE_COMMANDS[prop], parent))
+            if len(cmd) == 3:  # a braced body within the nesting limit is read
+                self.error(cmd[2], "node body must be a braced block"
+                           if cmd[2][0] != "braced" else "node nesting too deep")
+
+    def property(self, node: RawNode, head: tuple, prop: str, args: list) -> None:
+        if prop in _SINGLE_PROPERTIES and getattr(node, prop) is not None:
+            self.error(head, f"duplicate {prop} property")
+        elif prop == "flavor":
+            if len(args) != 1:
+                return self.error(head, "flavor needs exactly one value")
+            value = self.text(args[0])
+            node.flavor = _FLAVORS.get(value)
+            if node.flavor is None:
+                self.error(args[0], f"unknown flavor {value!r}")
         elif prop in _EXPR_PROPERTIES:
             entry = self.parse_entry(head, args)
             if entry is not None:
                 getattr(node, prop).append(entry)
         elif prop == "calculated":
-            if node.calculated is not None:
-                self.error(head, "duplicate calculated property")
-                return
             node.calculated = self.parse_entry(head, args)
         elif prop == "legal_values":
-            if node.legal_values is not None:
-                self.error(head, "duplicate legal_values property")
-                return
             if not args:
-                self.error(head, "legal_values needs a value")
-                return
+                return self.error(head, "legal_values needs a value")
             # bare words without quotes, parentheses or braces are their
             # own list split: joined and split again, they come back as is
             src, words = self.src, args
@@ -743,31 +841,18 @@ class _ModelBuilder:
                 self.diagnostics.append(err.diagnostic)
         elif prop == "implements":
             if not args:
-                self.error(head, "implements needs an interface name")
-                return
+                return self.error(head, "implements needs an interface name")
             for w in args:
                 iface = self.text(w)
                 if w[0] != "bare" or not is_valid_feature_id(iface):
                     self.error(w, f"invalid interface name {iface!r}")
-                    continue
-                node.implements.append(iface)
+                else:
+                    node.implements.append(iface)
         else:
             # unsupported properties are kept as opaque annotations
             raw = " ".join(self.text(w) for w in args)
             node.annotations.setdefault(prop, []).append(raw)
-            self.warn(head, f"ignoring unsupported property {prop!r}")
-
-    def set_flavor(self, node: RawNode, head: tuple, args: tuple) -> None:
-        if node.flavor is not None:
-            self.error(head, "duplicate flavor property")
-            return
-        if len(args) != 1:
-            self.error(head, "flavor needs exactly one value")
-            return
-        value = self.text(args[0])
-        node.flavor = _FLAVORS.get(value)
-        if node.flavor is None:
-            self.error(args[0], f"unknown flavor {value!r}")
+            self.error(head, f"ignoring unsupported property {prop!r}", "warning")
 
     def parse_entry(self, head: tuple, args: tuple) -> tuple[GoalExpr, ...] | None:
         if not args:

@@ -510,7 +510,7 @@ def validate_configuration(
     check_total(m.universe(), c.domain)
     return ValidationReport(tuple(
         Failure(name, family, _explain(name, family, c, m, builtins))
-        for name, family in _failures(m, c, builtins)
+        for name, family in _failures(m, c, builtins, sorted(c.domain - m.ids()))
     ))
 
 
@@ -523,10 +523,14 @@ def check_total(universe, domain) -> None:
         )
 
 
-def _failures(m: Model, c: Configuration, builtins: Builtins):
+def _failures(m: Model, c: Configuration, builtins: Builtins, unloaded=()):
     """(feature, family) of every failure of a total configuration, lazily
-    and in report order, so an acceptance check stops at the first."""
-    for x in sorted(c.domain - m.ids()):
+    and in report order, so an acceptance check stops at the first.
+
+    ``unloaded`` lists, sorted, the features of ``c`` that are not in the
+    model; enumeration pins them all to state 0 and passes none.
+    """
+    for x in unloaded:
         if c.state(x) == 1:
             yield x, "unloaded"
     for n in m:

@@ -1,8 +1,10 @@
 """Parser tests: expressions, lists, model syntax, robustness."""
 
 import hashlib
+import inspect
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from cdlsem import (
 )
 from cdlsem.exprs import PRECEDENCE, infix
 from cdlsem.model import Flavor, Kind, RawNode
-from cdlsem.parser import ParseError
+from cdlsem.parser import MAX_NESTING, ParseError
 
 from conftest import FIXTURES, fixture_paths
 
@@ -407,6 +409,32 @@ def test_nesting_depth_matches_brace_depth():
         hops += 1
         cur = by_name[cur].parent
     assert hops == depth
+
+
+def _component_chain(depth: int) -> str:
+    opens = "".join(f"cdl_component C{i} {{\n" for i in range(depth))
+    return opens + "}\n" * depth
+
+
+def test_nesting_limit_is_one_error():
+    # the node at depth 101 is made, its body is skipped whole
+    nodes, diags = parse_model(_component_chain(150))
+    assert len(nodes) == MAX_NESTING + 1
+    assert [str(d) for d in diags] == ["<model>:101:20: error: node nesting too deep"]
+
+
+def test_parsing_needs_no_recursion():
+    # a chain as deep as the limit, with about 50 frames to spare above
+    # this test's own depth: a parser that recursed once per body fails
+    text = _component_chain(MAX_NESTING)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        nodes, diags = parse_model(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert diags == [] and len(nodes) == MAX_NESTING
+    assert nodes[-1].parent == f"C{MAX_NESTING - 2}"
 
 
 # ---------------------------------------------------------------------------
