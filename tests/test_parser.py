@@ -791,6 +791,67 @@ _BRACE_CASES = {
 }
 
 
+def _value_case(*props: str) -> str:
+    """A data option whose body is ``props``, one per line."""
+    return "cdl_option A {\n flavor data\n" + "".join(f" {p}\n" for p in props) + "}\n"
+
+
+# Value-level cases: list items and 'to', the expression nesting limit at
+# and past its bound, every expression parser error, and valid trees.
+_VALUE_CASES = {
+    "leading to": _value_case("legal_values to 3"),
+    "to to": _value_case("legal_values 1 to to"),
+    "to without upper bound": _value_case("legal_values 1 2 to"),
+    "to as a list item": _value_case("legal_values 1 to 2 3 {to} \"to\" (4) to (5)"),
+    "74 parens": _value_case("requires {" + "(" * 74 + "B" + ")" * 74 + "}"),
+    "75 parens": _value_case("requires {" + "(" * 75 + "B" + ")" * 75 + "}"),
+    "151 parens": _value_case("requires {" + "(" * 151 + "B" + ")" * 151 + "}"),
+    "148 nots": _value_case("requires {" + "!" * 148 + "B}"),
+    "149 nots": _value_case("requires {" + "!" * 149 + "B}"),
+    "151 nots": _value_case("requires {" + "!" * 151 + "B}"),
+    "deep mixed nesting": _value_case(
+        "calculated {" + "~(!" * 60 + "B" + ")" * 60 + "}",
+        "requires {" + "B ? " * 160 + "1" + " : 0" * 160 + "}",
+        "active_if {" + "B && (C || " * 50 + "D" + ")" * 50 + "}",
+    ),
+    "sign before a name": _value_case("requires { - B }", "calculated { + }"),
+    "sign in a list": _value_case("legal_values - 1"),
+    "word operator as a value": _value_case(
+        "requires { B && xor }", "active_if {implies}", "calculated {eqv}"
+    ),
+    "word operator as a list item": _value_case("legal_values {1} (xor)"),
+    "unknown builtin": _value_case("requires { is_set(B) }"),
+    "builtin arity": _value_case(
+        "requires { is_enabled(B, C) }", "active_if { is_substr(B) }",
+        "calculated { get_data() }",
+    ),
+    "unclosed paren": _value_case("requires { (B && C }"),
+    "unclosed call": _value_case("requires { is_enabled(B C) }"),
+    "conditional without colon": _value_case("calculated { B ? 1 2 }"),
+    "trailing list input": _value_case("legal_values (1)2 3"),
+    "trailing string in a list": _value_case("legal_values 1\"a\" 3"),
+    "stray paren in a goal": _value_case("calculated { B ) }"),
+    "conditional and calls": _value_case(
+        "calculated { B ? is_enabled(C) : get_data(D) + 1 }",
+        "requires { is_substr(get_data(B), \"x\") ? C : !D }",
+        "active_if { version_cmp(B, \"1.0\") >= 0 ? B : C ? D : E }",
+    ),
+    "bit not and signs": _value_case(
+        "calculated { ~B & -3 | +4 - -0x10 }",
+        "legal_values -1 to +5 ~2 -0x1F +.5e3 (-2) to (~B)",
+    ),
+    "string escapes": _value_case(
+        "calculated { \"a\\\"b\\\\c\\nd\\te\\qf\" }",
+        "legal_values \"x\\ty\" {\"q\\z\"} \"\\\n\" \"\"",
+        "requires { B == \"\\\\\" }",
+    ),
+    "precedence ladder": _value_case(
+        "calculated { B implies C eqv D || E && F xor G | H ^ I & J == K"
+        " != L < M <= N << O + P * Q % R / S - T >> U > V >= W }",
+    ),
+}
+
+
 def _parse_golden_text() -> str:
     """Nodes (by the SHA-256 of their repr) and diagnostics of each input."""
     rng = random.Random(0x9A75E)
@@ -801,6 +862,7 @@ def _parse_golden_text() -> str:
         inputs.append((name, text))
         inputs += [(f"{name} #{k}", _fault(rng, text)) for k in range(8)]
     inputs += [(f"case {label}", text) for label, text in _BRACE_CASES.items()]
+    inputs += [(f"value {label}", text) for label, text in _VALUE_CASES.items()]
     rng = random.Random(0xB4ACE)
     for k in range(200):
         size = rng.randint(0, 80)
@@ -817,6 +879,7 @@ def _parse_golden_text() -> str:
 
 def test_parse_output_is_pinned():
     # generated before the front end parsed values in place on the file
-    # text, the brace cases and random texts before the one-pass scan;
-    # nodes and diagnostics must not move
+    # text, the brace cases and random texts before the one-pass scan, the
+    # value cases before the flat value loops; nodes and diagnostics must
+    # not move
     assert _parse_golden_text() == GOLDEN_PARSE.read_text()
