@@ -13,7 +13,7 @@ nested tree, so walkers loop over it instead of recursing per operator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 
 # builtin name -> required argument count
@@ -28,35 +28,62 @@ BUILTINS = {
 }
 
 
+def frozen(cls):
+    """``@dataclass(frozen=True, slots=True)`` with a cheaper ``__init__``.
+
+    The dataclass's ``__init__`` stores each field with
+    ``object.__setattr__``; this one stores it through the field's slot
+    descriptor and then calls ``__post_init__``, if the class has one.
+    Equality, hashing, ``repr``, ``__match_args__``, field defaults and
+    ``dataclasses.replace`` stay the dataclass's.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    env, params, body = {}, [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: default_factory is not supported")
+        env[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        env[f"_default_{f.name}"] = f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}")
+        body.append(f"_set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    # generated source, as dataclasses itself does: one plain call per field
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), env)
+    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = env["__init__"]
+    return cls
+
+
 class GoalExpr:
     """Marker base class for goal expression nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Ident(GoalExpr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Const(GoalExpr):
     """A literal value; numbers and strings alike are kept as text."""
 
     value: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Not(GoalExpr):
     child: GoalExpr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BitNot(GoalExpr):
     child: GoalExpr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Infix(GoalExpr):
     """Left-associative chain ``items[0] op items[1] op ...`` of one operator.
 
@@ -83,7 +110,7 @@ def infix(op: str, left: GoalExpr, right: GoalExpr) -> Infix:
     return Infix(op, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Call(GoalExpr):
     func: str
     args: tuple[GoalExpr, ...]
@@ -98,7 +125,7 @@ class Call(GoalExpr):
             )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Cond(GoalExpr):
     """Ternary conditional ``guard ? then : other``."""
 
@@ -107,14 +134,14 @@ class Cond(GoalExpr):
     other: GoalExpr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Single:
     """A plain list item: matches values equal to the expression."""
 
     expr: GoalExpr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Range:
     """A ``low to high`` list item, inclusive on both ends."""
 
@@ -122,7 +149,7 @@ class Range:
     high: GoalExpr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ListExpr:
     items: tuple = field(default=())
 

@@ -19,6 +19,7 @@ from .exprs import (
     ListExpr,
     list_referenced_ids,
     list_to_source,
+    frozen,
     infix,
     referenced_ids,
     to_source,
@@ -58,7 +59,7 @@ DEFAULT_FLAVOR = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class RawNode:
     """Pre-normalization node record as produced by the parser.
 
@@ -95,7 +96,7 @@ class RawNode:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Node:
     name: str
     parent: str  # another node's name, or TOP
@@ -297,7 +298,7 @@ def _disjoin(entry: tuple[GoalExpr, ...]) -> GoalExpr:
     return acc
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Violation:
     rule: str  # one of "a".."e"
     node: str

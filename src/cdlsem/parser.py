@@ -38,7 +38,6 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass
 
 from .exprs import (
     BUILTINS,
@@ -53,6 +52,7 @@ from .exprs import (
     PRECEDENCE,
     Range,
     Single,
+    frozen,
     infix,
 )
 from .model import Flavor, Kind, RawNode, is_valid_feature_id
@@ -134,7 +134,7 @@ _ESCAPE_MAP = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
 _FLAVORS = {f.value: f for f in Flavor}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SourceSpan:
     file: str
     start_line: int
@@ -146,7 +146,7 @@ class SourceSpan:
         return f"{self.file}:{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ParseDiagnostic:
     severity: str  # "error" | "warning"
     message: str
@@ -268,7 +268,7 @@ def _tokenize_expr(
                 stop,
             )
         else:
-            toks.append((kind, m.group(kind), start, i))
+            toks.append((kind, text[start:i], start, i))
             if kind == "EOF":
                 return toks
 
@@ -334,74 +334,69 @@ class _ExprParser:
         self.i += 1
 
     def parse(self, min_prec: int = _TERNARY_PREC) -> GoalExpr:
+        # each parse and parse_unary call is one level of depth; an error
+        # abandons the parser, so only a return gives the level back
         self.depth += 1
         if self.depth > MAX_EXPR_DEPTH:
-            self.fail(self.peek(), "expression nesting too deep")
-        try:
-            left = self.parse_unary()
-            while True:
-                kind, op = self.toks[self.i][:2]
-                # an identifier in PRECEDENCE is a word operator
-                if kind in ("OP", "IDENT") and PRECEDENCE.get(op, 0) >= min_prec:
-                    self.i += 1
-                    right = self.parse(PRECEDENCE[op] + 1)
-                    left = infix(op, left, right)
-                elif kind == "OP" and op == "?" and min_prec <= _TERNARY_PREC:
-                    self.i += 1
-                    then = self.parse(_TERNARY_PREC)
-                    self.expect(":", "expected ':' in conditional")
-                    other = self.parse(_TERNARY_PREC)
-                    left = Cond(left, then, other)
-                else:
-                    return left
-        finally:
-            self.depth -= 1
+            self.fail(self.toks[self.i], "expression nesting too deep")
+        left = self.parse_unary()
+        toks = self.toks
+        while True:
+            kind, op = toks[self.i][:2]
+            # an identifier in PRECEDENCE is a word operator
+            if kind in ("OP", "IDENT") and PRECEDENCE.get(op, 0) >= min_prec:
+                self.i += 1
+                right = self.parse(PRECEDENCE[op] + 1)
+                left = infix(op, left, right)
+            elif kind == "OP" and op == "?" and min_prec <= _TERNARY_PREC:
+                self.i += 1
+                then = self.parse(_TERNARY_PREC)
+                self.expect(":", "expected ':' in conditional")
+                other = self.parse(_TERNARY_PREC)
+                left = Cond(left, then, other)
+            else:
+                self.depth -= 1
+                return left
 
     def parse_unary(self) -> GoalExpr:
+        """A prefix operator with its operand, a signed number or an atom."""
         self.depth += 1
+        tok = self.toks[self.i]
         if self.depth > MAX_EXPR_DEPTH:
-            self.fail(self.peek(), "expression nesting too deep")
-        try:
-            tok = self.peek()
-            kind, text = tok[0], tok[1]
-            if kind == "OP" and text == "!":
-                self.i += 1
-                return Not(self.parse_unary())
-            if kind == "OP" and text == "~":
-                self.i += 1
-                return BitNot(self.parse_unary())
-            if kind == "OP" and text in ("+", "-"):
-                # no general unary minus in the grammar; signs only attach
-                # to numeric literals (negative legal_values bounds etc.)
-                nxt = self.toks[self.i + 1]
-                if nxt[0] == "NUM":
-                    self.i += 2
-                    return Const(("" if text == "+" else "-") + nxt[1])
-                self.fail(tok, f"unexpected {text!r}; not a unary operator here")
-            return self.parse_atom()
-        finally:
-            self.depth -= 1
-
-    def parse_atom(self) -> GoalExpr:
-        tok = self.peek()
+            self.fail(tok, "expression nesting too deep")
         self.i += 1
         kind, text = tok[0], tok[1]
-        if kind == "NUM" or kind == "STR":
-            return Const(text)
         if kind == "IDENT":
             if text in _WORD_OPS:
                 self.fail(tok, f"{text!r} is an operator, not a value")
-            nxt = self.peek()
+            nxt = self.toks[self.i]
             if nxt[0] == "OP" and nxt[1] == "(":
-                return self.parse_call(tok)
-            return Ident(text)
-        if kind == "OP" and text == "(":
-            inner = self.parse(_TERNARY_PREC)
-            self.expect(")", "expected ')'")
-            return inner
-        if kind == "EOF":
+                expr = self.parse_call(tok)
+            else:
+                expr = Ident(text)
+        elif kind == "NUM" or kind == "STR":
+            expr = Const(text)
+        elif kind == "EOF":
             self.fail(tok, "unexpected end of expression")
-        self.fail(tok, f"unexpected {text!r}")
+        elif text == "!":
+            expr = Not(self.parse_unary())
+        elif text == "~":
+            expr = BitNot(self.parse_unary())
+        elif text == "(":
+            expr = self.parse(_TERNARY_PREC)
+            self.expect(")", "expected ')'")
+        elif text == "+" or text == "-":
+            # no general unary minus in the grammar; signs only attach to
+            # numeric literals (negative legal_values bounds etc.)
+            nxt = self.toks[self.i]
+            if nxt[0] != "NUM":
+                self.fail(tok, f"unexpected {text!r}; not a unary operator here")
+            self.i += 1
+            expr = Const(("" if text == "+" else "-") + nxt[1])
+        else:
+            self.fail(tok, f"unexpected {text!r}")
+        self.depth -= 1
+        return expr
 
     def parse_call(self, name_tok: tuple) -> GoalExpr:
         name = name_tok[1]
@@ -468,44 +463,34 @@ def parse_list_expr(text: str, file: str = "<list>") -> ListExpr:
 
 
 def _parse_list(src: _Src, words, warnings: list | None = None) -> ListExpr:
-    """The list of ``words``, (kind, start, end) words of ``src``."""
+    """The list of ``words``, (kind, start, end) words of ``src``.
+
+    A bare ``to`` between two values makes the item before it a range.
+    """
     text = src.text
     if not words:
         raise src.error(0, len(text) or 1, "empty list expression")
-
-    def is_to(k: int) -> bool:
-        return k < len(words) and words[k][0] == "bare" and (
-            text[words[k][1]:words[k][2]] == "to"
-        )
-
-    def value(k: int) -> GoalExpr:
-        if is_to(k):
-            raise src.error(*words[k][1:], "'to' needs a value on both sides")
-        return _list_item_expr(src, words[k], warnings)
-
     items: list = []
-    i = 0
-    while i < len(words):
-        low = value(i)
-        if not is_to(i + 1):
-            items.append(Single(low))
-            i += 1
-        elif i + 2 == len(words):
-            raise src.error(*words[i + 1][1:], "'to' needs an upper bound")
+    to = None  # a 'to' waiting for its upper bound
+    for word in words:
+        kind, start, end = word
+        if kind == "bare" and end - start == 2 and text[start:end] == "to":
+            if to is not None or not items or items[-1].__class__ is Range:
+                raise src.error(start, end, "'to' needs a value on both sides")
+            to = word
+            continue
+        if kind == "braced":  # braces quote literally, like Tcl
+            expr = Const(text[start + 1:end - 1])
         else:
-            items.append(Range(low, value(i + 2)))
-            i += 3
+            expr = _one_token(text, word) or _parse_one_expr(src, warnings, start, end)
+        if to is None:
+            items.append(Single(expr))
+        else:
+            items[-1] = Range(items[-1].expr, expr)
+            to = None
+    if to is not None:
+        raise src.error(to[1], to[2], "'to' needs an upper bound")
     return ListExpr(tuple(items))
-
-
-def _list_item_expr(src: _Src, word: tuple, warnings) -> GoalExpr:
-    kind, start, end = word
-    if kind == "braced":
-        # braces quote literally, like Tcl
-        return Const(src.text[start + 1:end - 1])
-    return _one_token(src.text, word) or _parse_one_expr(
-        src, warnings, start, end
-    )
 
 
 def _one_token(text: str, word: tuple) -> GoalExpr | None:
@@ -517,10 +502,11 @@ def _one_token(text: str, word: tuple) -> GoalExpr | None:
     """
     kind, start, end = word
     if kind == "bare" and (m := _ONE_TOKEN_RX.fullmatch(text, start, end)):
+        value = m.group()
         if m.lastindex is None:
-            return Const(m.group())
-        if m.group() not in _WORD_OPS:
-            return Ident(m.group())
+            return Const(value)
+        if value not in _WORD_OPS:
+            return Ident(value)
     return None
 
 
@@ -828,12 +814,11 @@ class _ModelBuilder:
             if not args:
                 return self.error(head, "legal_values needs a value")
             # bare words without quotes, parentheses or braces are their
-            # own list split: joined and split again, they come back as is
+            # own list split: joined and split again, they come back as is;
+            # a quoted or braced word has a quote or a brace
             src, words = self.src, args
             try:
-                if any(w[0] != "bare" for w in args) or _LIST_MARK_RX.search(
-                    src.text, args[0][1], args[-1][2]
-                ):
+                if _LIST_MARK_RX.search(src.text, args[0][1], args[-1][2]):
                     src = _join_args(src, args)
                     words = _split_list_words(src)
                 node.legal_values = _parse_list(src, words, self.diagnostics)

@@ -13,11 +13,10 @@ operators share ``exprs.Infix``: a long chain is one node, not a tree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import or_
 
 from .errors import EvalError, FormulaError, OracleError
-from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not
+from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not, frozen
 from .model import TOP, Flavor, Kind, Model, check_well_formed
 from .semantics import (
     Assignment,
@@ -39,12 +38,12 @@ class BoolExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BIdent(BoolExpr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BConst(BoolExpr):
     value: int
 
@@ -53,7 +52,7 @@ class BConst(BoolExpr):
             raise ValueError("Boolean constant must be 0 or 1")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BNot(BoolExpr):
     child: BoolExpr
 
@@ -62,7 +61,7 @@ class BNot(BoolExpr):
 _BOOL_PREC = {"implies": 1, "eqv": 1, "||": 2, "&&": 3}
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BInfix(BoolExpr):
     """Left-associative chain ``items[0] op items[1] op ...`` of one connective.
 
@@ -81,7 +80,7 @@ class BInfix(BoolExpr):
             raise ValueError("operator chain needs at least two operands")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class BCard(BoolExpr):
     """Between ``at_least`` and ``at_most`` of the named features are true."""
 
@@ -351,14 +350,14 @@ def _rewrite_interface_cmp(name: str, op: str, value, m: Model) -> BoolExpr | No
 # whole-model translation
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Constraint:
     node: str
     family: str  # node|flavor|calculated|interface|unloaded
     expr: BoolExpr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class PropFormula:
     constraints: tuple[Constraint, ...]
     variables: tuple[str, ...]  # lexicographic feature order

@@ -17,11 +17,11 @@ many of them as it can.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
 
 from .cdcl import Solver
 from .errors import AnalysisError
+from .exprs import frozen
 from .model import Model
 from .prop import (
     BCard,
@@ -43,7 +43,7 @@ from .prop import (
 AUX_PREFIX = "#"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Cnf:
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
@@ -56,7 +56,7 @@ class Cnf:
         return tuple(n for n in self.variables if not n.startswith(AUX_PREFIX))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class SatResult:
     status: str  # "sat" | "unsat"
     witness: PropConfig | None

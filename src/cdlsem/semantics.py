@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from .errors import EvalError, OracleError, ValidationError
 from .exprs import (
@@ -30,6 +29,7 @@ from .exprs import (
     ListExpr,
     Not,
     Single,
+    frozen,
     to_source,
 )
 from .model import TOP, Flavor, Kind, Model, Node
@@ -483,14 +483,14 @@ def interface_holds(
 # whole-model validation
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class Failure:
     node: str
     family: str  # node|flavor|calculated|legal_values|interface|unloaded
     explanation: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class ValidationReport:
     failures: tuple[Failure, ...]
 
@@ -633,7 +633,8 @@ def dump_configuration(c: Configuration) -> str:
     """One feature per line: id, state, value, data; tab separated."""
     lines = []
     for name, (s, v, d) in c.items():
-        if "\t" in d or "\n" in d:
+        # read_tsv splits at every line break str.splitlines knows, not only \n
+        if "\t" in d or "".join(d.splitlines()) != d:
             raise ValueError(f"data value of {name!r} cannot be written as TSV")
         lines.append(f"{name}\t{s}\t{v}\t{d}")
     return "\n".join(lines) + ("\n" if lines else "")

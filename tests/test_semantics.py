@@ -632,6 +632,30 @@ def test_configuration_tsv_round_trip():
     assert again == c and warnings == []
 
 
+# every character at which str.splitlines breaks a line
+_LINE_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def test_line_breaks_are_those_of_splitlines():
+    found = [chr(k) for k in range(0x3000) if len(f"a{chr(k)}b".splitlines()) > 1]
+    assert "".join(found) == _LINE_BREAKS
+
+
+@pytest.mark.parametrize("ch", "\t" + _LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_dump_rejects_what_load_cannot_read(ch):
+    # the load would fail with "expected 4 tab-separated fields"
+    for data in (f"a{ch}b", f"a{ch}", f"{ch}", f"a\r{ch}b"):
+        with pytest.raises(ValueError, match="cannot be written as TSV"):
+            dump_configuration(cfg(A=(1, 1, data)))
+
+
+def test_dump_round_trips_every_other_character():
+    kept = "".join(chr(k) for k in range(0x3000) if chr(k) not in "\t" + _LINE_BREAKS)
+    c = cfg(A=(1, 1, kept), B=(1, 1, f" {kept} "), C=(0, 0, ""))
+    again, warnings = load_configuration(dump_configuration(c))
+    assert again == c and warnings == []
+
+
 def test_load_configuration_defaults_missing():
     got, warnings = load_configuration("A\t1\t1\t1\n", universe=["A", "B"])
     assert got == cfg(A=(1, 1, "1"), B=(0, 0, "0"))

@@ -119,3 +119,33 @@ def test_analyses_use_only_the_public_solver():
     # and phase; the search's own state stays inside cdcl.py
     sat = SOURCES[0].with_name("sat.py")
     assert solver_internals(sat.read_text()) == []
+
+
+def frozen_dataclasses(source: str) -> list[str]:
+    """Classes that a ``dataclass(..., frozen=...)`` decorator builds."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                func = deco.func if isinstance(deco, ast.Call) else None
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "dataclass" and any(
+                    k.arg == "frozen" for k in deco.keywords
+                ):
+                    found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_frozen_dataclasses_are_found():
+    source = (
+        "@dataclass(frozen=True, slots=True)\nclass A: pass\n"
+        "@dataclasses.dataclass(\n    slots=True, frozen=True)\nclass B: pass\n"
+        "@dataclass(slots=True)\nclass C: pass\n@frozen\nclass D: pass\n"
+    )
+    assert frozen_dataclasses(source) == ["A (line 2)", "B (line 5)"]
+
+
+def test_records_come_from_the_frozen_helper():
+    # exprs.frozen builds every immutable record: a plain frozen dataclass
+    # stores each field through object.__setattr__, which is slower
+    assert [f"{p.name}: {c}" for p in SOURCES for c in frozen_dataclasses(p.read_text())] == []
