@@ -475,7 +475,7 @@ def _parse_list(src: _Src, words, warnings: list | None = None) -> ListExpr:
     for word in words:
         kind, start, end = word
         if kind == "bare" and end - start == 2 and text[start:end] == "to":
-            if to is not None or not items or items[-1].__class__ is Range:
+            if to is not None or not items or isinstance(items[-1], Range):
                 raise src.error(start, end, "'to' needs a value on both sides")
             to = word
             continue
