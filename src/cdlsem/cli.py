@@ -10,6 +10,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -85,7 +86,8 @@ class _Cli:
     def read_file(self, path: str) -> tuple[str | None, int]:
         """The file's text, or None after reporting why, with the exit code."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # utf-8-sig: a leading byte-order mark is not part of the text
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 return fh.read(), EXIT_OK
         except OSError as err:
             self.error(f"cannot read {path}: {err}")
@@ -391,6 +393,12 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
     cli = _Cli(stdout, stderr)
+    # The pipeline makes no reference cycles, so a collection during a
+    # command walks the freshly built model and frees nothing; the caller's
+    # setting comes back afterwards.  test_commands_leave_no_cycles in
+    # tests/test_cli.py guards that no command leaves cyclic garbage.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return globals()["cmd_" + args.command](cli, args)
     except RecursionError:
@@ -398,6 +406,9 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         # trees alike, and the parser caps all other nesting
         cli.error(f"{args.model}: error: nested too deeply")
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

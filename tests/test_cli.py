@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -128,6 +129,42 @@ def test_non_utf8_files_exit_2(tmp_path):
         )
         assert (proc.returncode, proc.stdout) == (2, ""), argv
         assert proc.stderr == f"cdlsem: {message}\n", argv
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    # a UTF-8 byte-order mark, as some editors write one, is not part of
+    # the first word of a model or of a configuration
+    bom = b"\xef\xbb\xbf"
+    model, config, bits = (tmp_path / n for n in ("m.cdl", "c.tsv", "b.tsv"))
+    models = [
+        (FIXTURES / "sound" / "s22_mixed.cdl").read_bytes(),
+        b"cdl_option A {\n}\n",
+        b"cdl_option A { frob 1 }\ncdl_option B {\n requires {(}\n}\n",
+    ]
+    configs = [(b"A\t1\t1\t1\n", b"A\t1\n"),
+               (b"A\t1\t1\t1\nMODE\t1\t1\t2\n", b"A\t1\nMODE\t0\n")]
+    commands = [
+        ("check", str(model)),
+        ("parse", str(model)),
+        ("parse", str(model), "--emit", "pretty"),
+        ("translate", str(model)),
+        ("validate", str(model), str(config)),
+        ("validate", str(model), str(config), "--strict"),
+        ("validate", str(model), str(bits), "--prop"),
+    ]
+    for source in models:
+        for rows, values in configs:
+            outcomes = []
+            for model_bom, config_bom in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                model.write_bytes(bom * model_bom + source)
+                config.write_bytes(bom * config_bom + rows)
+                bits.write_bytes(bom * config_bom + values)
+                outcomes.append([run(*argv) for argv in commands])
+            assert outcomes[1:] == outcomes[:1] * 3, (source, rows)
+    model.write_bytes(bom + b"cdl_option A {\n}\n")
+    config.write_bytes(bom + b"A\t1\t1\t1\n")
+    assert run("check", str(model)) == (0, "", "")
+    assert run("validate", str(model), str(config)) == (0, "accepted\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +544,127 @@ def test_fixture_corpus_runs_clean():
     for path in sorted((FIXTURES / "sound").glob("*.cdl"))[:5]:
         assert run("check", str(path))[0] == 0
         assert run("analyze", str(path), "--sat")[0] == 0
+
+
+def _cycle_guard_runs(directory) -> list[tuple[str, ...]]:
+    """Every subcommand form on every fixture and on ``perfbench/gen.py``
+    seed-1 models of 36 and 130 features, accepted and rejected
+    configurations among them, plus one run of each error path."""
+    forms = [("parse",), ("parse", "--emit", "pretty"), ("check",),
+             ("translate", "--format", "prop"), ("translate", "--format", "dimacs"),
+             ("analyze", "--sat"), ("analyze", "--dead"), ("analyze", "--core"),
+             ("analyze", "--implications"), ("analyze", "--implications", "--reduce"),
+             ("analyze", "--implications", "--dot"),
+             ("enumerate",), ("enumerate", "--prop")]
+    models = []  # (model path, [(full TSV, bits TSV)])
+    for group in ("sound", "family", "analysis", "wf"):
+        for path in sorted((FIXTURES / group).glob("*.cdl")):
+            # all-on, all-off and an enabled undeclared feature
+            cases = _fixture_validate_cases(path)[:3]
+            models.append((path, [(rows, bits) for _, rows, bits in cases]))
+    gen = perfbench_gen()
+    for size in (36, 130):
+        g = gen.generate(1, size)
+        path = directory / f"gen1_{size}.cdl"
+        path.write_text(g.text, encoding="utf-8")
+        cases = _generated_validate_cases(g, random.Random(size))
+        full = {label: rows for label, rows, _ in cases if rows is not None}
+        prop = {label: bits for label, _, bits in cases if bits is not None}
+        models.append((path, [(full["accepted"], prop["accepted"]),
+                              (full["node-on-guard"], prop["node-dead-on"])]))
+    runs = []
+    for path, cases in models:
+        runs += [(command, str(path), *extra) for command, *extra in forms]
+        for k, (rows, bits) in enumerate(cases):
+            for mode, text in (((), rows), (("--prop",), bits)):
+                config = directory / f"{path.stem}_{k}{''.join(mode)}.tsv"
+                config.write_text(text, encoding="utf-8")
+                runs.append(("validate", str(path), str(config), *mode))
+    errors = {
+        "unbalanced.cdl": "cdl_option A {",
+        "ill_formed.cdl": (FIXTURES / "wf" / "rule_a_bad.cdl").read_text(),
+        "div.cdl": "cdl_option A { flavor data; requires { A / 0 } }\n",
+        "shift.cdl": "cdl_option A { flavor data; calculated { 2 << 20000 } }\n",
+        "deep.cdl": f"cdl_option A {{ requires {{ {'(' * 80}A{')' * 80} }} }}\n",
+    }
+    for name, text in errors.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    one = directory / "one.tsv"
+    one.write_text("A\t1\t1\t1\n", encoding="utf-8")
+    big = str(directory / "gen1_130.cdl")
+    runs += [
+        ("check", str(directory / "unbalanced.cdl")),
+        ("translate", str(directory / "ill_formed.cdl")),
+        ("validate", str(directory / "ill_formed.cdl"), str(one)),
+        ("validate", big, str(one), "--strict"),
+        ("validate", big, str(one), "--prop", "--strict"),
+        ("validate", str(directory / "div.cdl"), str(one)),
+        ("validate", str(directory / "shift.cdl"), str(one)),
+        ("check", str(directory / "deep.cdl")),
+        ("enumerate", big, "--budget", "100"),
+        ("check", str(directory / "missing.cdl")),
+        ("validate", big, str(directory / "missing.tsv")),
+    ]
+    return runs
+
+
+def test_commands_leave_no_cycles(tmp_path):
+    # cli.main pauses the cyclic collector during a command, because the
+    # pipeline builds no reference cycles; a command that left one behind
+    # would hold its memory until the caller's next collection
+    seen = set()
+    gc.collect()
+    gc.freeze()  # each collection walks what came after, not the whole process
+    try:
+        for argv in _cycle_guard_runs(tmp_path):
+            gc.collect()
+            seen.add(main(list(argv), stdout=io.StringIO(), stderr=io.StringIO()))
+            assert gc.collect() == 0, argv
+    finally:
+        gc.unfreeze()
+    assert seen == {0, 1, 2, 3, 4}
+
+
+def test_collector_is_paused_only_while_a_command_runs(demo, monkeypatch, capsys):
+    model, _ = demo
+    states = []
+
+    def record(cli, args):
+        states.append(gc.isenabled())
+        return 0
+
+    def nested(cli, args):
+        # a command run by a command leaves the outer one's pause alone
+        assert run("check", str(model)) == (0, "", "")
+        states.append(gc.isenabled())
+        return 0
+
+    def crash(cli, args):
+        states.append(gc.isenabled())
+        raise KeyError("crash")
+
+    def too_deep(cli, args):
+        states.append(gc.isenabled())
+        raise RecursionError("maximum recursion depth exceeded")
+
+    enabled = gc.isenabled()
+    try:
+        for before in (True, False):
+            gc.enable() if before else gc.disable()
+            for command, expected in ((record, 0), (nested, 0), (too_deep, 2)):
+                monkeypatch.setattr("cdlsem.cli.cmd_translate", command)
+                assert run("translate", str(model))[0] == expected
+                assert gc.isenabled() is before
+            monkeypatch.setattr("cdlsem.cli.cmd_translate", crash)
+            with pytest.raises(KeyError):
+                run("translate", str(model))
+            assert gc.isenabled() is before
+            # an argparse error runs no command
+            assert main(["bogus"]) == 2 and gc.isenabled() is before
+        assert states == [False] * 8
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    finally:
+        gc.enable() if enabled else gc.disable()
 
 
 GOLDEN_TRANSLATE = FIXTURES.parent / "golden" / "translate.txt"
