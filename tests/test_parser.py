@@ -849,6 +849,15 @@ _VALUE_CASES = {
         "calculated { B implies C eqv D || E && F xor G | H ^ I & J == K"
         " != L < M <= N << O + P * Q % R / S - T >> U > V >= W }",
     ),
+    # values joined from several words: a string or a parenthesis runs
+    # across words, an escape ends a word, several braced words
+    "string across words": _value_case('requires a"b c"'),
+    "parenthesis across list words": _value_case("legal_values (A + 1) 5"),
+    "string across list words": _value_case('legal_values a"b c" d'),
+    "escape at a word's end": _value_case('calculated x"a\\ b"'),
+    "escaped blank in a quoted word": _value_case('calculated "x\\ y"'),
+    "two empty braced words": _value_case("requires {} {}"),
+    "two empty braced list words": _value_case("legal_values {} { }"),
 }
 
 
