@@ -388,10 +388,15 @@ _ARGPARSER = _build_argparser()
 def main(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    # argparse prints usage, errors and --help to sys.stdout and sys.stderr
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = stdout, stderr
     try:
         args = _ARGPARSER.parse_args(argv)
     except SystemExit as err:
         return EXIT_INPUT if err.code not in (0, None) else 0
+    finally:
+        sys.stdout, sys.stderr = saved
     cli = _Cli(stdout, stderr)
     # The pipeline makes no reference cycles, so a collection during a
     # command walks the freshly built model and frees nothing; the caller's

@@ -190,11 +190,15 @@ PRECEDENCE = {
 }
 _UNARY_PREC = 14
 
-_NUMBER_RX = (
-    r"[+-]?(?:0[xX][0-9a-fA-F]+"
-    r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?"
-    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
-)
+# The number grammar of the tokenizer, the printer and value coercion: hex
+# integers, then digits with an optional fraction and exponent, then a
+# fraction alone.  The tokenizer tries the alternatives in this order, so
+# "1.5" is one token, not "1" and ".5".
+_HEX = r"0[xX][0-9a-fA-F]+"
+_NUMBER = _HEX + r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+# signed: a whole value that is a number, and one that is an integer
+_NUMBER_RX = re.compile(r"[+-]?(?:" + _NUMBER + ")")
+_INT_RX = re.compile(r"[+-]?(?:" + _HEX + r"|[0-9]+)")
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
 
@@ -210,7 +214,7 @@ def quote_string(value: str) -> str:
 
 def _const_source(value: str) -> str:
     # a leading '+' would not survive re-parsing verbatim, so quote it
-    if re.fullmatch(_NUMBER_RX, value) and not value.startswith("+"):
+    if _NUMBER_RX.fullmatch(value) and not value.startswith("+"):
         return value
     return quote_string(value)
 

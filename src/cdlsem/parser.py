@@ -52,6 +52,9 @@ from .exprs import (
     PRECEDENCE,
     Range,
     Single,
+    _ESCAPES,
+    _NUMBER,
+    _TERNARY_PREC,
     frozen,
     infix,
 )
@@ -74,15 +77,10 @@ _SINGLE_PROPERTIES = ("flavor", "calculated", "legal_values")
 
 _WORD_OPS = {"implies", "eqv", "xor"}
 
-_NUM = (
-    r"0[xX][0-9a-fA-F]+"
-    r"|[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?"
-    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-)
 # one token after optional blanks, tried in this order; two-character
 # operators come before their one-character prefixes
 _EXPR_TOKEN_RX = re.compile(
-    r"\s*(?:(?P<NUM>" + _NUM + r")|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<NUM>" + _NUMBER + r")|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)"
     r'|(?P<STR>")|(?P<OP>\|\||&&|<<|>>|<=|>=|==|!=|[|^&<>+\-*/%()?,:!~])'
     r"|(?P<EOF>\Z)|(?P<BAD>.))",
     re.S,
@@ -130,7 +128,8 @@ _LIST_MARK_RX = re.compile(r'["(){}]')
 _LIST_STOP_RX = re.compile(r'[\s"()]')
 _BLANKS_RX = re.compile(r"\s*")
 
-_ESCAPE_MAP = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+# escape character -> the character it stands for, the printer's escapes reversed
+_ESCAPE_MAP = {esc[1]: ch for ch, esc in _ESCAPES.items()}
 _FLAVORS = {f.value: f for f in Flavor}
 
 
@@ -307,8 +306,6 @@ def _scan_string(
 
 # ---------------------------------------------------------------------------
 # goal expression parsing (precedence climbing)
-
-_TERNARY_PREC = 1
 
 
 class _ExprParser:

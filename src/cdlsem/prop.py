@@ -19,6 +19,7 @@ from .errors import EvalError, FormulaError, OracleError
 from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not, frozen
 from .model import TOP, Flavor, Kind, Model, check_well_formed
 from .semantics import (
+    DEFAULT_BUDGET,
     Assignment,
     Configuration,
     Failure,
@@ -28,8 +29,6 @@ from .semantics import (
     read_tsv,
     to_bool,
 )
-
-DEFAULT_PROP_BUDGET = 2_000_000
 
 
 class BoolExpr:
@@ -440,7 +439,7 @@ def validate_prop(m: Model, cp: PropConfig) -> ValidationReport:
 
 
 def enumerate_prop_configs(
-    m: Model, budget: int = DEFAULT_PROP_BUDGET
+    m: Model, budget: int = DEFAULT_BUDGET
 ) -> list[PropConfig]:
     """All Boolean configurations the translated model accepts."""
     ids = sorted(m.universe())

@@ -15,7 +15,6 @@ number.
 from __future__ import annotations
 
 import itertools
-import re
 
 from .errors import EvalError, OracleError, ValidationError
 from .exprs import (
@@ -29,17 +28,14 @@ from .exprs import (
     ListExpr,
     Not,
     Single,
+    _INT_RX,
+    _NUMBER_RX,
     frozen,
     to_source,
 )
 from .model import TOP, Flavor, Kind, Model, Node
 
 DEFAULT_BUDGET = 2_000_000
-
-_INT_RX = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+)")
-_FLOAT_RX = re.compile(
-    r"[+-]?(?:[0-9]+\.?[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
-)
 
 _MAX_SHIFT = 1 << 16  # guard against absurd shift widths
 # Decimal integers are capped at the digit count where Python 3.11 starts
@@ -64,7 +60,7 @@ def parse_number(v: str):
                 "too-large", f"integer of more than {_MAX_DIGITS} digits"
             )
         return int(v, 10)
-    if _FLOAT_RX.fullmatch(v):
+    if _NUMBER_RX.fullmatch(v):
         return float(v)
     return None
 
@@ -92,7 +88,7 @@ def to_bool(v: str) -> int:
     if _INT_RX.fullmatch(v):
         # zero when every digit is; no conversion, so no size limit
         return 1 if v.lstrip("+-").lstrip("0xX") else 0
-    return 0 if _FLOAT_RX.fullmatch(v) and float(v) == 0 else 1
+    return 0 if _NUMBER_RX.fullmatch(v) and float(v) == 0 else 1
 
 
 def format_number(n) -> str:
@@ -216,54 +212,6 @@ def access(x: str, c: Configuration) -> str:
     return "0" if c.state(x) == 0 else c.data(x)
 
 
-class Builtins:
-    """Default behaviors of the builtin functions.
-
-    Subclass and override individual methods to change a reading; pass the
-    instance to eval_expr/validate_configuration.
-    """
-
-    def get_data(self, name: str, c: Configuration, m: Model) -> str:
-        if name not in c:
-            raise EvalError("unknown-id", f"unknown feature {name!r}")
-        return c.data(name)  # deliberately ignores the enabled state
-
-    def is_active(self, name: str, c: Configuration, m: Model) -> str:
-        if name not in c:
-            raise EvalError("unknown-id", f"unknown feature {name!r}")
-        return str(c.state(name))
-
-    def is_enabled(self, name: str, c: Configuration, m: Model) -> str:
-        if name not in c:
-            raise EvalError("unknown-id", f"unknown feature {name!r}")
-        return str(c.value(name))
-
-    def is_loaded(self, name: str, c: Configuration, m: Model) -> str:
-        return "1" if name in m else "0"
-
-    def is_substr(self, hay: str, needle: str) -> str:
-        return "1" if needle.lower() in hay.lower() else "0"
-
-    def is_xsubstr(self, hay: str, needle: str) -> str:
-        return "1" if needle in hay else "0"
-
-    def version_cmp(self, a: str, b: str) -> str:
-        pa, pb = a.split("."), b.split(".")
-        while len(pa) < len(pb):
-            pa.append("0")
-        while len(pb) < len(pa):
-            pb.append("0")
-        for xa, xb in zip(pa, pb):
-            r = compare_values(xa, xb)
-            if r != 0:
-                return str(r)
-        return "0"
-
-
-DEFAULT_BUILTINS = Builtins()
-
-_REF_FUNCS = ("get_data", "is_active", "is_enabled", "is_loaded")
-
 # Boolean operator -> result for (left, right) truth values, indexed 2*l + r
 _TRUTH = {
     "||": (0, 1, 1, 1),
@@ -283,18 +231,16 @@ _CMP_HOLDS = {
 }
 
 
-def eval_expr(
-    e: GoalExpr, c: Configuration, m: Model, builtins: Builtins = DEFAULT_BUILTINS
-) -> str:
+def eval_expr(e: GoalExpr, c: Configuration, m: Model) -> str:
     """Evaluate a goal expression to its string value."""
     if isinstance(e, Ident):
         return access(e.name, c)
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Not):
-        return "0" if to_bool(eval_expr(e.child, c, m, builtins)) else "1"
+        return "0" if to_bool(eval_expr(e.child, c, m)) else "1"
     if isinstance(e, BitNot):
-        n = parse_number(eval_expr(e.child, c, m, builtins))
+        n = parse_number(eval_expr(e.child, c, m))
         if not isinstance(n, int):
             raise EvalError("not-numeric", "~ needs an integer operand")
         return _int_text(~n)
@@ -303,46 +249,70 @@ def eval_expr(
         # order a left-nested tree would raise them
         op = e.op
         operands = iter(e.items)
-        acc = eval_expr(next(operands), c, m, builtins)
+        acc = eval_expr(next(operands), c, m)
         truth = _TRUTH.get(op)
         if truth is not None:
             r = to_bool(acc)
             for x in operands:
-                r = truth[2 * r + to_bool(eval_expr(x, c, m, builtins))]
+                r = truth[2 * r + to_bool(eval_expr(x, c, m))]
             return "1" if r else "0"
         holds = _CMP_HOLDS.get(op)
         if holds is not None:
             for x in operands:
-                r = compare_values(acc, eval_expr(x, c, m, builtins))
+                r = compare_values(acc, eval_expr(x, c, m))
                 acc = "1" if r in holds else "0"
             return acc
         for x in operands:
-            acc = _arith(op, acc, eval_expr(x, c, m, builtins))
+            acc = _arith(op, acc, eval_expr(x, c, m))
         return acc
     if isinstance(e, Cond):
-        if to_bool(eval_expr(e.guard, c, m, builtins)):
-            return eval_expr(e.then, c, m, builtins)
-        return eval_expr(e.other, c, m, builtins)
+        if to_bool(eval_expr(e.guard, c, m)):
+            return eval_expr(e.then, c, m)
+        return eval_expr(e.other, c, m)
     if isinstance(e, Call):
-        return _call(e, c, m, builtins)
+        return _call(e, c, m)
     raise TypeError(f"not a goal expression: {e!r}")
 
 
-def _call(e: Call, c: Configuration, m: Model, builtins: Builtins) -> str:
-    if e.func in _REF_FUNCS:
-        name = _feature_ref(e.args[0], c, m, builtins)
-        return getattr(builtins, e.func)(name, c, m)
-    a = eval_expr(e.args[0], c, m, builtins)
-    b = eval_expr(e.args[1], c, m, builtins)
-    return getattr(builtins, e.func)(a, b)
+def _call(e: Call, c: Configuration, m: Model) -> str:
+    func, args = e.func, e.args
+    if len(args) == 1:
+        # get_data, is_active, is_enabled and is_loaded name a feature: an
+        # identifier or a constant by its text, any other expression by its
+        # value
+        x = args[0]
+        if isinstance(x, Ident):
+            name = x.name
+        elif isinstance(x, Const):
+            name = x.value
+        else:
+            name = eval_expr(x, c, m)
+        if func == "is_loaded":
+            return "1" if name in m else "0"
+        if name not in c:
+            raise EvalError("unknown-id", f"unknown feature {name!r}")
+        if func == "get_data":
+            return c.data(name)  # deliberately ignores the enabled state
+        return str(c.state(name) if func == "is_active" else c.value(name))
+    a = eval_expr(args[0], c, m)
+    b = eval_expr(args[1], c, m)
+    if func == "is_substr":
+        return "1" if b.lower() in a.lower() else "0"
+    if func == "is_xsubstr":
+        return "1" if b in a else "0"
+    return _version_cmp(a, b)
 
 
-def _feature_ref(e: GoalExpr, c: Configuration, m: Model, builtins: Builtins) -> str:
-    if isinstance(e, Ident):
-        return e.name
-    if isinstance(e, Const):
-        return e.value
-    return eval_expr(e, c, m, builtins)
+def _version_cmp(a: str, b: str) -> str:
+    """-1, 0 or 1 over dot-separated parts; a missing part counts as 0."""
+    pa, pb = a.split("."), b.split(".")
+    pa += ["0"] * (len(pb) - len(pa))
+    pb += ["0"] * (len(pa) - len(pb))
+    for xa, xb in zip(pa, pb):
+        r = compare_values(xa, xb)
+        if r != 0:
+            return str(r)
+    return "0"
 
 
 def _arith(op: str, a: str, b: str) -> str:
@@ -381,22 +351,16 @@ def _arith(op: str, a: str, b: str) -> str:
     return format_number(r)
 
 
-def satisfies_legal(
-    d: str,
-    c: Configuration,
-    l: ListExpr,
-    m: Model,
-    builtins: Builtins = DEFAULT_BUILTINS,
-) -> int:
+def satisfies_legal(d: str, c: Configuration, l: ListExpr, m: Model) -> int:
     """Whether a data value matches a legal_values enumeration."""
     for item in l.items:
         if isinstance(item, Single):
-            if values_equal(d, eval_expr(item.expr, c, m, builtins)):
+            if values_equal(d, eval_expr(item.expr, c, m)):
                 return 1
         else:
             # both bounds are evaluated, low first, before either is compared
-            low = eval_expr(item.low, c, m, builtins)
-            high = eval_expr(item.high, c, m, builtins)
+            low = eval_expr(item.low, c, m)
+            high = eval_expr(item.high, c, m)
             if compare_values(low, d) <= 0 and compare_values(d, high) <= 0:
                 return 1
     return 0
@@ -406,12 +370,12 @@ def satisfies_legal(
 # per-node checks
 
 
-def _ctc_failures(n: Node, c: Configuration, m: Model, builtins: Builtins):
+def _ctc_failures(n: Node, c: Configuration, m: Model):
     """(constraint, reason) of each cross-tree constraint of ``n`` that does
     not hold, lazily and in the model's constraint order."""
     for e in m.sorted_constraints(n.name):
         try:
-            if to_bool(eval_expr(e, c, m, builtins)):
+            if to_bool(eval_expr(e, c, m)):
                 continue
             reason = "is false"
         except EvalError as err:
@@ -426,12 +390,10 @@ def flavor_holds(n: Node, c: Configuration) -> int:
     return 1
 
 
-def calculated_holds(
-    n: Node, c: Configuration, m: Model, builtins: Builtins = DEFAULT_BUILTINS
-) -> int:
+def calculated_holds(n: Node, c: Configuration, m: Model) -> int:
     """The calculated expression pins value and/or data, by flavor."""
     try:
-        computed = eval_expr(n.calculated, c, m, builtins)
+        computed = eval_expr(n.calculated, c, m)
     except EvalError:
         return 0
     if n.flavor == Flavor.BOOL:
@@ -444,14 +406,12 @@ def calculated_holds(
     return int(c.data(n.name) == computed)  # data flavor
 
 
-def legal_values_holds(
-    n: Node, c: Configuration, m: Model, builtins: Builtins = DEFAULT_BUILTINS
-) -> int:
+def legal_values_holds(n: Node, c: Configuration, m: Model) -> int:
     """Data value must match the enumeration; no effect on flavor none."""
     if n.flavor == Flavor.NONE:
         return 1
     try:
-        return satisfies_legal(c.data(n.name), c, n.legal_values, m, builtins)
+        return satisfies_legal(c.data(n.name), c, n.legal_values, m)
     except EvalError:
         return 0
 
@@ -503,14 +463,12 @@ class ValidationReport:
         return "accepted" if self.accepted else "rejected"
 
 
-def validate_configuration(
-    m: Model, c: Configuration, builtins: Builtins = DEFAULT_BUILTINS
-) -> ValidationReport:
+def validate_configuration(m: Model, c: Configuration) -> ValidationReport:
     """Check a configuration against every denotation family of the model."""
     check_total(m.universe(), c.domain)
     return ValidationReport(tuple(
-        Failure(name, family, _explain(name, family, c, m, builtins))
-        for name, family in _failures(m, c, builtins, sorted(c.domain - m.ids()))
+        Failure(name, family, _explain(name, family, c, m))
+        for name, family in _failures(m, c, sorted(c.domain - m.ids()))
     ))
 
 
@@ -523,7 +481,7 @@ def check_total(universe, domain) -> None:
         )
 
 
-def _failures(m: Model, c: Configuration, builtins: Builtins, unloaded=()):
+def _failures(m: Model, c: Configuration, unloaded=()):
     """(feature, family) of every failure of a total configuration, lazily
     and in report order, so an acceptance check stops at the first.
 
@@ -539,22 +497,20 @@ def _failures(m: Model, c: Configuration, builtins: Builtins, unloaded=()):
         # they decide the verdict
         guard = c.state(n.parent) and c.value(name)
         if c.state(name) != (
-            guard and next(_ctc_failures(n, c, m, builtins), None) is None
+            guard and next(_ctc_failures(n, c, m), None) is None
         ):
             yield name, "node"
         if not flavor_holds(n, c):
             yield name, "flavor"
-        if n.calculated is not None and not calculated_holds(n, c, m, builtins):
+        if n.calculated is not None and not calculated_holds(n, c, m):
             yield name, "calculated"
-        if n.legal_values is not None and not legal_values_holds(n, c, m, builtins):
+        if n.legal_values is not None and not legal_values_holds(n, c, m):
             yield name, "legal_values"
         if n.kind == Kind.INTERFACE and not interface_holds(n, c, m):
             yield name, "interface"
 
 
-def _explain(
-    name: str, family: str, c: Configuration, m: Model, builtins: Builtins
-) -> str:
+def _explain(name: str, family: str, c: Configuration, m: Model) -> str:
     """Explanation of one failure that ``_failures`` found."""
     if family == "unloaded":
         return "feature is not in the model but enabled"
@@ -562,7 +518,7 @@ def _explain(
     if family == "node":
         reasons = [
             f"constraint {to_source(e)} {reason}"
-            for e, reason in _ctc_failures(n, c, m, builtins)
+            for e, reason in _ctc_failures(n, c, m)
         ]
         return "; ".join([
             f"enabled_state={c.state(name)} but parent_state="
@@ -581,10 +537,7 @@ def _explain(
 
 
 def enumerate_configurations(
-    m: Model,
-    data_domain,
-    budget: int = DEFAULT_BUDGET,
-    builtins: Builtins = DEFAULT_BUILTINS,
+    m: Model, data_domain, budget: int = DEFAULT_BUDGET
 ) -> list[Configuration]:
     """All accepted configurations over a finite data domain, brute force.
 
@@ -620,7 +573,7 @@ def enumerate_configurations(
     for combo in itertools.product(*choices):
         # well formed and total over the universe by construction
         c = Configuration._wrap(dict(zip(ids, combo)))
-        if next(_failures(m, c, builtins), None) is None:
+        if next(_failures(m, c), None) is None:
             accepted.append(c)
     return accepted
 

@@ -4,7 +4,6 @@ import pathlib
 import random
 import sys
 
-import numpy as np
 import pytest
 
 from cdlsem import has_errors, normalize_model, parse_model
@@ -14,22 +13,26 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def brute_cnf_status(cnf: Cnf) -> str:
-    """Truth-table satisfiability via vectorized clause masks (<= ~20 vars)."""
+    """Truth-table satisfiability on int bit masks (<= ~20 vars).
+
+    Bit ``a`` of a mask is the valuation that makes variable ``v`` true
+    exactly when bit ``v - 1`` of ``a`` is set.
+    """
     n = cnf.num_vars
-    if n == 0:
-        return "unsat" if any(len(c) == 0 for c in cnf.clauses) else "sat"
-    assigns = np.arange(1 << n, dtype=np.uint32)
-    ok = np.ones(1 << n, dtype=bool)
+    full = (1 << (1 << n)) - 1
+    true = [0]  # true[v]: the valuations where variable v is true
+    for i in range(n):
+        half = 1 << i
+        # 2**i valuations with the variable false, then 2**i with it true
+        unit = ((1 << half) - 1) << half
+        true.append(unit * (full // ((1 << 2 * half) - 1)))
+    ok = full
     for cl in cnf.clauses:
-        pos = np.uint32(0)
-        neg = np.uint32(0)
+        sat = 0
         for l in cl:
-            if l > 0:
-                pos |= np.uint32(1 << (l - 1))
-            else:
-                neg |= np.uint32(1 << (-l - 1))
-        ok &= ((assigns & pos) != 0) | ((~assigns & neg) != 0)
-        if not ok.any():
+            sat |= true[l] if l > 0 else full ^ true[-l]
+        ok &= sat
+        if not ok:
             return "unsat"
     return "sat"
 

@@ -355,6 +355,20 @@ def test_too_deep_nesting_exits_2_without_traceback(tmp_path, monkeypatch):
     )
 
 
+def test_argparse_writes_to_the_given_streams(capsys):
+    code, out, err = run("bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cdlsem ") and "invalid choice: 'bogus'" in err
+    code, out, err = run("check")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: model" in err
+    for argv in (("--help",), ("validate", "-h")):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: cdlsem ") and "--help" in out
+    assert capsys.readouterr() == ("", "")
+
+
 def test_public_names_resolve():
     import cdlsem
 
@@ -625,7 +639,7 @@ def test_commands_leave_no_cycles(tmp_path):
     assert seen == {0, 1, 2, 3, 4}
 
 
-def test_collector_is_paused_only_while_a_command_runs(demo, monkeypatch, capsys):
+def test_collector_is_paused_only_while_a_command_runs(demo, monkeypatch):
     model, _ = demo
     states = []
 
@@ -660,9 +674,10 @@ def test_collector_is_paused_only_while_a_command_runs(demo, monkeypatch, capsys
                 run("translate", str(model))
             assert gc.isenabled() is before
             # an argparse error runs no command
-            assert main(["bogus"]) == 2 and gc.isenabled() is before
+            code, _, err = run("bogus")
+            assert code == 2 and gc.isenabled() is before
+            assert "invalid choice: 'bogus'" in err
         assert states == [False] * 8
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
     finally:
         gc.enable() if enabled else gc.disable()
 

@@ -8,7 +8,6 @@ import pytest
 from cdlsem import Const, EvalError, OracleError, ValidationError, parse_list_expr
 from cdlsem.parser import parse_goal_expr as pg
 from cdlsem.semantics import (
-    Builtins,
     Configuration,
     access,
     calculated_holds,
@@ -240,20 +239,21 @@ def test_builtins_defaults():
     assert eval_expr(pg("get_data(B)"), c, m) == "9"  # state ignored
     assert eval_expr(pg("is_active(B)"), c, m) == "0"
     assert eval_expr(pg("is_enabled(B)"), c, m) == "1"
+    # an identifier or a constant names a feature by its text, any other
+    # argument by its value; only is_loaded accepts an unknown name
+    c = cfg(A=(1, 1, "B"), B=(0, 1, "9"))
+    assert eval_expr(pg('get_data("B")'), c, m) == "9"
+    assert eval_expr(pg("is_active(A)"), c, m) == "1"
+    assert eval_expr(pg("is_active(get_data(A))"), c, m) == "0"
+    assert eval_expr(pg("is_loaded(GHOST)"), c, m) == "0"
+    for func in ("get_data", "is_active", "is_enabled"):
+        with pytest.raises(EvalError, match="unknown-id: unknown feature 'GHOST'"):
+            eval_expr(pg(f"{func}(GHOST)"), c, m)
     assert ev('is_substr("Hello World", "WORLD")') == "1"
     assert ev('is_xsubstr("Hello World", "WORLD")') == "0"
     assert ev('version_cmp("1.2", "1.10")') == "-1"
     assert ev('version_cmp("1.2.0", "1.2")') == "0"
     assert ev('version_cmp("v2", "v10")') == "1"  # textual components
-
-
-def test_builtin_policy_is_overridable():
-    class GetDataRespectsState(Builtins):
-        def get_data(self, name, c, m):
-            return access(name, c)
-
-    c = cfg(B=(0, 1, "9"))
-    assert eval_expr(pg("get_data(B)"), c, EMPTY, GetDataRespectsState()) == "0"
 
 
 def test_version_cmp_missing_components_are_zero():
