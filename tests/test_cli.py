@@ -498,11 +498,58 @@ def test_enumerate_json_count(tmp_path):
 # cross-cutting
 
 
+def _every_form(demo, tmp_path) -> list[tuple[str, ...]]:
+    """Every subcommand form on the demo model, in each output format,
+    with an accepted and a rejected configuration and an ill-formed model."""
+    model, config = (str(p) for p in demo)
+    bits, rejected = tmp_path / "bits.conf", tmp_path / "rejected.conf"
+    bits.write_text("PKG\t1\nCOMP\t1\nOPT\t1\nEXTRA\t1\n")
+    rejected.write_text("PKG\t0\nCOMP\t1\nOPT\t0\nEXTRA\t0\n")
+    ill_formed = str(FIXTURES / "wf" / "rule_a_bad.cdl")
+    forms = [("parse", model), ("parse", model, "--emit", "pretty"),
+             ("check", model), ("check", ill_formed),
+             ("validate", model, config), ("validate", model, str(bits), "--prop"),
+             ("validate", model, str(rejected), "--prop"),
+             ("analyze", model, "--sat"), ("analyze", model, "--dead"),
+             ("analyze", model, "--core"), ("analyze", model, "--implications"),
+             ("analyze", model, "--implications", "--reduce"),
+             ("enumerate", model), ("enumerate", model, "--prop")]
+    forms += [form + ("--format", "json") for form in forms]
+    return forms + [("analyze", model, "--implications", "--dot"),
+                    ("translate", model), ("translate", model, "--format", "dimacs"),
+                    ("translate", model, "--format", "json")]
+
+
 def test_output_to_file(demo, tmp_path):
+    # -o FILE gets exactly the text stdout would, with the same exit code
+    # and diagnostics, and stdout stays empty
+    target = tmp_path / "out.txt"
+    codes = set()
+    for argv in _every_form(demo, tmp_path):
+        code, out, err = run(*argv)
+        assert run(*argv, "-o", str(target)) == (code, "", err), argv
+        assert target.read_bytes() == out.encode(), argv
+        target.unlink()
+        codes.add(code)
+    assert codes == {0, 1}
+
+
+def test_unwritable_output_exit_3(demo, tmp_path):
+    for argv in _every_form(demo, tmp_path):
+        code, out, err = run(*argv, "-o", str(tmp_path))
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"cdlsem: cannot write {tmp_path}: "), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_missing_configuration_exit_3(demo, tmp_path):
+    # reported as a missing model is
     model, _ = demo
-    target = tmp_path / "out.json"
-    code, out, _ = run("parse", str(model), "-o", str(target))
-    assert code == 0 and out == "" and target.read_text().startswith("{")
+    missing = tmp_path / "nope.conf"
+    for mode in ((), ("--prop",)):
+        assert run("validate", str(model), str(missing), *mode) == (
+            3, "", f"cdlsem: cannot read {missing}: no such file\n"
+        ), mode
 
 
 def test_validate_prop_accepts_projected_full_configs(demo, tmp_path):
