@@ -435,7 +435,9 @@ def _parse_one_expr(
     expr = parser.parse()
     trailing = parser.peek()
     if trailing[0] != "EOF":
-        parser.fail(trailing, f"unexpected trailing input {trailing[1]!r}")
+        # as written: a string token's text is its unescaped value
+        _, _, at, end = trailing
+        parser.fail(trailing, f"unexpected trailing input {src.text[at:end]!r}")
     return expr
 
 

@@ -166,6 +166,9 @@ def test_goal_errors(text):
 def test_trailing_tokens_rejected():
     with pytest.raises(ParseError):
         parse_goal_expr("a b")
+    # a trailing string is quoted as written, not by its unescaped value
+    with pytest.raises(ParseError, match=r"""trailing input '"b\\\\tc"'$"""):
+        parse_goal_expr('a "b\\tc"')
     assert parse_goal_exprs("a b") == [Ident("a"), Ident("b")]
 
 
