@@ -150,31 +150,30 @@ class _CnfBuilder:
 
     # --- literal-level gates with biconditional definitions
 
-    def and_lit(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        key = ("and",) + tuple(sorted((a, b)))
-        if key in self.memo:
-            return self.memo[key]
-        x = self.new_aux("and")
-        self.add_clause((-x, a))
-        self.add_clause((-x, b))
-        self.add_clause((x, -a, -b))
-        self.memo[key] = x
+    def gate(self, s: int, lits, hint: str) -> int:
+        """A new literal x with x <-> AND(lits) for s = 1 and x <-> OR(lits)
+        for s = -1: || is && with every sign flipped."""
+        x = self.new_aux(hint)
+        for l in lits:
+            self.add_clause((-s * x, s * l))
+        self.add_clause(tuple([s * x] + [-s * l for l in lits]))
         return x
 
-    def or_lit(self, a: int, b: int) -> int:
+    def pair_gate(self, s: int, a: int, b: int) -> int:
         if a == b:
             return a
-        key = ("or",) + tuple(sorted((a, b)))
-        if key in self.memo:
-            return self.memo[key]
-        x = self.new_aux("or")
-        self.add_clause((x, -a))
-        self.add_clause((x, -b))
-        self.add_clause((-x, a, b))
-        self.memo[key] = x
+        # an int first: no expression or eqv key equals it
+        key = (s, a, b) if a < b else (s, b, a)
+        x = self.memo.get(key)
+        if x is None:
+            x = self.memo[key] = self.gate(s, (a, b), "and" if s == 1 else "or")
         return x
+
+    def and_lit(self, a: int, b: int) -> int:
+        return self.pair_gate(1, a, b)
+
+    def or_lit(self, a: int, b: int) -> int:
+        return self.pair_gate(-1, a, b)
 
     def eqv_lit(self, a: int, b: int) -> int:
         # memoised like the others, so a chain shares its prefix's gates
@@ -209,11 +208,7 @@ class _CnfBuilder:
                     index[x.name] if x.__class__ is BIdent else self.lit(x)
                     for x in e.items
                 ]
-                x = self.new_aux("def")
-                s = 1 if e.op == "&&" else -1  # || is && with every sign flipped
-                for l in lits:
-                    self.add_clause((-s * x, s * l))
-                self.add_clause(tuple([s * x] + [-s * l for l in lits]))
+                x = self.gate(1 if e.op == "&&" else -1, lits, "def")
         elif cls is BCard:
             x = self.card_lit(e)
         else:
