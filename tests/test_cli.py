@@ -404,6 +404,10 @@ def test_analyze_sat(demo):
     model, _ = demo
     code, out, _ = run("analyze", str(model), "--sat")
     assert code == 0 and out == "SAT\n"
+    # the status is one line of JSON, not indented as other JSON output is
+    assert run("analyze", str(model), "--sat", "--format", "json") == (
+        0, '{"status": "sat"}\n', ""
+    )
 
 
 def test_analyze_dead_lists_feature(tmp_path):
@@ -453,6 +457,11 @@ def test_enumerate_mandatory_data(tmp_path):
     assert code == 0
     records = [l for l in out.splitlines() if l.startswith("D\t")]
     assert records and all(l.split("\t")[2] == "1" for l in records)
+    # a data value the TSV form cannot hold is an input error in either format
+    for extra in ((), ("--format", "json")):
+        assert run("enumerate", str(f), "--domain", "0,a\tb", *extra) == (
+            2, "", "cdlsem: data value of 'D' cannot be written as TSV\n"
+        ), extra
 
 
 def test_enumerate_budget_exit_4(tmp_path):
