@@ -17,7 +17,6 @@ import sys
 
 from .errors import (
     AnalysisError,
-    FormulaError,
     NormalizationError,
     OracleError,
     ValidationError,
@@ -63,64 +62,85 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 
 
+class _Stop(Exception):
+    """Ends a command with ``code``; the reason is already reported."""
+
+    def __init__(self, code: int):
+        self.code = code
+
+
 class _Cli:
-    def __init__(self, stdout, stderr):
+    """One command's arguments and streams, and the steps every command
+    takes from its files to its exit code."""
+
+    def __init__(self, args, stdout, stderr):
+        self.args = args
         self.stdout = stdout
         self.stderr = stderr
-
-    def emit(self, text: str, out_path: str | None) -> int:
-        if out_path in (None, "-"):
-            self.stdout.write(text)
-            return EXIT_OK
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            self.error(f"cannot write {out_path}: {err}")
-            return EXIT_IO
-        return EXIT_OK
 
     def error(self, message: str) -> None:
         self.stderr.write(f"cdlsem: {message}\n")
 
-    def read_file(self, path: str) -> tuple[str | None, int]:
-        """The file's text, or None after reporting why, with the exit code."""
+    def fail(self, code: int, message: str) -> _Stop:
+        """Report ``message``; the caller raises the result."""
+        self.error(message)
+        return _Stop(code)
+
+    def read(self, path: str) -> str:
+        """The file's text: a missing or unreadable file stops with exit 3,
+        text that is not UTF-8 with exit 2."""
         try:
             # utf-8-sig: a leading byte-order mark is not part of the text
             with open(path, "r", encoding="utf-8-sig") as fh:
-                return fh.read(), EXIT_OK
+                return fh.read()
+        except FileNotFoundError:
+            raise self.fail(EXIT_IO, f"cannot read {path}: no such file")
         except OSError as err:
-            self.error(f"cannot read {path}: {err}")
-            return None, EXIT_IO
+            raise self.fail(EXIT_IO, f"cannot read {path}: {err}")
         except UnicodeDecodeError as err:
-            self.error(f"cannot read {path}: not valid UTF-8 ({err.reason})")
-            return None, EXIT_INPUT
+            reason = f"not valid UTF-8 ({err.reason})"
+            raise self.fail(EXIT_INPUT, f"cannot read {path}: {reason}")
 
-    def require_well_formed(self, m: Model) -> bool:
-        violations = check_well_formed(m)
-        for v in violations:
-            self.stderr.write(f"({v.rule})\t{v.node}\t{v.message}\n")
-        return not violations
+    def model(self, well_formed: bool = True) -> Model:
+        """The normalized model, its parse diagnostics on stderr.  With
+        ``well_formed``, violations go to stderr too and stop with exit 1."""
+        path = self.args.model
+        nodes, diagnostics = parse_model(self.read(path), path)
+        for d in diagnostics:
+            self.stderr.write(f"{d}\n")
+        if has_errors(diagnostics):
+            raise _Stop(EXIT_INPUT)
+        try:
+            m = normalize_model(nodes)
+        except NormalizationError as err:
+            raise self.fail(EXIT_INPUT, str(err))
+        if well_formed:
+            violations = check_well_formed(m)
+            for v in violations:
+                self.stderr.write(f"({v.rule})\t{v.node}\t{v.message}\n")
+            if violations:
+                raise _Stop(EXIT_NEGATIVE)
+        return m
 
+    def render(self, payload, lines) -> str:
+        """``payload()`` as indented JSON under --format json, else one
+        line per item of ``lines``; the payload is built only for JSON."""
+        if self.args.format == "json":
+            return json.dumps(payload(), indent=2, sort_keys=True) + "\n"
+        return "".join(line + "\n" for line in lines)
 
-def _load_model_io(cli: _Cli, path: str) -> tuple[Model | None, int]:
-    """Read, parse and normalize; problems are reported, with the exit code."""
-    if not os.path.exists(path):
-        cli.error(f"cannot read {path}: no such file")
-        return None, EXIT_IO
-    text, code = cli.read_file(path)
-    if text is None:
-        return None, code
-    nodes, diagnostics = parse_model(text, path)
-    for d in diagnostics:
-        cli.stderr.write(f"{d}\n")
-    if has_errors(diagnostics):
-        return None, EXIT_INPUT
-    try:
-        return normalize_model(nodes), EXIT_OK
-    except NormalizationError as err:
-        cli.error(str(err))
-        return None, EXIT_INPUT
+    def finish(self, text: str, ok: bool = True) -> int:
+        """Write ``text`` to stdout or -o FILE; the exit code of ``ok``."""
+        path = self.args.output
+        if path in (None, "-"):
+            self.stdout.write(text)
+        else:
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as err:
+                raise self.fail(EXIT_IO, f"cannot write {path}: {err}")
+        return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -128,150 +148,86 @@ def _load_model_io(cli: _Cli, path: str) -> tuple[Model | None, int]:
 
 
 def cmd_parse(cli: _Cli, args) -> int:
-    m, code = _load_model_io(cli, args.model)
-    if m is None:
-        return code
+    m = cli.model(well_formed=False)
     emit = "ast" if args.emit_ast or args.format == "json" else args.emit
-    text = model_to_json(m) + "\n" if emit == "ast" else model_to_pretty(m)
-    return cli.emit(text, args.output)
+    return cli.finish(model_to_json(m) + "\n" if emit == "ast" else model_to_pretty(m))
 
 
 def cmd_check(cli: _Cli, args) -> int:
-    m, code = _load_model_io(cli, args.model)
-    if m is None:
-        return code
-    violations = check_well_formed(m)
-    if args.format == "json":
-        payload = {
-            "violations": [
-                {"rule": v.rule, "node": v.node, "message": v.message}
-                for v in violations
-            ]
-        }
-        code = cli.emit(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        args.output)
-    else:
-        lines = [f"({v.rule})\t{v.node}\t{v.message}" for v in violations]
-        code = cli.emit("".join(l + "\n" for l in lines), args.output)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if not violations else EXIT_NEGATIVE
+    violations = check_well_formed(cli.model(well_formed=False))
+    text = cli.render(
+        lambda: {"violations": [
+            {"rule": v.rule, "node": v.node, "message": v.message} for v in violations
+        ]},
+        [f"({v.rule})\t{v.node}\t{v.message}" for v in violations],
+    )
+    return cli.finish(text, not violations)
 
 
 def cmd_validate(cli: _Cli, args) -> int:
-    m, code = _load_model_io(cli, args.model)
-    if m is None:
-        return code
-    if not cli.require_well_formed(m):
-        return EXIT_NEGATIVE
-    text, code = cli.read_file(args.config)
-    if text is None:
-        return code
+    m = cli.model()
+    text = cli.read(args.config)
     universe = sorted(m.universe())
+    load = load_prop_config if args.prop else load_configuration
     try:
-        if args.prop:
-            cp, warnings = load_prop_config(text, universe, strict=args.strict)
-        else:
-            c, warnings = load_configuration(text, universe, strict=args.strict)
+        config, warnings = load(text, universe, strict=args.strict)
     except ValidationError as err:
-        cli.error(str(err))
-        return EXIT_INPUT
+        raise cli.fail(EXIT_INPUT, str(err))
     except ValueError as err:
-        cli.error(f"{args.config}: {err}")
-        return EXIT_INPUT
+        raise cli.fail(EXIT_INPUT, f"{args.config}: {err}")
     for w in warnings:
         cli.error(f"{args.config}: {w}")
-    report = validate_prop(m, cp) if args.prop else validate_configuration(m, c)
-    if args.format == "json":
-        payload = {
-            "verdict": report.verdict,
-            "failures": [
-                {"family": f.family, "node": f.node, "explanation": f.explanation}
-                for f in report.failures
-            ],
-        }
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [report.verdict]
-        lines += [
-            f"{f.family}\t{f.node}\t{f.explanation}" for f in report.failures
-        ]
-        out = "".join(l + "\n" for l in lines)
-    code = cli.emit(out, args.output)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if report.accepted else EXIT_NEGATIVE
+    report = (validate_prop if args.prop else validate_configuration)(m, config)
+    text = cli.render(
+        lambda: {"verdict": report.verdict, "failures": [
+            {"family": f.family, "node": f.node, "explanation": f.explanation}
+            for f in report.failures
+        ]},
+        [report.verdict]
+        + [f"{f.family}\t{f.node}\t{f.explanation}" for f in report.failures],
+    )
+    return cli.finish(text, report.accepted)
 
 
 def cmd_translate(cli: _Cli, args) -> int:
-    m, code = _load_model_io(cli, args.model)
-    if m is None:
-        return code
-    if not cli.require_well_formed(m):
-        return EXIT_NEGATIVE
-    formula = build_formula(m)
+    formula = build_formula(cli.model())
     if args.format == "dimacs":
-        text = export_dimacs(to_cnf(formula))
-    elif args.format == "json":
-        payload = {
-            "constraints": [
-                {
-                    "node": con.node,
-                    "family": con.family,
-                    "expr": bool_to_source(con.expr),
-                }
-                for con in formula.constraints
-            ],
-            "variables": formula.var_table(),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = formula_to_text(formula)
-    return cli.emit(text, args.output)
+        return cli.finish(export_dimacs(to_cnf(formula)))
+    if args.format == "prop":
+        return cli.finish(formula_to_text(formula))
+    return cli.finish(cli.render(lambda: {
+        "constraints": [
+            {"node": con.node, "family": con.family, "expr": bool_to_source(con.expr)}
+            for con in formula.constraints
+        ],
+        "variables": formula.var_table(),
+    }, ()))
 
 
 def cmd_analyze(cli: _Cli, args) -> int:
-    m, code = _load_model_io(cli, args.model)
-    if m is None:
-        return code
-    if not cli.require_well_formed(m):
-        return EXIT_NEGATIVE
+    m = cli.model()
     try:
         if args.sat:
             status = "SAT" if model_sat(m).sat else "UNSAT"
+            # one line of JSON, not indented as the other outputs are
             if args.format == "json":
-                out = json.dumps({"status": status.lower()}) + "\n"
-            else:
-                out = status + "\n"
-            return cli.emit(out, args.output)
+                return cli.finish(json.dumps({"status": status.lower()}) + "\n")
+            return cli.finish(status + "\n")
         if args.dead or args.core:
             names = sorted(dead_features(m) if args.dead else core_features(m))
-            if args.format == "json":
-                key = "dead" if args.dead else "core"
-                out = json.dumps({key: names}, indent=2, sort_keys=True) + "\n"
-            else:
-                out = "".join(n + "\n" for n in names)
-            return cli.emit(out, args.output)
+            key = "dead" if args.dead else "core"
+            return cli.finish(cli.render(lambda: {key: names}, names))
         edges = sorted(implication_graph(m, reduce_transitive=args.reduce))
-        if args.dot:
-            out = export_dot(edges)
-        elif args.format == "json":
-            out = json.dumps({"edges": [list(e) for e in edges]},
-                             indent=2, sort_keys=True) + "\n"
-        else:
-            out = "".join(f"{a}\t{b}\n" for a, b in edges)
-        return cli.emit(out, args.output)
-    except (AnalysisError, FormulaError) as err:
-        cli.error(str(err))
-        return EXIT_NEGATIVE
+    except AnalysisError as err:
+        raise cli.fail(EXIT_NEGATIVE, str(err))
+    if args.dot:
+        return cli.finish(export_dot(edges))
+    return cli.finish(cli.render(lambda: {"edges": [list(e) for e in edges]},
+                                 [f"{a}\t{b}" for a, b in edges]))
 
 
 def cmd_enumerate(cli: _Cli, args) -> int:
-    m, code = _load_model_io(cli, args.model)
-    if m is None:
-        return code
-    if not cli.require_well_formed(m):
-        return EXIT_NEGATIVE
+    m = cli.model()
     budget = args.budget
     if budget is None:
         env = os.environ.get("CDLSEM_BUDGET")
@@ -280,36 +236,28 @@ def cmd_enumerate(cli: _Cli, args) -> int:
         except ValueError:
             budget = 0  # not a number: rejected as not positive below
     if budget <= 0:
-        cli.error("budget must be positive")
-        return EXIT_INPUT
+        raise cli.fail(EXIT_INPUT, "budget must be positive")
     try:
         if args.prop:
             configs = enumerate_prop_configs(m, budget=budget)
             blocks = [dump_prop_config(cp) for cp in configs]
         else:
-            domain = [v for v in args.domain.split(",")]
-            configs = enumerate_configurations(m, domain, budget=budget)
+            configs = enumerate_configurations(m, args.domain.split(","), budget=budget)
             blocks = [dump_configuration(c) for c in configs]
     except OracleError as err:
-        cli.error(str(err))
-        return EXIT_BUDGET
+        raise cli.fail(EXIT_BUDGET, str(err))
     except ValueError as err:
-        cli.error(str(err))
-        return EXIT_INPUT
-    if args.format == "json":
+        raise cli.fail(EXIT_INPUT, str(err))
+
+    def payload():
         if args.prop:
-            payload = [dict(cp.items()) for cp in configs]
+            listed = [dict(cp.items()) for cp in configs]
         else:
-            payload = [
-                {name: list(triple) for name, triple in c.items()}
-                for c in configs
-            ]
-        out = json.dumps({"configurations": payload, "count": len(configs)},
-                         indent=2, sort_keys=True) + "\n"
-    else:
-        out = "\n".join(blocks) + ("\n" if blocks else "")
-        out += f"count\t{len(configs)}\n"
-    return cli.emit(out, args.output)
+            listed = [{name: list(t) for name, t in c.items()} for c in configs]
+        return {"configurations": listed, "count": len(configs)}
+
+    # each block ends its last line, so a blank line follows it
+    return cli.finish(cli.render(payload, blocks + [f"count\t{len(configs)}"]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +345,7 @@ def main(argv=None, stdout=None, stderr=None) -> int:
         return EXIT_INPUT if err.code not in (0, None) else 0
     finally:
         sys.stdout, sys.stderr = saved
-    cli = _Cli(stdout, stderr)
+    cli = _Cli(args, stdout, stderr)
     # The pipeline makes no reference cycles, so a collection during a
     # command walks the freshly built model and frees nothing; the caller's
     # setting comes back afterwards.  test_commands_leave_no_cycles in
@@ -406,6 +354,8 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     gc.disable()
     try:
         return globals()["cmd_" + args.command](cli, args)
+    except _Stop as stop:
+        return stop.code
     except RecursionError:
         # the last resort: operator chains are flat in the goal and Boolean
         # trees alike, and the parser caps all other nesting
@@ -414,7 +364,3 @@ def main(argv=None, stdout=None, stderr=None) -> int:
     finally:
         if collecting:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

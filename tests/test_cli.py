@@ -97,6 +97,12 @@ def test_check_unreadable_model_exit_3(tmp_path):
     assert run("check", str(missing)) == (
         3, "", f"cdlsem: cannot read {missing}: no such file\n"
     )
+    # a path under a file: the system's reason, as for a directory
+    under = tmp_path / "plain.cdl"
+    under.write_text("")
+    code, out, err = run("check", str(under / "a.cdl"))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"cdlsem: cannot read {under / 'a.cdl'}: [Errno ")
 
 
 def test_non_utf8_files_exit_2(tmp_path):
