@@ -149,3 +149,51 @@ def test_records_come_from_the_frozen_helper():
     # exprs.frozen builds every immutable record: a plain frozen dataclass
     # stores each field through object.__setattr__, which is slower
     assert [f"{p.name}: {c}" for p in SOURCES for c in frozen_dataclasses(p.read_text())] == []
+
+
+_PROCESS_STREAMS = ("exit", "stdout", "stderr")
+
+
+def stray_output(source: str, swap: str | None = None) -> list[str]:
+    """References to ``print`` and to ``sys.exit``, ``sys.stdout`` and
+    ``sys.stderr``, by attribute or import.  The top-level function named
+    ``swap`` may name ``sys.stdout`` and ``sys.stderr``."""
+    tree = ast.parse(source)
+    allowed = {id(node) for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef) and stmt.name == swap
+               for node in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "print":
+            found.append((node.lineno, node.col_offset, "print"))
+        elif (isinstance(node, ast.Attribute) and node.attr in _PROCESS_STREAMS
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"
+              and (node.attr == "exit" or id(node) not in allowed)):
+            found.append((node.lineno, node.col_offset, f"sys.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [(node.lineno, node.col_offset, f"sys.{alias.name}")
+                      for alias in node.names if alias.name in _PROCESS_STREAMS]
+    return [f"{what} (line {line})" for line, _, what in sorted(found)]
+
+
+def test_stray_output_is_found():
+    source = (
+        "import sys\nfrom sys import argv, stderr as err\nprint('x')\n"
+        "def main(out=None):\n    out = out or sys.stdout\n    sys.stderr = out\n"
+        "    print(out); sys.exit(1)\n"
+        "def other(write=print):\n    sys.stdout.write(sys.argv[0])\n"
+    )
+    assert stray_output(source, swap="main") == [
+        "sys.stderr (line 2)", "print (line 3)", "print (line 7)",
+        "sys.exit (line 7)", "print (line 8)", "sys.stdout (line 9)",
+    ]
+    assert stray_output(source).count("sys.stdout (line 5)") == 1
+
+
+def test_output_goes_to_the_given_streams():
+    # every byte of output goes to the streams cli.main was given: only
+    # main's argparse swap names the process's streams, and only
+    # __main__.py exits the process
+    found = [f"{p.name}: {x}" for p in SOURCES if p.name != "__main__.py"
+             for x in stray_output(p.read_text(), "main" if p.name == "cli.py" else None)]
+    assert found == []
