@@ -791,6 +791,32 @@ _BRACE_CASES = {
     "unterminated quote at top": 'cdl_option A {}\n"cdl_option B {}\n',
     "brace word as name": "cdl_option {A} {}\ncdl_option A B\ncdl_option\n",
     "hash after words": "cdl_option A {\n requires B # C\n flavor bool #x\n}\n",
+    # the separators right after a body's '}' and after a head's '{'
+    "separator after body": (
+        "cdl_option A { flavor bool } ; cdl_option B {};cdl_option C {}\n"
+        "cdl_component D {\n cdl_option E {}; requires E\n}\n"
+    ),
+    "comment after body": (
+        "cdl_component A {\n cdl_option B {}\n # after B\n cdl_option C {}\n}\n"
+        "# a { here\ncdl_option D {}\n# a } here\ncdl_option E {}\n"
+    ),
+    "continuation after body": (
+        "cdl_option A {} \\\n extra\ncdl_option B {}\\\ncdl_option C {}\n"
+        "cdl_component D {\n cdl_option E {}\\\n\n requires E\n}\n"
+    ),
+    "body at end of file": "cdl_option A {}\ncdl_component B {\n cdl_option C {}}",
+    "stray brace before a separator": (
+        "cdl_option A {\n # {\n flavor bool } ; requires B\n}\n}\ncdl_option B {}"
+    ),
+    "separator after head": (
+        "cdl_option A {; flavor bool }\ncdl_option B {;;\n\n requires A\n}\n"
+    ),
+    "comment after head": (
+        "cdl_option A { # note\n flavor bool\n}\ncdl_option B {\n# a { here\n}\n}\n"
+    ),
+    "continuation after head": (
+        "cdl_option A {\\\n flavor bool }\ncdl_option B { \\\n\\\n ; requires A\n}\n"
+    ),
 }
 
 
