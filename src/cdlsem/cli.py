@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import sys
@@ -124,7 +125,8 @@ class _Cli:
 
     def render(self, payload, lines) -> str:
         """``payload()`` as indented JSON under --format json, else one
-        line per item of ``lines``; the payload is built only for JSON."""
+        line per item of ``lines``; the payload is built only for JSON and
+        ``lines`` is read only for text."""
         if self.args.format == "json":
             return json.dumps(payload(), indent=2, sort_keys=True) + "\n"
         return "".join(line + "\n" for line in lines)
@@ -237,17 +239,6 @@ def cmd_enumerate(cli: _Cli, args) -> int:
             budget = 0  # not a number: rejected as not positive below
     if budget <= 0:
         raise cli.fail(EXIT_INPUT, "budget must be positive")
-    try:
-        if args.prop:
-            configs = enumerate_prop_configs(m, budget=budget)
-            blocks = [dump_prop_config(cp) for cp in configs]
-        else:
-            configs = enumerate_configurations(m, args.domain.split(","), budget=budget)
-            blocks = [dump_configuration(c) for c in configs]
-    except OracleError as err:
-        raise cli.fail(EXIT_BUDGET, str(err))
-    except ValueError as err:
-        raise cli.fail(EXIT_INPUT, str(err))
 
     def payload():
         if args.prop:
@@ -256,8 +247,20 @@ def cmd_enumerate(cli: _Cli, args) -> int:
             listed = [{name: list(t) for name, t in c.items()} for c in configs]
         return {"configurations": listed, "count": len(configs)}
 
-    # each block ends its last line, so a blank line follows it
-    return cli.finish(cli.render(payload, blocks + [f"count\t{len(configs)}"]))
+    try:
+        if args.prop:
+            configs = enumerate_prop_configs(m, budget=budget)
+        else:
+            configs = enumerate_configurations(m, args.domain.split(","), budget=budget)
+        # the TSV blocks are written in text mode only: JSON holds any data
+        # value; each block ends its last line, so a blank line follows it
+        blocks = map(dump_prop_config if args.prop else dump_configuration, configs)
+        text = cli.render(payload, itertools.chain(blocks, [f"count\t{len(configs)}"]))
+    except OracleError as err:
+        raise cli.fail(EXIT_BUDGET, str(err))
+    except ValueError as err:
+        raise cli.fail(EXIT_INPUT, str(err))
+    return cli.finish(text)
 
 
 # ---------------------------------------------------------------------------

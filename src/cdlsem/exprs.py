@@ -268,36 +268,27 @@ def _item_source(e: GoalExpr) -> str:
     return f"({text})"
 
 
-def referenced_ids(e: GoalExpr) -> frozenset[str]:
-    """All feature names mentioned by the expression, call arguments included."""
-    acc: set[str] = set()
-    _collect_ids(e, acc)
-    return frozenset(acc)
-
-
-def list_referenced_ids(l: ListExpr) -> frozenset[str]:
-    acc: set[str] = set()
-    for it in l.items:
-        if isinstance(it, Single):
-            _collect_ids(it.expr, acc)
-        else:
-            _collect_ids(it.low, acc)
-            _collect_ids(it.high, acc)
-    return frozenset(acc)
-
-
-def _collect_ids(e: GoalExpr, acc: set[str]) -> None:
+def collect_ids(e: GoalExpr | ListExpr, acc: set[str]) -> None:
+    """Add every feature name that ``e``, a goal or a list expression,
+    mentions to ``acc``, call arguments included."""
     if isinstance(e, Ident):
         acc.add(e.name)
     elif isinstance(e, (Not, BitNot)):
-        _collect_ids(e.child, acc)
+        collect_ids(e.child, acc)
     elif isinstance(e, Infix):
         for x in e.items:
-            _collect_ids(x, acc)
+            collect_ids(x, acc)
     elif isinstance(e, Call):
         for a in e.args:
-            _collect_ids(a, acc)
+            collect_ids(a, acc)
     elif isinstance(e, Cond):
-        _collect_ids(e.guard, acc)
-        _collect_ids(e.then, acc)
-        _collect_ids(e.other, acc)
+        collect_ids(e.guard, acc)
+        collect_ids(e.then, acc)
+        collect_ids(e.other, acc)
+    elif isinstance(e, ListExpr):
+        for it in e.items:
+            if isinstance(it, Single):
+                collect_ids(it.expr, acc)
+            else:
+                collect_ids(it.low, acc)
+                collect_ids(it.high, acc)

@@ -17,11 +17,10 @@ from .errors import NormalizationError
 from .exprs import (
     GoalExpr,
     ListExpr,
-    list_referenced_ids,
+    collect_ids,
     list_to_source,
     frozen,
     infix,
-    referenced_ids,
     to_source,
 )
 
@@ -198,12 +197,14 @@ class Model:
         if self._referenced is None:
             acc: set[str] = set()
             for n in self._nodes:
-                for e in n.constraints():
-                    acc |= referenced_ids(e)
+                for e in n.active_if:
+                    collect_ids(e, acc)
+                for e in n.requires:
+                    collect_ids(e, acc)
                 if n.calculated is not None:
-                    acc |= referenced_ids(n.calculated)
+                    collect_ids(n.calculated, acc)
                 if n.legal_values is not None:
-                    acc |= list_referenced_ids(n.legal_values)
+                    collect_ids(n.legal_values, acc)
             self._referenced = frozenset(acc)
         return self._referenced
 

@@ -99,18 +99,23 @@ _COMMENT_RX = re.compile(r"[^\n{}]*([{}])?[^\n]*")
 # node command's head and name up to its '{', a '}', a quoted word, a lone
 # (unterminated) quote or a bare word.  A separator takes the blanks,
 # continuations and separators after it along: with no word pending they
-# change nothing.  A run of blanks is a character class repeated between
-# continuations, not a loop over two alternatives: on an indented line the
-# regex engine takes about half the time.  A quoted or bare word with a
-# brace in it is a token of its own kind, "wquoted" or "wild": every
-# unescaped brace counts, so such a word may end the body it is in.
+# change nothing.  A head's '{' and a '}' take the separator run after
+# them along too: a body starts with no word pending, and a body's '}'
+# followed by a separator ends its node command in the same token.  A run
+# of blanks is a character class repeated between continuations, not a
+# loop over two alternatives: on an indented line the regex engine takes
+# about half the time.  A quoted or bare word with a brace in it is a
+# token of its own kind, "wquoted" or "wild": every unescaped brace
+# counts, so such a word may end the body it is in.
 _BLANK_RUN = r"[^\S\n]*(?:\\\n[^\S\n]*)*"
 _SEP_RUN = r"[\n;][\s;]*(?:\\\n[\s;]*)*"
+_SEP = _BLANK_RUN + _SEP_RUN
 _PLAIN = r"[^\s;\\{}]"  # a bare word's character other than a backslash
 _CMD_TOKEN_RX = re.compile(
     _BLANK_RUN + r"(?:(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
     r"|(?P<head>" + "|".join(_NODE_COMMANDS) + r")(?:[^\S\n]|\\\n)+"
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:[^\S\n]|\\\n)+\{|(?P<close>\})"
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:[^\S\n]|\\\n)+\{(?:" + _SEP + r")?"
+    r"|(?P<close>\}(?:" + _SEP + r")?)"
     r'|(?P<quoted>"[^"\\{}]*(?:\\[^{}][^"\\{}]*)*")'
     r"|(?P<wquoted>" + _QUOTED + r')|(?P<open>")'
     r"|(?P<bare>(?:" + _PLAIN + r"|\\(?!\n))" + _PLAIN + r"*(?:\\(?!\n)"
@@ -667,10 +672,11 @@ class _ModelBuilder:
             elif kind == "name":  # a node command up to its '{'
                 a, b = m.span("head")
                 words += (("bare", a, b), ("bare", s, i))
+                at = text.index("{", i)
                 if len(words) > 2 or frame.depth >= MAX_NESTING:
-                    i = m.end() - 1  # the '{' is read as a value
+                    i = at  # the '{' is read as a value
                     continue
-                frame = self.open_body(stack, text[a:b], text[s:i], m.end() - 1)
+                frame = self.open_body(stack, text[a:b], text[s:i], at)
                 words, bound, i = frame.words, n, m.end()
             elif kind == "braced":
                 if len(words) == 2 and frame.depth < MAX_NESTING and (
@@ -685,6 +691,7 @@ class _ModelBuilder:
                     break
                 words.append((kind, s, i))
             elif kind == "close" and frame.end is not None and s < frame.end:
+                i = s + 1  # the separator after it is read again
                 frame.diags.append(
                     ParseDiagnostic("error", "unexpected '}'", src.span(s, i))
                 )
@@ -696,8 +703,13 @@ class _ModelBuilder:
                 stack.pop()
                 body, frame = frame, stack[-1]
                 words, bound = frame.words, frame.end or n
-                words.append(("braced", body.open, i))
-                frame.child = body
+                if i > s + 1:
+                    # a separator follows, and the words pending are the
+                    # node's head and name: the node command is done
+                    words = frame.words = []
+                else:
+                    words.append(("braced", body.open, i))
+                    frame.child = body
             else:  # a comment, a word or quote with a brace, a lone quote
                 if kind == "bare" or kind == "wild" and not words and text[s] == "#":
                     line = _COMMENT_RX.match(text, s, bound)  # to the line's end

@@ -516,7 +516,8 @@ def load_prop_config(
 ) -> tuple[PropConfig, list[str]]:
     """Parse the two-column TSV; missing universe ids default to 0."""
     entries, warnings = read_tsv(text, _bit_row, ("0",), universe, strict)
-    return PropConfig(entries), warnings
+    # read_tsv has checked every row: no duplicate, no root entry
+    return PropConfig._wrap(entries), warnings
 
 
 def _bit_row(lineno: int, fields: list[str]) -> int:

@@ -602,7 +602,8 @@ def load_configuration(
     unless ``strict`` is set, in which case the load fails.
     """
     entries, warnings = read_tsv(text, _state_row, ("0", "0", "0"), universe, strict)
-    return Configuration(entries), warnings
+    # read_tsv has checked every row: no duplicate, no root entry
+    return Configuration._wrap(entries), warnings
 
 
 def _state_row(lineno: int, fields: list[str]) -> tuple[int, int, str]:

@@ -12,8 +12,10 @@ import sys
 import pytest
 
 from cdlsem.cli import main
+from cdlsem.prop import PropConfig, load_prop_config
+from cdlsem.semantics import Configuration, load_configuration
 
-from conftest import FIXTURES, load_model, perfbench_gen
+from conftest import FIXTURES, fixture_paths, load_model, perfbench_gen
 
 
 def run(*argv):
@@ -463,11 +465,17 @@ def test_enumerate_mandatory_data(tmp_path):
     assert code == 0
     records = [l for l in out.splitlines() if l.startswith("D\t")]
     assert records and all(l.split("\t")[2] == "1" for l in records)
-    # a data value the TSV form cannot hold is an input error in either format
-    for extra in ((), ("--format", "json")):
-        assert run("enumerate", str(f), "--domain", "0,a\tb", *extra) == (
-            2, "", "cdlsem: data value of 'D' cannot be written as TSV\n"
-        ), extra
+    # a data value the TSV form cannot hold is an input error in text
+    # output; JSON lists it
+    assert run("enumerate", str(f), "--domain", "0,a\tb") == (
+        2, "", "cdlsem: data value of 'D' cannot be written as TSV\n"
+    )
+    code, out, err = run("enumerate", str(f), "--domain", "0,a\tb", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "configurations": [{"D": [1, 1, "0"]}, {"D": [1, 1, "a\tb"]}],
+        "count": 2,
+    }
 
 
 def test_enumerate_budget_exit_4(tmp_path):
@@ -988,6 +996,50 @@ def test_validate_output_is_pinned(tmp_path):
     assert {((), f) for f in _FULL_FAMILIES | {"on-guard", "off-guard"}} <= seen
     assert {(("--prop",), f) for f in _FULL_FAMILIES - {"legal_values"}} <= seen
     assert text == GOLDEN_VALIDATE.read_text()
+
+
+def test_loaded_configurations_equal_checked_ones():
+    # the loaders wrap read_tsv's entries without the constructor's checks;
+    # each load must be the assignment the checked constructor builds
+    cases = []  # (universe, full TSV, bits TSV)
+    for path in fixture_paths("sound", "family", "analysis", "wf"):
+        universe = sorted(load_model(path).universe())
+        cases += [(universe, rows, bits) for _, rows, bits in _fixture_validate_cases(path)]
+    gen = perfbench_gen()
+    for seed in (1, 2, 3):
+        for size in (36, 130):
+            g = gen.generate(seed, size)
+            rng = random.Random(seed * 1000 + size)
+            cases += [(g.universe(), rows, bits)
+                      for _, rows, bits in _generated_validate_cases(g, rng)]
+    loaders = ((load_configuration, Configuration), (load_prop_config, PropConfig))
+    loaded = 0
+    for universe, *texts in cases:
+        for (load, cls), text in zip(loaders, texts):
+            if text is None:
+                continue
+            for domain in (None, universe):
+                got, _ = load(text, domain)
+                checked = cls(got.items())
+                assert type(got) is cls and got == checked and checked == got
+                assert hash(got) == hash(checked) and repr(got) == repr(checked)
+                loaded += 1
+    assert loaded > 300
+    # a malformed row fails with its line number; a root row, even a
+    # malformed one, is ignored with a warning
+    rows = (("1\t1\tx", "1\t2\tx", "state and value must be 0 or 1", 4),
+            ("1", "2", "bit must be 0 or 1", 2))
+    for (load, _), (row, bad, bits, width) in zip(loaders, rows):
+        _, warnings = load(f"⊤\t{bad}\nA\t{row}\n", ["A"])
+        assert warnings == ["line 1: the root entry is implicit; ignored"]
+        for text, message in [
+            (f"A\t{row}\t1\n", f"line 1: expected {width} tab-separated fields"),
+            (f"# c\nA\t{bad}\n", f"line 2: {bits}"),
+            (f"A\t{row}\n A \t{row}\n", "line 2: duplicate entry for 'A'"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                load(text)
+            assert str(err.value) == message
 
 
 GOLDEN_ANALYZE = FIXTURES.parent / "golden" / "analyze.txt"
