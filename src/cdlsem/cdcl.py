@@ -7,18 +7,17 @@ as clauses and reads answers back from ``Solver.model``.
 
 from __future__ import annotations
 
-import heapq
-
 
 class Solver:
     """Incremental CDCL search over one CNF (Een & Sorensson, SAT 2003).
 
     Propagation watches two literals per clause; a conflict yields a
-    first-UIP clause and a non-chronological backjump; decisions follow
-    variable activity (ties to the lower index) with saved phases, so
-    every answer is deterministic.  Assumptions are the first decisions,
-    never premises of a learnt clause, so learnt clauses and level-0
-    facts stay valid across calls with other assumptions.
+    first-UIP clause and a non-chronological backjump; decisions take the
+    unset variable bumped last in a move-to-front queue (VMTF: Biere &
+    Froehlich, SAT 2015), the lowest one before any conflict, with saved
+    phases, so every answer is deterministic.  Assumptions are the first
+    decisions, never premises of a learnt clause, so learnt clauses and
+    level-0 facts stay valid across calls with other assumptions.
 
     Literal-indexed lists have ``2 * num_vars + 1`` slots: literal ``l``
     sits at index ``l``, and a negative index wraps to the far end.  Most
@@ -42,13 +41,15 @@ class Solver:
         self.level = [0] * (n + 1)
         self.reason: list = [None] * (n + 1)  # clause, true literal, or None
         self.seen = [False] * (n + 1)
-        self.activity = [0] * (n + 1)
-        self.var_inc = 1 << 16
-        # heap key (-activity << shift) + var pops the most active, then
-        # the lowest variable; all activities start at 0, so keys are vars
-        self.shift = n.bit_length()
-        self.heap = list(range(1, n + 1))
-        self.in_heap = [True] * (n + 1)  # has a key with current activity
+        # the decision queue: a ring through the sentinel 0, in rising
+        # stamp order, n first and 1 last; a bump moves a variable to the
+        # end; every variable after ``search`` is assigned
+        stamp = self.stamp = list(range(n + 1))  # ints shared by all three
+        self.next = [n] + stamp[:n]  # toward the end; next[0] is the first
+        self.prev = stamp[1:] + [0]  # toward the front; prev[0] is the last
+        stamp.reverse()
+        stamp[0] = -1  # older than all: search stops at 0 when all are set
+        self.search = self.prev[0]
         self.phase = [False] * (n + 1)  # polarity of the next decision
         self.trail: list[int] = []
         self.trail_lim: list[int] = []  # trail length at each decision
@@ -112,7 +113,6 @@ class Solver:
                     self._attach(learnt)
                     binary = len(learnt) == 2
                     self._assign(learnt[0], -learnt[1] if binary else learnt)
-                self.var_inc += self.var_inc >> 4
                 continue
             depth = len(trail_lim)
             if depth < len(assumptions):
@@ -262,6 +262,7 @@ class Solver:
         trail = self.trail
         depth = len(self.trail_lim)
         learnt = [0]
+        bumped = []
         pending = 0  # seen literals of the conflict level not yet resolved
         p = 0
         i = len(trail) - 1
@@ -271,7 +272,7 @@ class Solver:
                 v = abs(q)
                 if q != p and not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
+                    bumped.append(v)
                     if level[v] == depth:
                         pending += 1
                     else:
@@ -288,6 +289,7 @@ class Solver:
             if clause.__class__ is int:
                 clause = (-clause,)  # binary reason: p and the false -clause
         learnt[0] = -p
+        self._bump(bumped)
         for q in learnt[1:]:
             seen[abs(q)] = False
         if len(learnt) == 1:
@@ -297,60 +299,44 @@ class Solver:
         learnt[1], learnt[j] = learnt[j], learnt[1]
         return learnt, level[abs(learnt[1])]
 
-    def _bump(self, v: int) -> None:
-        activity = self.activity
-        activity[v] += self.var_inc
-        if self.var_inc > 1 << 80:
-            for u in range(1, len(activity)):
-                activity[u] >>= 64
-            self.var_inc >>= 64
-            self._rebuild_heap()
-        elif self.in_heap[v]:
-            heapq.heappush(self.heap, (-activity[v] << self.shift) + v)
-            if len(self.heap) > 4 * len(activity):
-                self._rebuild_heap()
-
-    def _rebuild_heap(self) -> None:
-        """Drop stale keys: one key per variable still in the heap."""
-        activity, in_heap, shift = self.activity, self.in_heap, self.shift
-        self.heap = [
-            (-activity[v] << shift) + v
-            for v in range(1, len(activity))
-            if in_heap[v]
-        ]
-        heapq.heapify(self.heap)
+    def _bump(self, vs: list[int]) -> None:
+        """Move ``vs`` to the end of the queue, keeping their order."""
+        nxt, prev, stamp = self.next, self.prev, self.stamp
+        for v in sorted(vs, key=stamp.__getitem__):
+            before, after = prev[v], nxt[v]
+            nxt[before] = after
+            prev[after] = before
+            last = prev[0]
+            stamp[v] = stamp[last] + 1
+            nxt[last] = v
+            prev[v] = last
+            nxt[v] = 0
+            prev[0] = v
 
     def _pick_branch(self) -> int:
-        """Decision literal of the most active unset variable, or 0."""
-        heap, activity, in_heap = self.heap, self.activity, self.in_heap
-        value, phase, shift = self.value, self.phase, self.shift
-        mask = (1 << shift) - 1
-        while heap:
-            key = heapq.heappop(heap)
-            v = key & mask
-            if key != (-activity[v] << shift) + v:
-                continue  # stale: a newer key carries the bumped activity
-            in_heap[v] = False
-            if value[v] == 0:
-                return v if phase[v] else -v
-        return 0
+        """Decision literal of the unset variable bumped last, or 0."""
+        value, prev = self.value, self.prev
+        v = self.search
+        while value[v]:
+            v = prev[v]
+        self.search = v
+        return v if self.phase[v] else -v
 
     def _cancel_until(self, depth: int) -> None:
         """Undo every assignment above decision level ``depth``."""
         if len(self.trail_lim) <= depth:
             return
         value, reason, phase = self.value, self.reason, self.phase
-        activity, in_heap, heap = self.activity, self.in_heap, self.heap
-        shift = self.shift
+        stamp, search = self.stamp, self.search
         mark = self.trail_lim[depth]
         for lit in self.trail[mark:]:
             v = abs(lit)
             value[lit] = value[-lit] = 0
             reason[v] = None
             phase[v] = lit > 0
-            if not in_heap[v]:
-                in_heap[v] = True
-                heapq.heappush(heap, (-activity[v] << shift) + v)
+            if stamp[v] > stamp[search]:
+                search = v  # the newest unset variable
+        self.search = search
         del self.trail[mark:]
         del self.trail_lim[depth:]
         self.qhead = mark

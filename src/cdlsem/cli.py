@@ -211,10 +211,7 @@ def cmd_analyze(cli: _Cli, args) -> int:
     try:
         if args.sat:
             status = "SAT" if model_sat(m).sat else "UNSAT"
-            # one line of JSON, not indented as the other outputs are
-            if args.format == "json":
-                return cli.finish(json.dumps({"status": status.lower()}) + "\n")
-            return cli.finish(status + "\n")
+            return cli.finish(cli.render(lambda: {"status": status.lower()}, [status]))
         if args.dead or args.core:
             names = sorted(dead_features(m) if args.dead else core_features(m))
             key = "dead" if args.dead else "core"

@@ -79,21 +79,6 @@ class RawNode:
     implements: list[str] = field(default_factory=list)
     annotations: dict[str, list[str]] = field(default_factory=dict)
 
-    @classmethod
-    def from_node(cls, node: Node) -> RawNode:
-        """Turn a normalized node back into an equivalent raw record."""
-        return cls(
-            name=node.name,
-            kind=node.kind,
-            parent=None if node.parent == TOP else node.parent,
-            flavor=node.flavor,
-            active_if=[(e,) for e in node.active_if],
-            requires=[(e,) for e in node.requires],
-            calculated=(node.calculated,) if node.calculated else None,
-            legal_values=node.legal_values,
-            implements=sorted(node.implements),
-        )
-
 
 @frozen
 class Node:

@@ -4,15 +4,15 @@ The clause form keeps every feature variable meaningful: auxiliary
 definitions are biconditional, so satisfying assignments projected onto
 feature variables coincide exactly with the models of the source
 formula.  The solver is an iterative CDCL search with an explicit trail:
-two watched literals, first-UIP learning with backjumping, an activity
-order for decisions, and assumptions as the first decision levels.  The
-analyses build one solver per model and query it under assumptions,
-keeping its learnt clauses; witnesses found on the way rule out the
-candidates they refute, so those cost no query.  Before querying, an
-analysis probes: ``Solver.probe`` assumes one literal and propagates,
-which settles many candidates with no search, and the phases of the
-candidates still open are pushed so that each new witness refutes as
-many of them as it can.
+two watched literals, first-UIP learning with backjumping, a
+move-to-front queue for decisions, and assumptions as the first decision
+levels.  The analyses build one solver per model and query it under
+assumptions, keeping its learnt clauses; witnesses found on the way rule
+out the candidates they refute, so those cost no query.  Before
+querying, an analysis probes: ``Solver.probe`` assumes one literal and
+propagates, which settles many candidates with no search, and the phases
+of the candidates still open are pushed so that each new witness refutes
+as many of them as it can.
 """
 
 from __future__ import annotations

@@ -59,6 +59,12 @@ def test_parse_ok(demo):
     ]
 
 
+def test_parse_empty_model(tmp_path):
+    empty = tmp_path / "empty.cdl"
+    empty.write_text("")
+    assert run("parse", str(empty)) == (0, '{\n  "nodes": []\n}\n', "")
+
+
 def test_parse_pretty(demo):
     model, _ = demo
     code, out, _ = run("parse", str(model), "--emit", "pretty")
@@ -412,9 +418,9 @@ def test_analyze_sat(demo):
     model, _ = demo
     code, out, _ = run("analyze", str(model), "--sat")
     assert code == 0 and out == "SAT\n"
-    # the status is one line of JSON, not indented as other JSON output is
+    # indented with sorted keys, as every other JSON output is
     assert run("analyze", str(model), "--sat", "--format", "json") == (
-        0, '{"status": "sat"}\n', ""
+        0, '{\n  "status": "sat"\n}\n', ""
     )
 
 

@@ -256,6 +256,11 @@ def test_list_errors(text):
         parse_list_expr(text)
 
 
+def test_list_unbalanced_brace():
+    with pytest.raises(ParseError, match="unbalanced '{'"):
+        parse_list_expr("1 {2")
+
+
 # ---------------------------------------------------------------------------
 # round-trip properties
 

@@ -206,6 +206,8 @@ def test_rewrite_gt_other_consts_dropped():
     assert rewrite(pg("PLAIN > -1"), IFACE_MODEL) == BConst(1)
     assert rewrite(pg("PLAIN > 1.5"), IFACE_MODEL) == BConst(1)
     assert rewrite(pg('PLAIN > "x"'), IFACE_MODEL) == BConst(1)
+    # a negative bound on an interface falls back to the same generic rule
+    assert rewrite(pg("IFACE > -1"), IFACE_MODEL) == BConst(1)
 
 
 def test_rewrite_flipped_comparison():
@@ -288,8 +290,9 @@ def test_rewrite_absent_cases():
     assert rewrite(pg("PLAIN >= 1"), IFACE_MODEL) is None
     assert rewrite(pg("PLAIN == IMP_A"), IFACE_MODEL) is None
     assert rewrite(pg("get_data(PLAIN)"), IFACE_MODEL) is None
-    # one absent subterm poisons the whole connective
+    # one absent subterm poisons the whole connective or conditional
     assert rewrite(pg("IMP_A && (PLAIN + 1)"), IFACE_MODEL) is None
+    assert rewrite(pg("PLAIN ? (PLAIN + 1) : PLAIN"), IFACE_MODEL) is None
 
 
 IMPL_NAMES = ["IMP_A", "IMP_B", "IMP_C"]

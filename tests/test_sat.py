@@ -412,7 +412,8 @@ def _solver_state(solver: Solver) -> tuple:
     watches = [[w if w.__class__ is int else (frozenset(w[:2]), tuple(w[2:]))
                 for w in ws] for ws in solver.watches]
     return (solver.value[:], solver.trail[:], solver.trail_lim[:],
-            solver.qhead, solver.phase[:], solver.activity[:], watches)
+            solver.qhead, solver.phase[:], solver.stamp[:], solver.next[:],
+            solver.prev[:], solver.search, watches)
 
 
 def test_probe_is_the_unit_propagation_closure():
@@ -487,6 +488,62 @@ def test_probes_leave_the_search_unchanged(monkeypatch):
     assert moved and conflicts and answers == {True, False}
 
 
+def _check_queue(solver: Solver) -> None:
+    """The decision queue links every variable once, in rising stamp
+    order, and every variable after ``search`` is assigned."""
+    nxt, prev, stamp, n = solver.next, solver.prev, solver.stamp, solver.num_vars
+    assert all(nxt[prev[v]] == v and prev[nxt[v]] == v for v in range(n + 1))
+    order, v = [], nxt[0]
+    while v and len(order) <= n:
+        order.append(v)
+        v = nxt[v]
+    assert v == 0 and sorted(order) == list(range(1, n + 1))
+    assert all(stamp[a] < stamp[b] for a, b in zip(order, order[1:]))
+    after = order[order.index(solver.search) + 1:] if solver.search else order
+    assert all(solver.value[v] for v in after)
+
+
+def test_decision_queue_invariants(monkeypatch):
+    # checked after every call, and before every decision inside a search
+    decisions, bumps = [], []
+    pick, bump = Solver._pick_branch, Solver._bump
+
+    def checked(self):
+        _check_queue(self)
+        decisions.append(self.search)
+        return pick(self)
+
+    def counted(self, vs):
+        bumps.append(len(vs))
+        bump(self, vs)
+
+    monkeypatch.setattr(Solver, "_pick_branch", checked)
+    monkeypatch.setattr(Solver, "_bump", counted)
+    rng = random.Random(67)
+    lits = lambda n, k: [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), k)]
+    cnfs = [random_cnf(rng, max_vars=12, max_clauses=50) for _ in range(100)]
+    cnfs += [pigeonhole_cnf(n + 1, n) for n in range(1, 5)]
+    instances = [(cnf.num_vars, cnf.clauses) for cnf in cnfs]
+    # random 3-SAT at four clauses per variable: searches that learn
+    instances += [(n, [lits(n, 3) for _ in range(4 * n)]) for n in range(15, 35)]
+    learnt = 0
+    for n, clauses in instances:
+        solver = Solver(n, clauses)
+        _check_queue(solver)
+        before = len(bumps)
+        for _ in range(10):
+            call = rng.random()
+            if call < 0.5:
+                solver.solve(lits(n, rng.randint(0, min(n, 3))))
+            elif call < 0.8:
+                solver.probe(lits(n, 1)[0])
+            else:
+                solver.add_clause(lits(n, rng.randint(1, min(n, 3))))
+            _check_queue(solver)
+        learnt += len(bumps) > before
+    assert learnt > 10 and len(decisions) > 1000
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 
@@ -519,6 +576,12 @@ def test_dimacs_rejects_garbage():
         parse_dimacs("p cnf 1 1\n1")  # unterminated clause
     with pytest.raises(ValueError):
         parse_dimacs("p dnf 1 0\n")
+    with pytest.raises(ValueError, match="promised 2 clauses, found 1"):
+        parse_dimacs("p cnf 1 2\n1 0\n")
+
+
+def test_dimacs_skips_plain_comments():
+    assert parse_dimacs("c hello\np cnf 1 1\n1 0\n") == Cnf(1, ((1,),), ("v1",))
 
 
 def test_dimacs_skips_aux_names():
@@ -646,6 +709,29 @@ def test_analyses_match_brute_force_on_fixtures():
         assert dead_features(m) == brute_dead(m), path
         assert core_features(m) == brute_core(m), path
         assert implication_graph(m) == brute_implications(m), path
+
+
+def test_analyses_match_truth_tables_on_drawn_models():
+    rng = random.Random(2027)
+    void = edges = drawn = 0
+    while drawn < 200:
+        m = mk_model(random_model(rng))
+        if check_well_formed(m):
+            continue
+        drawn += 1
+        if not model_sat(m).sat:
+            void += 1
+            with pytest.raises(AnalysisError):
+                implication_graph(m)
+            continue
+        assert dead_features(m) == brute_dead(m)
+        assert core_features(m) == brute_core(m)
+        brute = brute_implications(m)
+        assert implication_graph(m) == brute
+        reduced = frozenset(_transitive_reduction(set(brute)))
+        assert implication_graph(m, reduce_transitive=True) == reduced
+        edges += bool(brute)
+    assert void and edges > 50
 
 
 def _reference_solver(m):

@@ -411,6 +411,9 @@ def test_legal_values_holds():
     assert legal_values_holds(n, cfg(A=(1, 1, "9")), m) == 1
     m, n = node_of("cdl_option A { flavor booldata\n legal_values 1 }", "A")
     assert legal_values_holds(n, cfg(A=(1, 1, "2")), m) == 0
+    # an item that fails to evaluate rejects the value
+    m, n = node_of("cdl_option A { flavor data\n legal_values (1/0) }", "A")
+    assert legal_values_holds(n, cfg(A=(1, 1, "1")), m) == 0
 
 
 IFACE_SRC = """
