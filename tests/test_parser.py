@@ -824,6 +824,34 @@ _BRACE_CASES = {
     ),
 }
 
+# One-word property lines: a property name, one bare word and a separator,
+# and the near misses around them (a comment, a continuation, a brace, a
+# word operator, a hex number, repeats, bad values, the top level, two
+# commands on a line, no newline at the end, CRLF line ends).
+_ONE_WORD_CASES = {
+    "two commands on a line": "cdl_option A {\n flavor bool; requires A\n}\n",
+    "comment after the word": "cdl_option A {\n requires A # note\n}\n",
+    "continuation before the word": "cdl_option A {\n requires \\\nA\n}\n",
+    "brace after the word": "cdl_option A {\n requires A}\ncdl_option B {}\n",
+    "word operator": "cdl_option A {\n requires implies\n active_if xor\n}\n",
+    "hex number": "cdl_option A {\n requires 0x1\n calculated 0x1\n}\n",
+    "flavor twice": "cdl_option A {\n flavor bool\n flavor bool\n}\n",
+    "calculated twice": (
+        "cdl_option A {\n flavor data\n calculated 1\n calculated 1\n}\n"
+    ),
+    "number as a flavor": "cdl_option A {\n flavor 1\n flavor bool\n}\n",
+    "number as an interface": "cdl_option A {\n implements 5\n implements I\n}\n",
+    "property at the top": "requires A\ncdl_option A {}\nflavor bool\n",
+    "property twice on a line": "cdl_option A {\n requires A requires B\n}\n",
+    "no newline at the end": (
+        "cdl_option A {\n flavor bool\n requires B\n}\nrequires A"
+    ),
+    "CRLF line ends": (
+        "cdl_option A {\r\n flavor data\r\n calculated 3\r\n active_if B\r\n"
+        " implements I\r\n requires 7 \r\n}\r\n"
+    ),
+}
+
 
 def _value_case(*props: str) -> str:
     """A data option whose body is ``props``, one per line."""
@@ -905,6 +933,7 @@ def _parse_golden_text() -> str:
         inputs.append((name, text))
         inputs += [(f"{name} #{k}", _fault(rng, text)) for k in range(8)]
     inputs += [(f"case {label}", text) for label, text in _BRACE_CASES.items()]
+    inputs += [(f"one-word {label}", text) for label, text in _ONE_WORD_CASES.items()]
     inputs += [(f"value {label}", text) for label, text in _VALUE_CASES.items()]
     rng = random.Random(0xB4ACE)
     for k in range(200):
@@ -923,6 +952,6 @@ def _parse_golden_text() -> str:
 def test_parse_output_is_pinned():
     # generated before the front end parsed values in place on the file
     # text, the brace cases and random texts before the one-pass scan, the
-    # value cases before the flat value loops; nodes and diagnostics must
-    # not move
+    # value cases before the flat value loops, the one-word cases before
+    # the one-word property token; nodes and diagnostics must not move
     assert _parse_golden_text() == GOLDEN_PARSE.read_text()
