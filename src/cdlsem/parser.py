@@ -23,11 +23,15 @@ position.
 
 Values are parsed as windows of the file text where they can be.  A word
 that is one identifier or one decimal integer becomes its ``Ident`` or
-``Const`` directly; any other one-word value is tokenized in place,
-braces stripped; bare ``legal_values`` words without quotes, parentheses
-or braces are the list's words as they stand.  Only other values of
-several words are first joined into a text of their own.  Each list item
-is tokenized in place, so a long bare enumeration parses in linear time.
+``Const`` directly.  The commonest command, ``flavor``, ``requires``,
+``active_if``, ``calculated`` or ``implements`` with one such word on
+its line, is one scanner token; its value goes straight into the node
+unless the general path would report on it or words come before it.  Any
+other one-word value is tokenized in place, braces stripped; bare
+``legal_values`` words without quotes, parentheses or braces are the
+list's words as they stand.  Only other values of several words are
+first joined into a text of their own.  Each list item is tokenized in
+place, so a long bare enumeration parses in linear time.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -96,17 +100,20 @@ _NEXT_BRACE_RX = re.compile(r"[^{}\\]*(?:\\.[^{}\\]*)*([{}])", re.S)
 _COMMENT_RX = re.compile(r"[^\n{}]*([{}])?[^\n]*")
 # Blanks (whitespace but newline) and backslash-newline continuations
 # separate words; then one token: a command separator, an opening brace, a
-# node command's head and name up to its '{', a '}', a quoted word, a lone
-# (unterminated) quote or a bare word.  A separator takes the blanks,
-# continuations and separators after it along: with no word pending they
-# change nothing.  A head's '{' and a '}' take the separator run after
-# them along too: a body starts with no word pending, and a body's '}'
-# followed by a separator ends its node command in the same token.  A run
-# of blanks is a character class repeated between continuations, not a
-# loop over two alternatives: on an indented line the regex engine takes
-# about half the time.  A quoted or bare word with a brace in it is a
-# token of its own kind, "wquoted" or "wild": every unescaped brace
-# counts, so such a word may end the body it is in.
+# node command's head and name up to its '{', a '}', a one-word property
+# line, a quoted word, a lone (unterminated) quote or a bare word.  A
+# separator takes the blanks, continuations and separators after it along:
+# with no word pending they change nothing.  A head's '{' and a '}' take
+# the separator run after them along too: a body starts with no word
+# pending, and a body's '}' followed by a separator ends its node command
+# in the same token.  A one-word property line is a property name, blanks
+# without a continuation, one identifier ("id") or decimal integer ("int")
+# and the separator run after it: the three tokens of the commonest
+# command in one.  A run of blanks is a character class repeated between
+# continuations, not a loop over two alternatives: on an indented line the
+# regex engine takes about half the time.  A quoted or bare word with a
+# brace in it is a token of its own kind, "wquoted" or "wild": every
+# unescaped brace counts, so such a word may end the body it is in.
 _BLANK_RUN = r"[^\S\n]*(?:\\\n[^\S\n]*)*"
 _SEP_RUN = r"[\n;][\s;]*(?:\\\n[\s;]*)*"
 _SEP = _BLANK_RUN + _SEP_RUN
@@ -116,6 +123,8 @@ _CMD_TOKEN_RX = re.compile(
     r"|(?P<head>" + "|".join(_NODE_COMMANDS) + r")(?:[^\S\n]|\\\n)+"
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:[^\S\n]|\\\n)+\{(?:" + _SEP + r")?"
     r"|(?P<close>\}(?:" + _SEP + r")?)"
+    r"|(?P<prop>flavor|requires|active_if|calculated|implements)[^\S\n]+"
+    r"(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+))" + _SEP +
     r'|(?P<quoted>"[^"\\{}]*(?:\\[^{}][^"\\{}]*)*")'
     r"|(?P<wquoted>" + _QUOTED + r')|(?P<open>")'
     r"|(?P<bare>(?:" + _PLAIN + r"|\\(?!\n))" + _PLAIN + r"*(?:\\(?!\n)"
@@ -669,6 +678,32 @@ class _ModelBuilder:
                     words = frame.words = []
             elif kind == "bare" and (words or text[s] != "#") or kind == "quoted":
                 words.append((kind, s, i))
+            elif kind == "id" or kind == "int":  # a one-word property line
+                prop, value = m.group("prop", kind)
+                node, i = frame.node, m.end()
+                if words or node is None:
+                    pass
+                elif prop == "flavor":
+                    if node.flavor is None and value in _FLAVORS:
+                        node.flavor = _FLAVORS[value]
+                        continue
+                elif prop == "implements":
+                    if kind == "id":
+                        node.implements.append(value)
+                        continue
+                elif value not in _WORD_OPS:
+                    expr = Ident(value) if kind == "id" else Const(value)
+                    if prop != "calculated":
+                        getattr(node, prop).append((expr,))
+                        continue
+                    if node.calculated is None:
+                        node.calculated = (expr,)
+                        continue
+                # words before it, the top level or a value to report on
+                a, b = m.span("prop")
+                words += (("bare", a, b), ("bare", s, s + len(value)))
+                self.command(frame, words)
+                words = frame.words = []
             elif kind == "name":  # a node command up to its '{'
                 a, b = m.span("head")
                 words += (("bare", a, b), ("bare", s, i))
@@ -758,7 +793,8 @@ class _ModelBuilder:
 
     def close(self, frame: _Frame) -> None:
         """Put the scanner's diagnostics of a body before its commands'."""
-        self.diagnostics[frame.diagnostics:frame.diagnostics] = frame.diags
+        if frame.diags:
+            self.diagnostics[frame.diagnostics:frame.diagnostics] = frame.diags
 
     def forget(self, frame: _Frame) -> None:
         """Drop the command being read in ``frame``, with its read body."""

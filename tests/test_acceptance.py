@@ -471,7 +471,10 @@ def test_criterion_9_parser_fuzz():
     with _Criterion("9-parser-fuzz", 90.0):
         rng = random.Random(0xF022)
         seeds = [p.read_text() for p in fixture_paths("family", "sound", "analysis")]
-        soup = "cdl_option cdl_package { } \" \\ # ; \n requires flavor to ( ) ? : && || ! ~ A B 0 1 0x 1e $ [ ]"
+        soup = (
+            "cdl_option cdl_package { } \" \\ # ; \n requires flavor active_if"
+            " calculated implements bool data to ( ) ? : && || ! ~ A B 0 1 0x 1e $ [ ]"
+        )
         tokens = soup.split(" ")
         count = 0
         deadline = time.perf_counter() + 60.0

@@ -30,7 +30,7 @@ from cdlsem import (
 )
 from cdlsem.exprs import PRECEDENCE, infix
 from cdlsem.model import Flavor, Kind, RawNode
-from cdlsem.parser import MAX_NESTING, ParseError
+from cdlsem.parser import _CMD_TOKEN_RX, MAX_NESTING, ParseError
 
 from conftest import FIXTURES, fixture_paths
 
@@ -709,6 +709,37 @@ def test_one_word_values_match_general_parser(word):
     else:
         assert diags == []
         assert nodes[0].legal_values == ListExpr((Single(expected),))
+
+
+# a one-word property line is one scanner token; a backslash-newline after
+# the property name sends the same command through the general path
+_LANE_PROPERTIES = ("flavor", "requires", "active_if", "calculated", "implements")
+_LANE_VALUES = [
+    "A", "B_1", "_x", "bool1", "0", "42", "007", "implies", "eqv", "xor",
+    "none", "bool", "booldata", "data", "boolean",
+]
+_LANE_PLACES = [
+    "cdl_option A {{\n {0}\n}}\n",
+    "cdl_option A {{\n {0}\n {0}\n}}\n",  # a single property repeated
+    "cdl_option A {{ flavor data; {0}; {0} }}\n",
+    "cdl_option A {{\n requires B {0}\n}}\n",  # words pending
+    "{0}\ncdl_option A {{}}\n",  # the top level
+]
+
+
+def _outcome(text):
+    nodes, diags = parse_model(text, "m.cdl")
+    return nodes, [(d.severity, d.message) for d in diags]
+
+
+@pytest.mark.parametrize("value", _LANE_VALUES)
+@pytest.mark.parametrize("prop", _LANE_PROPERTIES)
+def test_one_word_lane_matches_general_path(prop, value):
+    line, split = f"{prop} {value}", f"{prop} \\\n{value}"
+    assert _CMD_TOKEN_RX.match(line + "\n").lastgroup in ("id", "int")
+    assert _CMD_TOKEN_RX.match(split + "\n").lastgroup == "bare"
+    for place in _LANE_PLACES:
+        assert _outcome(place.format(line)) == _outcome(place.format(split))
 
 
 _FUZZ_ALPHABET = "cdl_option{}\"\\#;\n\t ABC01&&||!?:()best_substr,"
