@@ -53,6 +53,16 @@ def random_cnf(rng: random.Random, max_vars: int = 15, max_clauses: int = 60) ->
     return Cnf(n, tuple(clauses), tuple(f"x{i}" for i in range(1, n + 1)))
 
 
+def random_3sat(rng: random.Random, n: int, ratio: float = 4.26) -> Cnf:
+    """Random 3-SAT on ``n`` variables, ``ratio`` clauses per variable: near
+    4.26 about half the draws are satisfiable and most need search."""
+    clauses = []
+    for _ in range(round(ratio * n)):
+        vs = rng.sample(range(1, n + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return Cnf(n, tuple(clauses), tuple(f"x{i}" for i in range(1, n + 1)))
+
+
 def pigeonhole_cnf(pigeons: int, holes: int) -> Cnf:
     """Every pigeon in a hole, no hole shared; unsat when pigeons > holes."""
     var = lambda i, j: i * holes + j + 1

@@ -50,6 +50,7 @@ from conftest import (
     mk_model,
     perfbench_gen,
     pigeonhole_cnf,
+    random_3sat,
     random_cnf,
     random_model,
 )
@@ -261,11 +262,25 @@ def test_long_chain_needs_no_recursion():
     assert solve(cnf, (-1,)).sat
 
 
-def test_solver_agrees_with_truth_tables():
+def test_solver_agrees_with_truth_tables(monkeypatch):
+    # random_cnf draws are settled by loading and level-0 propagation; the
+    # 3-SAT draws near the threshold reach conflicts, learning and backjumps
+    conflicts = [0]
+    analyze = Solver._analyze
+
+    def counted(self, confl):
+        conflicts[0] += 1
+        return analyze(self, confl)
+
+    monkeypatch.setattr(Solver, "_analyze", counted)
     rng = random.Random(99)
-    for _ in range(200):
-        cnf = random_cnf(rng, max_vars=10, max_clauses=40)
+    draws = [random_cnf(rng, max_vars=10, max_clauses=40) for _ in range(200)]
+    draws += [random_3sat(rng, rng.randint(8, 12)) for _ in range(200)]
+    searched = 0
+    for cnf in draws:
+        before = conflicts[0]
         got = solve(cnf)
+        searched += conflicts[0] > before
         assert got.status == brute_cnf_status(cnf)
         if got.sat:
             w = got.witness
@@ -273,6 +288,7 @@ def test_solver_agrees_with_truth_tables():
                 assert any(
                     (l > 0) == bool(w[cnf.variables[abs(l) - 1]]) for l in cl
                 )
+    assert searched >= 100  # 167 of the 400 draws with the seed above
 
 
 def test_assumptions_are_temporary():
