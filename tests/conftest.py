@@ -56,11 +56,11 @@ def random_cnf(rng: random.Random, max_vars: int = 15, max_clauses: int = 60) ->
 def random_3sat(rng: random.Random, n: int, ratio: float = 4.26) -> Cnf:
     """Random 3-SAT on ``n`` variables, ``ratio`` clauses per variable: near
     4.26 about half the draws are satisfiable and most need search."""
-    clauses = []
-    for _ in range(round(ratio * n)):
-        vs = rng.sample(range(1, n + 1), 3)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-    return Cnf(n, tuple(clauses), tuple(f"x{i}" for i in range(1, n + 1)))
+    clauses = tuple(
+        tuple(v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(round(ratio * n))
+    )
+    return Cnf(n, clauses, tuple(f"x{i}" for i in range(1, n + 1)))
 
 
 def pigeonhole_cnf(pigeons: int, holes: int) -> Cnf:
