@@ -49,12 +49,19 @@ class Flavor(str, enum.Enum):
     DATA = "data"
 
 
+# The members and their texts, read once: on Python 3.11 ``Flavor.X`` goes
+# through EnumType.__getattr__ and ``.value`` is a property.  Compare with
+# ``==``, never ``is``: a RawNode may hold a member's plain string.
+FLAVOR_NONE, FLAVOR_BOOL, FLAVOR_BOOLDATA, FLAVOR_DATA = Flavor
+KIND_PACKAGE, KIND_COMPONENT, KIND_OPTION, KIND_INTERFACE = Kind
+MEMBER_TEXT = {x: x.value for x in (*Flavor, *Kind)}
+
 # Nodes with no explicit flavor get one from their kind.
 DEFAULT_FLAVOR = {
-    Kind.PACKAGE: Flavor.BOOLDATA,
-    Kind.COMPONENT: Flavor.BOOL,
-    Kind.OPTION: Flavor.BOOL,
-    Kind.INTERFACE: Flavor.DATA,
+    KIND_PACKAGE: FLAVOR_BOOLDATA,
+    KIND_COMPONENT: FLAVOR_BOOL,
+    KIND_OPTION: FLAVOR_BOOL,
+    KIND_INTERFACE: FLAVOR_DATA,
 }
 
 
@@ -304,7 +311,7 @@ def check_well_formed(m: Model) -> list[Violation]:
 def _violations(m: Model) -> list[Violation]:
     out: list[Violation] = []
     for n in m:
-        if n.flavor == Flavor.NONE and n.calculated is not None:
+        if n.flavor == FLAVOR_NONE and n.calculated is not None:
             out.append(
                 Violation("a", n.name, "calculated is meaningless with flavor none")
             )
@@ -312,12 +319,12 @@ def _violations(m: Model) -> list[Violation]:
             out.append(
                 Violation("b", n.name, "calculated and legal_values exclude each other")
             )
-        if n.flavor == Flavor.BOOL and n.legal_values is not None:
+        if n.flavor == FLAVOR_BOOL and n.legal_values is not None:
             out.append(
                 Violation("c", n.name, "legal_values needs a data-carrying flavor")
             )
-        if n.kind == Kind.INTERFACE and (
-            n.flavor == Flavor.NONE or n.calculated is not None
+        if n.kind == KIND_INTERFACE and (
+            n.flavor == FLAVOR_NONE or n.calculated is not None
         ):
             out.append(
                 Violation(
@@ -329,7 +336,7 @@ def _violations(m: Model) -> list[Violation]:
     # tree shape: Model construction guarantees resolvable, acyclic parents,
     # so only the leaf rule for options can still fail here
     for n in m:
-        if n.parent != TOP and m.node(n.parent).kind == Kind.OPTION:
+        if n.parent != TOP and m.node(n.parent).kind == KIND_OPTION:
             out.append(
                 Violation(
                     "e",
@@ -354,9 +361,9 @@ def model_to_json(m: Model) -> str:
         "    {\n"
         f'      "active_if": {_json_list(to_source(e) for e in n.active_if)},\n'
         f'      "calculated": {_json_opt(n.calculated and to_source(n.calculated))},\n'
-        f'      "flavor": {_json_str(n.flavor.value)},\n'
+        f'      "flavor": {_json_str(MEMBER_TEXT[n.flavor])},\n'
         f'      "implements": {_json_list(n.implements)},\n'
-        f'      "kind": {_json_str(n.kind.value)},\n'
+        f'      "kind": {_json_str(MEMBER_TEXT[n.kind])},\n'
         f'      "legal_values": '
         f'{_json_opt(n.legal_values and list_to_source(n.legal_values))},\n'
         f'      "name": {_json_str(n.name)},\n'
@@ -397,7 +404,7 @@ def model_to_pretty(m: Model) -> str:
     while stack:
         n, depth = stack.pop()
         pad = "    " * depth
-        lines.append(f"{pad}{n.kind.value} {n.name} [{n.flavor.value}]")
+        lines.append(f"{pad}{MEMBER_TEXT[n.kind]} {n.name} [{MEMBER_TEXT[n.flavor]}]")
         for e in sorted(to_source(x) for x in n.active_if):
             lines.append(f"{pad}    active_if {e}")
         for e in sorted(to_source(x) for x in n.requires):

@@ -17,7 +17,8 @@ from operator import or_
 
 from .errors import EvalError, FormulaError, OracleError
 from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not, frozen
-from .model import TOP, Flavor, Kind, Model, check_well_formed
+from .model import (FLAVOR_BOOL, FLAVOR_DATA, FLAVOR_NONE, KIND_INTERFACE, TOP,
+                    Model, check_well_formed)
 from .semantics import (
     DEFAULT_BUDGET,
     Assignment,
@@ -169,7 +170,7 @@ def project(c: Configuration, m: Model) -> PropConfig:
         node = m.get(name)
         if node is None:
             bits[name] = 0
-        elif node.flavor in (Flavor.BOOL, Flavor.NONE):
+        elif node.flavor in (FLAVOR_BOOL, FLAVOR_NONE):
             bits[name] = c.state(name)
         else:
             bits[name] = c.state(name) & to_bool(c.data(name))
@@ -305,7 +306,7 @@ def _rewrite_cmp(e: Infix, m: Model) -> BoolExpr | None:
     except EvalError:
         return None  # too many digits to compare; the full semantics fails it
     node = m.get(name)
-    if node is not None and node.kind == Kind.INTERFACE:
+    if node is not None and node.kind == KIND_INTERFACE:
         result = _rewrite_interface_cmp(name, op, value, m)
         if result is not None:
             return result
@@ -391,7 +392,7 @@ def build_formula(m: Model) -> PropFormula:
         context = band([parent, *ctc]) if ctc else parent
         me = BIdent(n.name)
         constraints.append(Constraint(n.name, "node", implies(me, context)))
-        if n.flavor in (Flavor.NONE, Flavor.DATA) and n.kind != Kind.INTERFACE:
+        if n.flavor in (FLAVOR_NONE, FLAVOR_DATA) and n.kind != KIND_INTERFACE:
             constraints.append(Constraint(n.name, "flavor", implies(context, me)))
         if n.calculated is not None:
             target = rewrite(n.calculated, m)
@@ -401,7 +402,7 @@ def build_formula(m: Model) -> PropFormula:
                         n.name, "calculated", implies(context, eqv(me, target))
                     )
                 )
-        if n.kind == Kind.INTERFACE:
+        if n.kind == KIND_INTERFACE:
             any_impl = bor(BIdent(i) for i in sorted(m.implementers(n.name)))
             constraints.append(
                 Constraint(
@@ -415,10 +416,10 @@ def build_formula(m: Model) -> PropFormula:
 
 def validate_prop(m: Model, cp: PropConfig) -> ValidationReport:
     """Check a Boolean configuration against the translated model."""
-    check_total(m.universe(), cp.domain)
+    domain = cp.domain  # a new frozenset on every read
+    check_total(m.universe(), domain)
     failures: list[Failure] = []
-    loaded = m.ids()
-    for x in sorted(cp.domain - loaded):
+    for x in sorted(domain - m.ids()):
         if cp[x] == 1:
             failures.append(
                 Failure(x, "unloaded", "feature is not in the model but set")

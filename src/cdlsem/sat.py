@@ -123,7 +123,6 @@ class _CnfBuilder:
     def new_aux(self, hint: str) -> int:
         name = f"{AUX_PREFIX}{hint}{len(self.names) + 1}"
         self.names.append(name)
-        self.index[name] = len(self.names)
         return len(self.names)
 
     def add_clause(self, lits: tuple[int, ...]) -> None:

@@ -33,7 +33,8 @@ from .exprs import (
     frozen,
     to_source,
 )
-from .model import TOP, Flavor, Kind, Model, Node
+from .model import (FLAVOR_BOOL, FLAVOR_BOOLDATA, FLAVOR_DATA, FLAVOR_NONE,
+                    KIND_INTERFACE, MEMBER_TEXT, TOP, Model, Node)
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -385,7 +386,7 @@ def _ctc_failures(n: Node, c: Configuration, m: Model):
 
 def flavor_holds(n: Node, c: Configuration) -> int:
     """none/data features always have their enabled value set."""
-    if n.flavor in (Flavor.NONE, Flavor.DATA):
+    if n.flavor in (FLAVOR_NONE, FLAVOR_DATA):
         return c.value(n.name)
     return 1
 
@@ -396,9 +397,9 @@ def calculated_holds(n: Node, c: Configuration, m: Model) -> int:
         computed = eval_expr(n.calculated, c, m)
     except EvalError:
         return 0
-    if n.flavor == Flavor.BOOL:
+    if n.flavor == FLAVOR_BOOL:
         return int(c.value(n.name) == to_bool(computed))
-    if n.flavor == Flavor.BOOLDATA:
+    if n.flavor == FLAVOR_BOOLDATA:
         return int(
             c.data(n.name) == computed
             and c.value(n.name) == to_bool(c.data(n.name))
@@ -408,7 +409,7 @@ def calculated_holds(n: Node, c: Configuration, m: Model) -> int:
 
 def legal_values_holds(n: Node, c: Configuration, m: Model) -> int:
     """Data value must match the enumeration; no effect on flavor none."""
-    if n.flavor == Flavor.NONE:
+    if n.flavor == FLAVOR_NONE:
         return 1
     try:
         return satisfies_legal(c.data(n.name), c, n.legal_values, m)
@@ -428,13 +429,13 @@ def interface_holds(
 ) -> int:
     """Interface value mirrors the number of enabled implementors."""
     k = str(len(impls(n.name, c, m)))
-    if n.flavor == Flavor.BOOLDATA:
+    if n.flavor == FLAVOR_BOOLDATA:
         return int(
             c.data(n.name) == k and c.value(n.name) == to_bool(c.data(n.name))
         )
-    if n.flavor == Flavor.DATA:
+    if n.flavor == FLAVOR_DATA:
         return int(c.data(n.name) == k)
-    if n.flavor == Flavor.BOOL:
+    if n.flavor == FLAVOR_BOOL:
         return int(c.value(n.name) == to_bool(k))
     return 1  # flavor none is ruled out by well-formedness
 
@@ -465,10 +466,11 @@ class ValidationReport:
 
 def validate_configuration(m: Model, c: Configuration) -> ValidationReport:
     """Check a configuration against every denotation family of the model."""
-    check_total(m.universe(), c.domain)
+    domain = c.domain  # a new frozenset on every read
+    check_total(m.universe(), domain)
     return ValidationReport(tuple(
         Failure(name, family, _explain(name, family, c, m))
-        for name, family in _failures(m, c, sorted(c.domain - m.ids()))
+        for name, family in _failures(m, c, sorted(domain - m.ids()))
     ))
 
 
@@ -506,7 +508,7 @@ def _failures(m: Model, c: Configuration, unloaded=()):
             yield name, "calculated"
         if n.legal_values is not None and not legal_values_holds(n, c, m):
             yield name, "legal_values"
-        if n.kind == Kind.INTERFACE and not interface_holds(n, c, m):
+        if n.kind == KIND_INTERFACE and not interface_holds(n, c, m):
             yield name, "interface"
 
 
@@ -527,7 +529,7 @@ def _explain(name: str, family: str, c: Configuration, m: Model) -> str:
             *reasons,
         ])
     if family == "flavor":
-        return f"flavor {n.flavor.value} requires enabled_value=1"
+        return f"flavor {MEMBER_TEXT[n.flavor]} requires enabled_value=1"
     if family == "calculated":
         return f"value must follow calculated {to_source(n.calculated)}"
     if family == "legal_values":
@@ -565,7 +567,7 @@ def enumerate_configurations(
         if node is None:
             choices.append(((0, 0, "0"), (0, 1, "0")))
             continue
-        values = (1,) if node.flavor in (Flavor.NONE, Flavor.DATA) else (0, 1)
+        values = (1,) if node.flavor in (FLAVOR_NONE, FLAVOR_DATA) else (0, 1)
         choices.append(
             tuple((s, v, d) for s in (0, 1) for v in values if s <= v for d in domain)
         )

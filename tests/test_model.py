@@ -194,6 +194,63 @@ def test_minimal_fixture_pairs(rule):
     assert check_well_formed(ok) == []
 
 
+# Rules a-d broken by one node, by flavor and by which of calculated and
+# legal_values it has.  a: none with calculated; b: calculated with
+# legal_values; c: bool with legal_values; d: an interface of flavor none or
+# with calculated.
+_PROPERTIES = ("neither", "calculated", "legal_values", "both")
+_WF_RULES = {
+    # flavor:     neither calculated legal_values both
+    "other": {
+        "none":     ("",   "a",   "",   "ab"),
+        "bool":     ("",   "",    "c",  "bc"),
+        "booldata": ("",   "",    "",   "b"),
+        "data":     ("",   "",    "",   "b"),
+    },
+    "interface": {
+        "none":     ("d",  "ad",  "d",  "abd"),
+        "bool":     ("",   "d",   "c",  "bcd"),
+        "booldata": ("",   "d",   "",   "bd"),
+        "data":     ("",   "d",   "",   "bd"),
+    },
+}
+
+
+def _one_node_rules(kind, flavor, properties: str) -> list[tuple[str, str]]:
+    node = RawNode("N", kind, flavor=flavor)
+    if properties in ("calculated", "both"):
+        node.calculated = (Const("1"),)
+    if properties in ("legal_values", "both"):
+        node.legal_values = parse_list_expr("1 2")
+    return [(v.rule, v.node) for v in check_well_formed(normalize_model([node]))]
+
+
+@pytest.mark.parametrize("properties", _PROPERTIES)
+@pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+def test_one_node_well_formedness_table(kind, flavor, properties):
+    table = _WF_RULES["interface" if kind == Kind.INTERFACE else "other"]
+    expected = table[flavor.value][_PROPERTIES.index(properties)]
+    assert _one_node_rules(kind, flavor, properties) == [(r, "N") for r in expected]
+
+
+@pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+def test_only_an_option_parent_breaks_rule_e(kind):
+    m = normalize_model([RawNode("P", kind), RawNode("C", Kind.OPTION, parent="P")])
+    expected = [("e", "P")] if kind == Kind.OPTION else []
+    assert [(v.rule, v.node) for v in check_well_formed(m)] == expected
+
+
+def test_plain_string_kind_and_flavor_break_the_same_rules():
+    # a RawNode may carry the member's text; the rules compare with ==
+    for properties in _PROPERTIES:
+        plain = _one_node_rules("interface", "none", properties)
+        assert plain == _one_node_rules(Kind.INTERFACE, Flavor.NONE, properties)
+    assert _one_node_rules("interface", "none", "calculated") == [
+        ("a", "N"), ("d", "N")
+    ]
+
+
 def test_well_formedness_is_checked_once_per_model(monkeypatch):
     import cdlsem.model as model_module
 
