@@ -200,7 +200,7 @@ def test_minimal_fixture_pairs(rule):
 # with calculated.
 _PROPERTIES = ("neither", "calculated", "legal_values", "both")
 _WF_RULES = {
-    # flavor:     neither calculated legal_values both
+    # kind: {flavor: (neither, calculated, legal_values, both)}
     "other": {
         "none":     ("",   "a",   "",   "ab"),
         "bool":     ("",   "",    "c",  "bc"),
