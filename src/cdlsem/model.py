@@ -8,7 +8,6 @@ programmatically) and are turned into normalized, immutable nodes by
 
 from __future__ import annotations
 
-import enum
 import json
 import re
 from dataclasses import dataclass, field
@@ -35,33 +34,16 @@ def is_valid_feature_id(name: str) -> bool:
     return bool(_NAME_RX.fullmatch(name)) and name != TOP
 
 
-class Kind(str, enum.Enum):
-    PACKAGE = "package"
-    COMPONENT = "component"
-    OPTION = "option"
-    INTERFACE = "interface"
-
-
-class Flavor(str, enum.Enum):
-    NONE = "none"
-    BOOL = "bool"
-    BOOLDATA = "booldata"
-    DATA = "data"
-
-
-# The members and their texts, read once: on Python 3.11 ``Flavor.X`` goes
-# through EnumType.__getattr__ and ``.value`` is a property.  Compare with
-# ``==``, never ``is``: a RawNode may hold a member's plain string.
-FLAVOR_NONE, FLAVOR_BOOL, FLAVOR_BOOLDATA, FLAVOR_DATA = Flavor
-KIND_PACKAGE, KIND_COMPONENT, KIND_OPTION, KIND_INTERFACE = Kind
-MEMBER_TEXT = {x: x.value for x in (*Flavor, *Kind)}
+# A node's kind and flavor are their CDL texts; the parser stores the text of
+# this table, so nodes share one string per flavor, not a slice each.
+FLAVORS = {f: f for f in ("none", "bool", "booldata", "data")}
 
 # Nodes with no explicit flavor get one from their kind.
 DEFAULT_FLAVOR = {
-    KIND_PACKAGE: FLAVOR_BOOLDATA,
-    KIND_COMPONENT: FLAVOR_BOOL,
-    KIND_OPTION: FLAVOR_BOOL,
-    KIND_INTERFACE: FLAVOR_DATA,
+    "package": "booldata",
+    "component": "bool",
+    "option": "bool",
+    "interface": "data",
 }
 
 
@@ -76,9 +58,9 @@ class RawNode:
     """
 
     name: str
-    kind: Kind
+    kind: str
     parent: str | None = None
-    flavor: Flavor | None = None
+    flavor: str | None = None
     active_if: list[tuple[GoalExpr, ...]] = field(default_factory=list)
     requires: list[tuple[GoalExpr, ...]] = field(default_factory=list)
     calculated: tuple[GoalExpr, ...] | None = None
@@ -91,12 +73,12 @@ class RawNode:
 class Node:
     name: str
     parent: str  # another node's name, or TOP
-    flavor: Flavor
+    flavor: str
     active_if: frozenset[GoalExpr]
     requires: frozenset[GoalExpr]
     calculated: GoalExpr | None
     legal_values: ListExpr | None
-    kind: Kind
+    kind: str
     implements: frozenset[str]
 
     def constraints(self) -> frozenset[GoalExpr]:
@@ -311,7 +293,7 @@ def check_well_formed(m: Model) -> list[Violation]:
 def _violations(m: Model) -> list[Violation]:
     out: list[Violation] = []
     for n in m:
-        if n.flavor == FLAVOR_NONE and n.calculated is not None:
+        if n.flavor == "none" and n.calculated is not None:
             out.append(
                 Violation("a", n.name, "calculated is meaningless with flavor none")
             )
@@ -319,12 +301,12 @@ def _violations(m: Model) -> list[Violation]:
             out.append(
                 Violation("b", n.name, "calculated and legal_values exclude each other")
             )
-        if n.flavor == FLAVOR_BOOL and n.legal_values is not None:
+        if n.flavor == "bool" and n.legal_values is not None:
             out.append(
                 Violation("c", n.name, "legal_values needs a data-carrying flavor")
             )
-        if n.kind == KIND_INTERFACE and (
-            n.flavor == FLAVOR_NONE or n.calculated is not None
+        if n.kind == "interface" and (
+            n.flavor == "none" or n.calculated is not None
         ):
             out.append(
                 Violation(
@@ -336,7 +318,7 @@ def _violations(m: Model) -> list[Violation]:
     # tree shape: Model construction guarantees resolvable, acyclic parents,
     # so only the leaf rule for options can still fail here
     for n in m:
-        if n.parent != TOP and m.node(n.parent).kind == KIND_OPTION:
+        if n.parent != TOP and m.node(n.parent).kind == "option":
             out.append(
                 Violation(
                     "e",
@@ -361,9 +343,9 @@ def model_to_json(m: Model) -> str:
         "    {\n"
         f'      "active_if": {_json_list(to_source(e) for e in n.active_if)},\n'
         f'      "calculated": {_json_opt(n.calculated and to_source(n.calculated))},\n'
-        f'      "flavor": {_json_str(MEMBER_TEXT[n.flavor])},\n'
+        f'      "flavor": {_json_str(n.flavor)},\n'
         f'      "implements": {_json_list(n.implements)},\n'
-        f'      "kind": {_json_str(MEMBER_TEXT[n.kind])},\n'
+        f'      "kind": {_json_str(n.kind)},\n'
         f'      "legal_values": '
         f'{_json_opt(n.legal_values and list_to_source(n.legal_values))},\n'
         f'      "name": {_json_str(n.name)},\n'
@@ -404,7 +386,7 @@ def model_to_pretty(m: Model) -> str:
     while stack:
         n, depth = stack.pop()
         pad = "    " * depth
-        lines.append(f"{pad}{MEMBER_TEXT[n.kind]} {n.name} [{MEMBER_TEXT[n.flavor]}]")
+        lines.append(f"{pad}{n.kind} {n.name} [{n.flavor}]")
         for e in sorted(to_source(x) for x in n.active_if):
             lines.append(f"{pad}    active_if {e}")
         for e in sorted(to_source(x) for x in n.requires):

@@ -62,16 +62,16 @@ from .exprs import (
     frozen,
     infix,
 )
-from .model import Flavor, Kind, RawNode, is_valid_feature_id
+from .model import FLAVORS, RawNode, is_valid_feature_id
 
 MAX_NESTING = 100  # command body depth
 MAX_EXPR_DEPTH = 150
 
 _NODE_COMMANDS = {
-    "cdl_package": Kind.PACKAGE,
-    "cdl_component": Kind.COMPONENT,
-    "cdl_option": Kind.OPTION,
-    "cdl_interface": Kind.INTERFACE,
+    "cdl_package": "package",
+    "cdl_component": "component",
+    "cdl_option": "option",
+    "cdl_interface": "interface",
 }
 
 # goal-expression properties keep one entry per occurrence; these others
@@ -144,7 +144,6 @@ _BLANKS_RX = re.compile(r"\s*")
 
 # escape character -> the character it stands for, the printer's escapes reversed
 _ESCAPE_MAP = {esc[1]: ch for ch, esc in _ESCAPES.items()}
-_FLAVORS = {f.value: f for f in Flavor}
 
 
 @frozen
@@ -684,8 +683,8 @@ class _ModelBuilder:
                 if words or node is None:
                     pass
                 elif prop == "flavor":
-                    if node.flavor is None and value in _FLAVORS:
-                        node.flavor = _FLAVORS[value]
+                    if node.flavor is None and value in FLAVORS:
+                        node.flavor = FLAVORS[value]
                         continue
                 elif prop == "implements":
                     if kind == "id":
@@ -848,7 +847,7 @@ class _ModelBuilder:
             if len(args) != 1:
                 return self.error(head, "flavor needs exactly one value")
             value = self.text(args[0])
-            node.flavor = _FLAVORS.get(value)
+            node.flavor = FLAVORS.get(value)
             if node.flavor is None:
                 self.error(args[0], f"unknown flavor {value!r}")
         elif prop in _EXPR_PROPERTIES:

@@ -17,8 +17,7 @@ from operator import or_
 
 from .errors import EvalError, FormulaError, OracleError
 from .exprs import Call, Cond, Const, GoalExpr, Ident, Infix, Not, frozen
-from .model import (FLAVOR_BOOL, FLAVOR_DATA, FLAVOR_NONE, KIND_INTERFACE, TOP,
-                    Model, check_well_formed)
+from .model import TOP, Model, check_well_formed
 from .semantics import (
     DEFAULT_BUDGET,
     Assignment,
@@ -170,7 +169,7 @@ def project(c: Configuration, m: Model) -> PropConfig:
         node = m.get(name)
         if node is None:
             bits[name] = 0
-        elif node.flavor in (FLAVOR_BOOL, FLAVOR_NONE):
+        elif node.flavor in ("bool", "none"):
             bits[name] = c.state(name)
         else:
             bits[name] = c.state(name) & to_bool(c.data(name))
@@ -306,7 +305,7 @@ def _rewrite_cmp(e: Infix, m: Model) -> BoolExpr | None:
     except EvalError:
         return None  # too many digits to compare; the full semantics fails it
     node = m.get(name)
-    if node is not None and node.kind == KIND_INTERFACE:
+    if node is not None and node.kind == "interface":
         result = _rewrite_interface_cmp(name, op, value, m)
         if result is not None:
             return result
@@ -392,7 +391,7 @@ def build_formula(m: Model) -> PropFormula:
         context = band([parent, *ctc]) if ctc else parent
         me = BIdent(n.name)
         constraints.append(Constraint(n.name, "node", implies(me, context)))
-        if n.flavor in (FLAVOR_NONE, FLAVOR_DATA) and n.kind != KIND_INTERFACE:
+        if n.flavor in ("none", "data") and n.kind != "interface":
             constraints.append(Constraint(n.name, "flavor", implies(context, me)))
         if n.calculated is not None:
             target = rewrite(n.calculated, m)
@@ -402,7 +401,7 @@ def build_formula(m: Model) -> PropFormula:
                         n.name, "calculated", implies(context, eqv(me, target))
                     )
                 )
-        if n.kind == KIND_INTERFACE:
+        if n.kind == "interface":
             any_impl = bor(BIdent(i) for i in sorted(m.implementers(n.name)))
             constraints.append(
                 Constraint(

@@ -33,8 +33,7 @@ from .exprs import (
     frozen,
     to_source,
 )
-from .model import (FLAVOR_BOOL, FLAVOR_BOOLDATA, FLAVOR_DATA, FLAVOR_NONE,
-                    KIND_INTERFACE, MEMBER_TEXT, TOP, Model, Node)
+from .model import TOP, Model, Node
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -92,23 +91,12 @@ def to_bool(v: str) -> int:
     return 0 if _NUMBER_RX.fullmatch(v) and float(v) == 0 else 1
 
 
-def format_number(n) -> str:
-    """Render an evaluation result back to its string form."""
-    if isinstance(n, bool):
-        return "1" if n else "0"
-    return repr(n) if isinstance(n, float) else str(n)
-
-
 def compare_values(a: str, b: str) -> int:
     """Three-way comparison: numeric when both sides parse, else textual."""
     na, nb = parse_number(a), parse_number(b)
     if na is not None and nb is not None:
         return -1 if na < nb else (0 if na == nb else 1)
     return -1 if a < b else (0 if a == b else 1)
-
-
-def values_equal(a: str, b: str) -> bool:
-    return compare_values(a, b) == 0
 
 
 class Assignment:
@@ -343,20 +331,20 @@ def _arith(op: str, a: str, b: str) -> str:
             return _int_text(na // nb)
         if _float(nb) == 0.0:
             raise EvalError("div-zero", "division by zero")
-        return format_number(_float(na) / _float(nb))
+        return repr(_float(na) / _float(nb))
     if isinstance(na, int) and isinstance(nb, int):
         r = {"+": na + nb, "-": na - nb, "*": na * nb}[op]
         return _int_text(r)
     fa, fb = _float(na), _float(nb)
     r = {"+": fa + fb, "-": fa - fb, "*": fa * fb}[op]
-    return format_number(r)
+    return repr(r)
 
 
 def satisfies_legal(d: str, c: Configuration, l: ListExpr, m: Model) -> int:
     """Whether a data value matches a legal_values enumeration."""
     for item in l.items:
         if isinstance(item, Single):
-            if values_equal(d, eval_expr(item.expr, c, m)):
+            if compare_values(d, eval_expr(item.expr, c, m)) == 0:
                 return 1
         else:
             # both bounds are evaluated, low first, before either is compared
@@ -386,7 +374,7 @@ def _ctc_failures(n: Node, c: Configuration, m: Model):
 
 def flavor_holds(n: Node, c: Configuration) -> int:
     """none/data features always have their enabled value set."""
-    if n.flavor in (FLAVOR_NONE, FLAVOR_DATA):
+    if n.flavor in ("none", "data"):
         return c.value(n.name)
     return 1
 
@@ -397,9 +385,9 @@ def calculated_holds(n: Node, c: Configuration, m: Model) -> int:
         computed = eval_expr(n.calculated, c, m)
     except EvalError:
         return 0
-    if n.flavor == FLAVOR_BOOL:
+    if n.flavor == "bool":
         return int(c.value(n.name) == to_bool(computed))
-    if n.flavor == FLAVOR_BOOLDATA:
+    if n.flavor == "booldata":
         return int(
             c.data(n.name) == computed
             and c.value(n.name) == to_bool(c.data(n.name))
@@ -409,7 +397,7 @@ def calculated_holds(n: Node, c: Configuration, m: Model) -> int:
 
 def legal_values_holds(n: Node, c: Configuration, m: Model) -> int:
     """Data value must match the enumeration; no effect on flavor none."""
-    if n.flavor == FLAVOR_NONE:
+    if n.flavor == "none":
         return 1
     try:
         return satisfies_legal(c.data(n.name), c, n.legal_values, m)
@@ -429,13 +417,13 @@ def interface_holds(
 ) -> int:
     """Interface value mirrors the number of enabled implementors."""
     k = str(len(impls(n.name, c, m)))
-    if n.flavor == FLAVOR_BOOLDATA:
+    if n.flavor == "booldata":
         return int(
             c.data(n.name) == k and c.value(n.name) == to_bool(c.data(n.name))
         )
-    if n.flavor == FLAVOR_DATA:
+    if n.flavor == "data":
         return int(c.data(n.name) == k)
-    if n.flavor == FLAVOR_BOOL:
+    if n.flavor == "bool":
         return int(c.value(n.name) == to_bool(k))
     return 1  # flavor none is ruled out by well-formedness
 
@@ -508,7 +496,7 @@ def _failures(m: Model, c: Configuration, unloaded=()):
             yield name, "calculated"
         if n.legal_values is not None and not legal_values_holds(n, c, m):
             yield name, "legal_values"
-        if n.kind == KIND_INTERFACE and not interface_holds(n, c, m):
+        if n.kind == "interface" and not interface_holds(n, c, m):
             yield name, "interface"
 
 
@@ -529,7 +517,7 @@ def _explain(name: str, family: str, c: Configuration, m: Model) -> str:
             *reasons,
         ])
     if family == "flavor":
-        return f"flavor {MEMBER_TEXT[n.flavor]} requires enabled_value=1"
+        return f"flavor {n.flavor} requires enabled_value=1"
     if family == "calculated":
         return f"value must follow calculated {to_source(n.calculated)}"
     if family == "legal_values":
@@ -567,7 +555,7 @@ def enumerate_configurations(
         if node is None:
             choices.append(((0, 0, "0"), (0, 1, "0")))
             continue
-        values = (1,) if node.flavor in (FLAVOR_NONE, FLAVOR_DATA) else (0, 1)
+        values = (1,) if node.flavor in ("none", "data") else (0, 1)
         choices.append(
             tuple((s, v, d) for s in (0, 1) for v in values if s <= v for d in domain)
         )

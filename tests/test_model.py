@@ -20,7 +20,7 @@ from cdlsem import (
     parse_model,
 )
 from cdlsem.exprs import to_source
-from cdlsem.model import Flavor, Kind, Model, model_to_pretty
+from cdlsem.model import DEFAULT_FLAVOR, FLAVORS, Model, model_to_pretty
 from cdlsem.prop import build_formula
 from cdlsem.semantics import Configuration, impls
 
@@ -33,21 +33,42 @@ from conftest import FIXTURES, fixture_paths, load_model, mk_model, perfbench_ge
 
 def test_package_defaults_to_booldata():
     m = mk_model("cdl_package P {}")
-    assert m.node("P").flavor == Flavor.BOOLDATA
+    assert m.node("P").flavor == "booldata"
 
 
 @pytest.mark.parametrize(
     "src,flavor",
     [
-        ("cdl_component C {}", Flavor.BOOL),
-        ("cdl_option O {}", Flavor.BOOL),
-        ("cdl_interface I {}", Flavor.DATA),
+        ("cdl_component C {}", "bool"),
+        ("cdl_option O {}", "bool"),
+        ("cdl_interface I {}", "data"),
     ],
 )
 def test_flavor_defaults(src, flavor):
     m = mk_model(src)
     (node,) = list(m)
     assert node.flavor == flavor
+
+
+def test_kinds_and_flavors_are_their_texts():
+    # every kind with its flavor defaulted and with each flavor, read both as
+    # a one-word property line and as a command; a str enum member would
+    # format as "Kind.OPTION" on Python 3.11
+    lines = []
+    for kind in sorted(DEFAULT_FLAVOR):
+        lines.append(f"cdl_{kind} {kind}_default {{}}")
+        for f in sorted(FLAVORS):
+            lines.append(f"cdl_{kind} {kind}_{f} {{\n flavor {f}\n}}")
+            lines.append(f"cdl_{kind} {kind}_{f}_inline {{ flavor {f} }}")
+    raw = parse_model("\n".join(lines))[0]
+    m = normalize_model(raw)
+    texts = [r.kind for r in raw] + [r.flavor for r in raw if r.flavor is not None]
+    texts += [n.kind for n in m] + [n.flavor for n in m]
+    assert len(texts) == 4 * 9 + 4 * 8 + 2 * 4 * 9
+    for x in texts:
+        assert type(x) is str and f"{x}" == x
+    assert {(n.kind, n.flavor) for n in m} == {(k, f) for k in DEFAULT_FLAVOR for f in FLAVORS}
+    assert all(m.node(f"{k}_default").flavor == f for k, f in DEFAULT_FLAVOR.items())
 
 
 def test_enumeration_becomes_disjunction():
@@ -80,7 +101,7 @@ def test_empty_model():
 
 
 def test_duplicate_name_rejected():
-    raws = [RawNode("A", Kind.OPTION), RawNode("A", Kind.OPTION)]
+    raws = [RawNode("A", "option"), RawNode("A", "option")]
     with pytest.raises(NormalizationError) as err:
         normalize_model(raws)
     assert err.value.code == "duplicate"
@@ -88,14 +109,14 @@ def test_duplicate_name_rejected():
 
 def test_dangling_parent_rejected():
     with pytest.raises(NormalizationError) as err:
-        normalize_model([RawNode("A", Kind.OPTION, parent="GHOST")])
+        normalize_model([RawNode("A", "option", parent="GHOST")])
     assert err.value.code == "unresolved-parent"
 
 
 def test_parent_cycle_rejected():
     raws = [
-        RawNode("A", Kind.COMPONENT, parent="B"),
-        RawNode("B", Kind.COMPONENT, parent="A"),
+        RawNode("A", "component", parent="B"),
+        RawNode("B", "component", parent="A"),
     ]
     with pytest.raises(NormalizationError) as err:
         normalize_model(raws)
@@ -105,9 +126,9 @@ def test_parent_cycle_rejected():
 
 def test_parent_cycle_reported_where_it_closes():
     raws = [
-        RawNode("X", Kind.COMPONENT, parent="A"),
-        RawNode("A", Kind.COMPONENT, parent="B"),
-        RawNode("B", Kind.COMPONENT, parent="A"),
+        RawNode("X", "component", parent="A"),
+        RawNode("A", "component", parent="B"),
+        RawNode("B", "component", parent="A"),
     ]
     with pytest.raises(NormalizationError, match="parent cycle through 'A'"):
         normalize_model(raws)
@@ -115,7 +136,7 @@ def test_parent_cycle_reported_where_it_closes():
 
 def test_reserved_name_rejected():
     with pytest.raises(NormalizationError) as err:
-        normalize_model([RawNode(TOP, Kind.OPTION)])
+        normalize_model([RawNode(TOP, "option")])
     assert err.value.code == "invalid-name"
 
 
@@ -226,29 +247,19 @@ def _one_node_rules(kind, flavor, properties: str) -> list[tuple[str, str]]:
 
 
 @pytest.mark.parametrize("properties", _PROPERTIES)
-@pytest.mark.parametrize("flavor", list(Flavor), ids=lambda f: f.value)
-@pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+@pytest.mark.parametrize("flavor", sorted(FLAVORS))
+@pytest.mark.parametrize("kind", sorted(DEFAULT_FLAVOR))
 def test_one_node_well_formedness_table(kind, flavor, properties):
-    table = _WF_RULES["interface" if kind == Kind.INTERFACE else "other"]
-    expected = table[flavor.value][_PROPERTIES.index(properties)]
+    table = _WF_RULES["interface" if kind == "interface" else "other"]
+    expected = table[flavor][_PROPERTIES.index(properties)]
     assert _one_node_rules(kind, flavor, properties) == [(r, "N") for r in expected]
 
 
-@pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", sorted(DEFAULT_FLAVOR))
 def test_only_an_option_parent_breaks_rule_e(kind):
-    m = normalize_model([RawNode("P", kind), RawNode("C", Kind.OPTION, parent="P")])
-    expected = [("e", "P")] if kind == Kind.OPTION else []
+    m = normalize_model([RawNode("P", kind), RawNode("C", "option", parent="P")])
+    expected = [("e", "P")] if kind == "option" else []
     assert [(v.rule, v.node) for v in check_well_formed(m)] == expected
-
-
-def test_plain_string_kind_and_flavor_break_the_same_rules():
-    # a RawNode may carry the member's text; the rules compare with ==
-    for properties in _PROPERTIES:
-        plain = _one_node_rules("interface", "none", properties)
-        assert plain == _one_node_rules(Kind.INTERFACE, Flavor.NONE, properties)
-    assert _one_node_rules("interface", "none", "calculated") == [
-        ("a", "N"), ("d", "N")
-    ]
 
 
 def test_well_formedness_is_checked_once_per_model(monkeypatch):
@@ -334,11 +345,11 @@ def test_children_and_lookup():
 def test_pretty_walks_deep_hierarchies_without_recursion():
     depth = 1500
     raw = [
-        RawNode(name=f"C{i}", kind=Kind.COMPONENT, parent=f"C{i - 1}" if i else None)
+        RawNode(name=f"C{i}", kind="component", parent=f"C{i - 1}" if i else None)
         for i in range(depth)
     ]
-    raw.append(RawNode(name="L", kind=Kind.OPTION, parent=f"C{depth - 1}"))
-    raw.append(RawNode(name="B", kind=Kind.OPTION, parent="C0"))
+    raw.append(RawNode(name="L", kind="option", parent=f"C{depth - 1}"))
+    raw.append(RawNode(name="B", kind="option", parent="C0"))
     lines = model_to_pretty(normalize_model(raw)).splitlines()
     assert len(lines) == depth + 2
     # children in name order: B before C1 under C0
@@ -375,7 +386,7 @@ def test_implementers_index_matches_node_scan():
             {x: (rng.randint(0, 1), rng.randint(0, 1), "1") for x in m.universe()}
         )
         names = {i for n in m for i in n.implements}
-        names |= {n.name for n in m if n.kind == Kind.INTERFACE}
+        names |= {n.name for n in m if n.kind == "interface"}
         for name in sorted(names) + ["NO_SUCH_NAME"]:
             scan = frozenset(n.name for n in m if name in n.implements)
             assert m.implementers(name) == scan, (label, name)

@@ -29,7 +29,7 @@ from cdlsem import (
     to_source,
 )
 from cdlsem.exprs import PRECEDENCE, infix
-from cdlsem.model import Flavor, Kind, RawNode
+from cdlsem.model import RawNode
 from cdlsem.parser import _CMD_TOKEN_RX, MAX_NESTING, ParseError
 
 from conftest import FIXTURES, fixture_paths
@@ -330,7 +330,7 @@ def test_single_option():
     nodes, diags = parse_model("cdl_option A { flavor bool }")
     assert not has_errors(diags)
     (a,) = nodes
-    assert (a.name, a.kind, a.flavor, a.parent) == ("A", Kind.OPTION, Flavor.BOOL, None)
+    assert (a.name, a.kind, a.flavor, a.parent) == ("A", "option", "bool", None)
 
 
 def test_bodyless_node_allowed():
@@ -354,7 +354,7 @@ def test_comments_and_semicolons():
     src = "# leading comment\ncdl_option A { flavor bool; requires B }\n"
     nodes, diags = parse_model(src)
     assert not has_errors(diags)
-    assert nodes[0].flavor == Flavor.BOOL
+    assert nodes[0].flavor == "bool"
     assert nodes[0].requires == [(Ident("B"),)]
 
 
@@ -450,7 +450,7 @@ def test_parsing_needs_no_recursion():
 
 
 def _opt(name, **fields):
-    return RawNode(name=name, kind=Kind.OPTION, **fields)
+    return RawNode(name=name, kind="option", **fields)
 
 
 @pytest.mark.parametrize(
@@ -518,19 +518,19 @@ def _opt(name, **fields):
         ),
         pytest.param(
             "# c {\ncdl_option A { flavor bool; # c ;\n description # x }",
-            [_opt("A", flavor=Flavor.BOOL, annotations={"description": ["# x"]})],
+            [_opt("A", flavor="bool", annotations={"description": ["# x"]})],
             ["m.cdl:3:2: warning: ignoring unsupported property 'description'"],
             id="hash-comment-only-at-command-start",
         ),
         pytest.param(
             "cdl_option A; cdl_option B {flavor data;calculated 1}",
-            [_opt("A"), _opt("B", flavor=Flavor.DATA, calculated=(Const("1"),))],
+            [_opt("A"), _opt("B", flavor="data", calculated=(Const("1"),))],
             [],
             id="semicolon-separator",
         ),
         pytest.param(
             "cdl_option A {\r\n flavor bool\r\n requires B\r\n}\r\nfoo\r\n",
-            [_opt("A", flavor=Flavor.BOOL, requires=[(Ident("B"),)])],
+            [_opt("A", flavor="bool", requires=[(Ident("B"),)])],
             ["m.cdl:5:1: error: unknown top-level command 'foo'"],
             id="crlf-line-ends",
         ),
@@ -544,19 +544,19 @@ def _opt(name, **fields):
         # the splitter still take part in brace pairing
         pytest.param(
             '"{"\ncdl_option A { flavor bool }\n',
-            [_opt("A", flavor=Flavor.BOOL)],
+            [_opt("A", flavor="bool")],
             ["m.cdl:1:1: error: unknown top-level command '\"{\"'"],
             id="quoted-open-brace-before-node",
         ),
         pytest.param(
             "cdl_option A { flavor bool }\n# a } b\ncdl_option B { flavor data }\n",
-            [_opt("A", flavor=Flavor.BOOL), _opt("B", flavor=Flavor.DATA)],
+            [_opt("A", flavor="bool"), _opt("B", flavor="data")],
             [],
             id="close-brace-in-top-level-comment",
         ),
         pytest.param(
             "cdl_option A {\n description a\\{b \\}\n flavor bool\n}\n",
-            [_opt("A", flavor=Flavor.BOOL,
+            [_opt("A", flavor="bool",
                   annotations={"description": ["a\\{b \\}"]})],
             ["m.cdl:2:2: warning: ignoring unsupported property 'description'"],
             id="escaped-braces-in-body",
@@ -579,7 +579,7 @@ def _opt(name, **fields):
         ),
         pytest.param(
             "cdl_option A {\n flavor data\n legal_values { {a {b}} 1 }\n}\n",
-            [_opt("A", flavor=Flavor.DATA, legal_values=ListExpr(
+            [_opt("A", flavor="data", legal_values=ListExpr(
                 (Single(Const("a {b}")), Single(Const("1")))))],
             [],
             id="nested-braced-legal-values-item",
@@ -594,19 +594,19 @@ def _opt(name, **fields):
         # when the item's text ends before the next word starts
         pytest.param(
             "cdl_option A {\n flavor data\n legal_values 2+ 3\n}\n",
-            [_opt("A", flavor=Flavor.DATA)],
+            [_opt("A", flavor="data")],
             ["m.cdl:3:16: error: unexpected end of expression"],
             id="legal-values-item-ends-early",
         ),
         pytest.param(
             "cdl_option A {\n flavor data\n legal_values 1 2 $x\n}\n",
-            [_opt("A", flavor=Flavor.DATA)],
+            [_opt("A", flavor="data")],
             ["m.cdl:3:19: error: unsupported character '$' in expression"],
             id="legal-values-bad-character-in-later-item",
         ),
         pytest.param(
             'cdl_option A {\n flavor data\n legal_values 1 "a\\qb"\n}\n',
-            [_opt("A", flavor=Flavor.DATA, legal_values=ListExpr(
+            [_opt("A", flavor="data", legal_values=ListExpr(
                 (Single(Const("1")), Single(Const("aqb")))))],
             ["m.cdl:3:19: warning: unsupported escape \\q; kept literally"],
             id="legal-values-unsupported-escape-in-quoted-item",
@@ -646,13 +646,13 @@ def _opt(name, **fields):
         ),
         pytest.param(
             "cdl_option A {\n flavor data\n calculated {}\n}\n",
-            [_opt("A", flavor=Flavor.DATA)],
+            [_opt("A", flavor="data")],
             ["m.cdl:3:13: error: empty expression"],
             id="empty-braced-calculated",
         ),
         pytest.param(
             "cdl_option A {\n flavor data\n legal_values {}\n}\n",
-            [_opt("A", flavor=Flavor.DATA)],
+            [_opt("A", flavor="data")],
             ["m.cdl:3:15: error: empty list expression"],
             id="empty-braced-legal-values",
         ),

@@ -16,7 +16,7 @@ from cdlsem import exprs, model, parser, prop, sat, semantics
 from cdlsem.exprs import (
     BitNot, Call, Cond, Const, Ident, Infix, ListExpr, Not, Range, Single,
 )
-from cdlsem.model import TOP, Flavor, Kind, Node, RawNode, Violation
+from cdlsem.model import TOP, Node, RawNode, Violation
 from cdlsem.parser import ParseDiagnostic, SourceSpan
 from cdlsem.prop import (
     BCard, BConst, BIdent, BInfix, BNot, Constraint, PropFormula,
@@ -39,8 +39,8 @@ RECORDS = {
     Single: (A,),
     Range: (Const("1"), Const("2")),
     ListExpr: ((Single(A), Range(Const("1"), B)),),
-    Node: ("A", TOP, Flavor.BOOL, frozenset(), frozenset({B}), None, None,
-           Kind.OPTION, frozenset({"I"})),
+    Node: ("A", TOP, "bool", frozenset(), frozenset({B}), None, None,
+           "option", frozenset({"I"})),
     Violation: ("a", "A", "why"),
     BIdent: ("A",),
     BConst: (1,),
@@ -146,11 +146,11 @@ def test_post_init_still_checks(build, message):
 
 
 def test_raw_node_is_slotted_and_mutable():
-    node = RawNode("A", Kind.OPTION)
-    node.flavor = Flavor.DATA
+    node = RawNode("A", "option")
+    node.flavor = "data"
     node.requires.append((A,))
-    assert node == RawNode("A", Kind.OPTION, flavor=Flavor.DATA, requires=[(A,)])
-    assert RawNode("B", Kind.OPTION).requires == []  # a list per node
+    assert node == RawNode("A", "option", flavor="data", requires=[(A,)])
+    assert RawNode("B", "option").requires == []  # a list per node
     with pytest.raises(AttributeError):
         node.extra = 1
 

@@ -197,53 +197,3 @@ def test_output_goes_to_the_given_streams():
     found = [f"{p.name}: {x}" for p in SOURCES if p.name != "__main__.py"
              for x in stray_output(p.read_text(), "main" if p.name == "cli.py" else None)]
     assert found == []
-
-
-_ENUMS = ("Flavor", "Kind")
-
-
-def enum_reads(source: str) -> list[str]:
-    """Reads of a ``Flavor`` or ``Kind`` member, and of the ``.value`` of a
-    ``.flavor`` or ``.kind`` attribute, inside a function, method or lambda
-    body.  Module-level tables may read them."""
-    found = {}
-    for scope in ast.walk(ast.parse(source)):
-        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Attribute):
-                continue
-            owner = node.value
-            if isinstance(owner, ast.Name) and owner.id in _ENUMS:
-                what = f"{owner.id}.{node.attr}"
-            elif (node.attr == "value" and isinstance(owner, ast.Attribute)
-                  and owner.attr in ("flavor", "kind")):
-                what = f"{owner.attr}.value"
-            else:
-                continue
-            # a nested function is walked once for each enclosing scope
-            found[node.lineno, node.col_offset] = what
-    return [f"{what} (line {line})" for (line, _), what in sorted(found.items())]
-
-
-def test_enum_reads_are_found():
-    source = (
-        "DEFAULT = {Kind.OPTION: Flavor.BOOL}\nNONE = Flavor.NONE\n"
-        "def f(n):\n    return n.flavor == Flavor.NONE or n.kind.value\n"
-        "g = lambda n: n.flavor.value + Kind.OPTION\n"
-        "class A:\n    X = Kind.PACKAGE\n    def m(self, n):\n"
-        "        def inner():\n            return Kind.INTERFACE\n"
-        "        return n.value, self.flavor.name, [f.value for f in Flavor]\n"
-    )
-    assert enum_reads(source) == [
-        "Flavor.NONE (line 4)", "kind.value (line 4)", "flavor.value (line 5)",
-        "Kind.OPTION (line 5)", "Kind.INTERFACE (line 10)",
-    ]
-
-
-def test_per_node_paths_read_no_enum_members():
-    # on Python 3.11 each ``Flavor.X`` read goes through EnumType.__getattr__,
-    # several times slower than reading a global, so functions compare with
-    # the members model.py reads once and print them through its text table
-    found = [f"{p.name}: {x}" for p in SOURCES for x in enum_reads(p.read_text())]
-    assert found == []
