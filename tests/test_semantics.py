@@ -601,7 +601,7 @@ def test_enumerate_equals_validation_on_generated_models():
         domain = _small_domain(m, domains)
         got = enumerate_configurations(m, domain)
         assert got == _accepted_by_validation(m, domain), (source, domain)
-        seen.update(n.flavor.value for n in m)
+        seen.update(n.flavor for n in m)
         seen.add("unloaded" if m.unloaded_ids() else "loaded")
         seen.add("accepting" if got else "void")
     assert {"none", "data", "unloaded", "accepting"} <= seen
