@@ -67,7 +67,8 @@ def test_kinds_and_flavors_are_their_texts():
     assert len(texts) == 4 * 9 + 4 * 8 + 2 * 4 * 9
     for x in texts:
         assert type(x) is str and f"{x}" == x
-    assert {(n.kind, n.flavor) for n in m} == {(k, f) for k in DEFAULT_FLAVOR for f in FLAVORS}
+    pairs = {(k, f) for k in DEFAULT_FLAVOR for f in FLAVORS}
+    assert {(n.kind, n.flavor) for n in m} == pairs
     assert all(m.node(f"{k}_default").flavor == f for k, f in DEFAULT_FLAVOR.items())
 
 
