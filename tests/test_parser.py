@@ -954,6 +954,75 @@ _VALUE_CASES = {
 }
 
 
+# Plain property lines: property words of identifiers and decimal
+# integers, or one expression word, alone on a line; and the near misses
+# of both, which the general path reports on or reads otherwise.
+_LINE_CASES = {
+    "list range": _value_case("legal_values 1 to 255"),
+    "list enumeration": _value_case("legal_values 8 64 B 1 to 2 C"),
+    "list to after a range": _value_case("legal_values 1 to 2 to 3"),
+    "list to to": _value_case("legal_values 1 to to 2"),
+    "list leading to": _value_case("legal_values to 1 2"),
+    "list dangling to": _value_case("legal_values 1 to 2 3 to"),
+    "list xor": _value_case("legal_values 1 xor 2"),
+    "list hex item": _value_case("legal_values 0x10 1 to 0x20"),
+    "list twice": _value_case("legal_values 1 2", "legal_values 3"),
+    "goal words": _value_case(
+        "requires A B 1", "active_if 0 C", "calculated B 2", "requires A to B"
+    ),
+    "goal word operators": _value_case("requires A xor B", "active_if A implies"),
+    "expression words": _value_case(
+        "requires !B", "requires {B && C}", "active_if B&&C",
+        "calculated { B ? 1 : 2 }", "active_if {xor}", "requires 0x1F",
+    ),
+    "expression word errors": _value_case(
+        "requires A$B", "requires (A", "active_if {A +}", "requires A#",
+        "calculated { B ) }",
+    ),
+    "requires empty braces": _value_case("requires {}"),
+    "requires braced string": _value_case('requires { "s" }'),
+    "requires braced backslash": _value_case("requires { A \\ }"),
+    "requires nested braces": _value_case("requires { {A} }"),
+    "requires braced word and more": _value_case("requires {A}x"),
+    "requires braced word across lines": _value_case("requires {A &&\n B}"),
+    "calculated twice": _value_case("calculated {1}", "calculated {1}"),
+    "calculated words then braced": _value_case("calculated 1 2", "calculated {3}"),
+    "negation and a word": _value_case("requires !A B"),
+    "comment after the value": _value_case("requires {A} # c", "legal_values 1 # c"),
+    "continuation before the value": _value_case(
+        "requires \\\n{A && B}", "legal_values \\\n1 to 2", "active_if \\\n!A"
+    ),
+    "continuation between words": _value_case(
+        "legal_values 1 \\\n2", "requires A \\\nB"
+    ),
+    "words pending": (
+        "cdl_option A {\n flavor data\n x requires {A}\n y legal_values 1 2\n"
+        " z active_if !B\n w requires A B\n}\n"
+    ),
+    "the top level": (
+        "requires {A}\nlegal_values 1 2\nactive_if !A\ncdl_option A {}\n"
+        "calculated A B\nimplements I J\n"
+    ),
+    "several flavors": "cdl_option A {\n flavor bool data\n}\n",
+    "several interfaces": "cdl_option A {\n implements I J\n implements K 5\n}\n",
+    "semicolons": (
+        "cdl_option A { flavor data; legal_values 1 to 2; requires {A};"
+        " active_if !B; calculated A B }\n"
+    ),
+    "braced value before the body's end": (
+        "cdl_option A { requires {A}}\ncdl_option B {}\n"
+    ),
+    "CRLF line ends": (
+        "cdl_option A {\r\n flavor data\r\n legal_values 1 to 2 \r\n"
+        " requires {A || B}\r\n active_if !B\r\n calculated A B\r\n"
+        " implements I J\r\n}\r\n"
+    ),
+    "no final newline": "cdl_option A {\n flavor data\n}\nlegal_values 1 2",
+    "no final newline in a body": "cdl_option A {\n flavor data\n requires !A",
+    "no final newline after a goal": "cdl_option A {}\nrequires {A}",
+}
+
+
 def _parse_golden_text() -> str:
     """Nodes (by the SHA-256 of their repr) and diagnostics of each input."""
     rng = random.Random(0x9A75E)
@@ -966,6 +1035,7 @@ def _parse_golden_text() -> str:
     inputs += [(f"case {label}", text) for label, text in _BRACE_CASES.items()]
     inputs += [(f"one-word {label}", text) for label, text in _ONE_WORD_CASES.items()]
     inputs += [(f"value {label}", text) for label, text in _VALUE_CASES.items()]
+    inputs += [(f"line {label}", text) for label, text in _LINE_CASES.items()]
     rng = random.Random(0xB4ACE)
     for k in range(200):
         size = rng.randint(0, 80)
@@ -984,7 +1054,8 @@ def test_parse_output_is_pinned():
     # generated before the front end parsed values in place on the file
     # text, the brace cases and random texts before the one-pass scan, the
     # value cases before the flat value loops, the one-word cases before
-    # the one-word property token; nodes and diagnostics must not move.
+    # the one-word property token, the line cases before the plain
+    # property-line token; nodes and diagnostics must not move.
     # The digests were taken again when kinds and flavors became plain
     # texts: "<Kind.OPTION: 'option'>" in a repr became "'option'"
     assert _parse_golden_text() == GOLDEN_PARSE.read_text()
