@@ -23,15 +23,17 @@ position.
 
 Values are parsed as windows of the file text where they can be.  A word
 that is one identifier or one decimal integer becomes its ``Ident`` or
-``Const`` directly.  The commonest command, ``flavor``, ``requires``,
-``active_if``, ``calculated`` or ``implements`` with one such word on
-its line, is one scanner token; its value goes straight into the node
-unless the general path would report on it or words come before it.  Any
-other one-word value is tokenized in place, braces stripped; bare
-``legal_values`` words without quotes, parentheses or braces are the
-list's words as they stand.  Only other values of several words are
-first joined into a text of their own.  Each list item is tokenized in
-place, so a long bare enumeration parses in linear time.
+``Const`` directly.  A plain property line, the commonest command, is one
+scanner token, and its value goes straight into the node unless the
+general path would report on it or words come before it: a property name
+and identifiers and decimal integers (a goal entry, a ``legal_values``
+list with its ``to`` ranges, a flavor or interface names), or a goal
+property and one expression word, braced or bare.  Any other one-word
+value is tokenized in place too, braces stripped; bare ``legal_values``
+words without quotes, parentheses or braces are the list's words as they
+stand.  Only other values of several words are first joined into a text
+of their own.  Each list item is tokenized in place, so a long bare
+enumeration parses in linear time.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -100,31 +102,36 @@ _NEXT_BRACE_RX = re.compile(r"[^{}\\]*(?:\\.[^{}\\]*)*([{}])", re.S)
 _COMMENT_RX = re.compile(r"[^\n{}]*([{}])?[^\n]*")
 # Blanks (whitespace but newline) and backslash-newline continuations
 # separate words; then one token: a command separator, an opening brace, a
-# node command's head and name up to its '{', a '}', a one-word property
-# line, a quoted word, a lone (unterminated) quote or a bare word.  A
-# separator takes the blanks, continuations and separators after it along:
-# with no word pending they change nothing.  A head's '{' and a '}' take
-# the separator run after them along too: a body starts with no word
-# pending, and a body's '}' followed by a separator ends its node command
-# in the same token.  A one-word property line is a property name, blanks
-# without a continuation, one identifier ("id") or decimal integer ("int")
-# and the separator run after it: the three tokens of the commonest
-# command in one.  A run of blanks is a character class repeated between
-# continuations, not a loop over two alternatives: on an indented line the
-# regex engine takes about half the time.  A quoted or bare word with a
-# brace in it is a token of its own kind, "wquoted" or "wild": every
+# node command's head and name up to its '{', a '}', a plain property line,
+# a quoted word, a lone (unterminated) quote or a bare word.  A separator
+# takes the blanks, continuations and separators after it along: with no
+# word pending they change nothing.  A head's '{' and a '}' take the
+# separator run after them along too: a body starts with no word pending,
+# and a body's '}' followed by a separator ends its node command in the
+# same token.  A plain property line is a property name, blanks without a
+# continuation, its value and the separator run after it, the tokens of the
+# commonest commands in one: identifiers and decimal integers split by
+# blanks ("words"), or one word of a goal property ("expr"), braced with no
+# brace, backslash, quote or newline inside or bare with no brace,
+# backslash or quote.  A run of blanks is a character class repeated
+# between continuations, not a loop over two alternatives: on an indented
+# line the regex engine takes about half the time.  A quoted or bare word
+# with a brace in it is a token of its own kind, "wquoted" or "wild": every
 # unescaped brace counts, so such a word may end the body it is in.
 _BLANK_RUN = r"[^\S\n]*(?:\\\n[^\S\n]*)*"
 _SEP_RUN = r"[\n;][\s;]*(?:\\\n[\s;]*)*"
 _SEP = _BLANK_RUN + _SEP_RUN
 _PLAIN = r"[^\s;\\{}]"  # a bare word's character other than a backslash
+_WORD = r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+)"  # an identifier or an integer
 _CMD_TOKEN_RX = re.compile(
     _BLANK_RUN + r"(?:(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
     r"|(?P<head>" + "|".join(_NODE_COMMANDS) + r")(?:[^\S\n]|\\\n)+"
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:[^\S\n]|\\\n)+\{(?:" + _SEP + r")?"
     r"|(?P<close>\}(?:" + _SEP + r")?)"
-    r"|(?P<prop>flavor|requires|active_if|calculated|implements)[^\S\n]+"
-    r"(?:(?P<id>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+))" + _SEP +
+    r"|(?P<prop>flavor|requires|active_if|calculated|implements|legal_values)"
+    r"[^\S\n]+(?P<words>" + _WORD + r"(?:[^\S\n]+" + _WORD + r")*)" + _SEP +
+    r"|(?P<goal>requires|active_if|calculated)[^\S\n]+"
+    r'(?P<expr>\{[^{}\\"\n]*\}|[^\s;{}\\"]+)' + _SEP +
     r'|(?P<quoted>"[^"\\{}]*(?:\\[^{}][^"\\{}]*)*")'
     r"|(?P<wquoted>" + _QUOTED + r')|(?P<open>")'
     r"|(?P<bare>(?:" + _PLAIN + r"|\\(?!\n))" + _PLAIN + r"*(?:\\(?!\n)"
@@ -132,6 +139,8 @@ _CMD_TOKEN_RX = re.compile(
     r"|(?P<wild>(?:[^\s;\\]+|\\(?!\n))+))",
     re.S,
 )
+# a word of a plain property line, continuations before it skipped
+_LINE_WORD_RX = re.compile(r"\{[^}]*\}|[^\s\\]+")
 # a bare word that is one identifier or one decimal integer: such a value
 # becomes an Ident or a Const without the expression tokenizer
 _ONE_TOKEN_RX = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[0-9]+")
@@ -522,6 +531,28 @@ def _one_token(text: str, word: tuple) -> GoalExpr | None:
     return None
 
 
+def _word_expr(word: str) -> GoalExpr:
+    """The Ident or Const of an identifier or a decimal integer."""
+    return Const(word) if word[0] <= "9" else Ident(word)
+
+
+def _plain_list(words: list[str]) -> tuple | None:
+    """The items ``_parse_list`` makes of identifiers and decimal integers
+    other than word operators; None where a 'to' lacks a value on a side."""
+    items: list = []
+    to = False  # a 'to' waiting for its upper bound
+    for w in words:
+        if w == "to":
+            if to or not items or isinstance(items[-1], Range):
+                return None
+            to = True
+        elif to:
+            items[-1], to = Range(items[-1].expr, _word_expr(w)), False
+        else:
+            items.append(Single(_word_expr(w)))
+    return None if to else tuple(items)
+
+
 def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
     """Whitespace-split honoring parens, quotes and braces.
 
@@ -677,30 +708,13 @@ class _ModelBuilder:
                     words = frame.words = []
             elif kind == "bare" and (words or text[s] != "#") or kind == "quoted":
                 words.append((kind, s, i))
-            elif kind == "id" or kind == "int":  # a one-word property line
-                prop, value = m.group("prop", kind)
+            elif kind == "words" or kind == "expr":  # a plain property line
                 node, i = frame.node, m.end()
-                if words or node is None:
-                    pass
-                elif prop == "flavor":
-                    if node.flavor is None and value in FLAVORS:
-                        node.flavor = FLAVORS[value]
-                        continue
-                elif prop == "implements":
-                    if kind == "id":
-                        node.implements.append(value)
-                        continue
-                elif value not in _WORD_OPS:
-                    expr = Ident(value) if kind == "id" else Const(value)
-                    if prop != "calculated":
-                        getattr(node, prop).append((expr,))
-                        continue
-                    if node.calculated is None:
-                        node.calculated = (expr,)
-                        continue
+                if not words and node is not None and self.line(node, m, kind):
+                    continue
                 # words before it, the top level or a value to report on
-                a, b = m.span("prop")
-                words += (("bare", a, b), ("bare", s, s + len(value)))
+                words += [("braced" if text[w.start()] == "{" else "bare", *w.span())
+                          for w in _LINE_WORD_RX.finditer(text, m.start(), m.end(kind))]
                 self.command(frame, words)
                 words = frame.words = []
             elif kind == "name":  # a node command up to its '{'
@@ -850,12 +864,8 @@ class _ModelBuilder:
             node.flavor = FLAVORS.get(value)
             if node.flavor is None:
                 self.error(args[0], f"unknown flavor {value!r}")
-        elif prop in _EXPR_PROPERTIES:
-            entry = self.parse_entry(head, args)
-            if entry is not None:
-                getattr(node, prop).append(entry)
-        elif prop == "calculated":
-            node.calculated = self.parse_entry(head, args)
+        elif prop in _EXPR_PROPERTIES or prop == "calculated":
+            self.store(node, prop, self.parse_entry(head, args))
         elif prop == "legal_values":
             if not args:
                 return self.error(head, "legal_values needs a value")
@@ -893,18 +903,60 @@ class _ModelBuilder:
         values = [_one_token(self.src.text, w) for w in args]
         if all(values):
             return tuple(values)
+        if len(args) > 1:
+            return self.parse_value(_join_args(self.src, args), 0, None)
+        kind, a, b = args[0]  # one word is parsed in place, braces stripped
+        if kind == "braced":
+            a, b = a + 1, b - 1
+        return self.parse_value(self.src, a, b)
+
+    def parse_value(self, src: _Src, a: int, b: int | None):
+        """The goal expressions of ``src.text[a:b]``; None if reported."""
         try:
-            if len(args) > 1:
-                joined = _join_args(self.src, args)
-                return tuple(_parse_expr_seq(joined, self.diagnostics))
-            # one word is parsed in place, braces stripped
-            kind, a, b = args[0]
-            if kind == "braced":
-                a, b = a + 1, b - 1
-            return tuple(_parse_expr_seq(self.src, self.diagnostics, a, b))
+            return tuple(_parse_expr_seq(src, self.diagnostics, a, b))
         except ParseError as err:
             self.diagnostics.append(err.diagnostic)
             return None
+
+    @staticmethod
+    def store(node: RawNode, prop: str, entry) -> None:
+        """Set ``calculated`` to ``entry``, or add it to a goal property."""
+        if prop == "calculated":
+            node.calculated = entry
+        elif entry is not None:
+            getattr(node, prop).append(entry)
+
+    def line(self, node: RawNode, m: re.Match, kind: str) -> bool:
+        """Apply a plain property line to ``node`` as ``property`` would;
+        False, with nothing done, where the general path reports on it."""
+        prop = m.group("prop") or m.group("goal")
+        if prop in _SINGLE_PROPERTIES and getattr(node, prop) is not None:
+            return False
+        if kind == "expr":
+            a, b = m.span("expr")
+            if self.src.text[a] == "{":
+                a, b = a + 1, b - 1
+            self.store(node, prop, self.parse_value(self.src, a, b))
+            return True
+        value = m.group("words")
+        words = value.split()
+        if prop == "flavor":
+            if value not in FLAVORS:
+                return False
+            node.flavor = FLAVORS[value]
+        elif prop == "implements":
+            if any(w[0] <= "9" for w in words):  # an integer is no name
+                return False
+            node.implements.extend(words)
+        elif not _WORD_OPS.isdisjoint(words):
+            return False
+        elif prop != "legal_values":
+            self.store(node, prop, tuple(map(_word_expr, words)))
+        elif (items := _plain_list(words)) is not None:
+            node.legal_values = ListExpr(items)
+        else:
+            return False
+        return True
 
 
 def parse_model(

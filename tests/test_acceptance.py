@@ -473,7 +473,8 @@ def test_criterion_9_parser_fuzz():
         seeds = [p.read_text() for p in fixture_paths("family", "sound", "analysis")]
         soup = (
             "cdl_option cdl_package { } \" \\ # ; \n requires flavor active_if"
-            " calculated implements bool data to ( ) ? : && || ! ~ A B 0 1 0x 1e $ [ ]"
+            " calculated implements legal_values bool data to ( ) ? : && || ! ~"
+            " A B {A} 0 1 0x 1e $ [ ]"
         )
         tokens = soup.split(" ")
         count = 0
