@@ -152,7 +152,7 @@ class _Cli:
 def cmd_parse(cli: _Cli, args) -> int:
     m = cli.model(well_formed=False)
     emit = "ast" if args.emit_ast or args.format == "json" else args.emit
-    return cli.finish(model_to_json(m) + "\n" if emit == "ast" else model_to_pretty(m))
+    return cli.finish(model_to_json(m, "\n") if emit == "ast" else model_to_pretty(m))
 
 
 def cmd_check(cli: _Cli, args) -> int:

@@ -332,12 +332,13 @@ def _violations(m: Model) -> list[Violation]:
     return sorted(dedup.values(), key=lambda v: (v.rule, v.node))
 
 
-def model_to_json(m: Model) -> str:
+def model_to_json(m: Model, end: str = "") -> str:
     """Canonical JSON dump of a normalized model, stable across runs.
 
     The text is that of ``json.dumps({"nodes": [...]}, indent=2,
-    sort_keys=True)``, laid out here record by record: an indented dump
-    cannot use the C encoder, so only the strings go through it.
+    sort_keys=True)`` and ``end``, laid out here record by record: an
+    indented dump cannot use the C encoder, so only the strings go through
+    it.  The first and last records carry the brackets: one join, one copy.
     """
     records = [
         "    {\n"
@@ -355,8 +356,10 @@ def model_to_json(m: Model) -> str:
         for n in m  # already sorted by name; the keys are in sorted order
     ]
     if not records:
-        return '{\n  "nodes": []\n}'
-    return '{\n  "nodes": [\n' + ",\n".join(records) + "\n  ]\n}"
+        return '{\n  "nodes": []\n}' + end
+    records[0] = '{\n  "nodes": [\n' + records[0]
+    records[-1] += "\n  ]\n}" + end
+    return ",\n".join(records)
 
 
 _json_str = json.encoder.encode_basestring_ascii

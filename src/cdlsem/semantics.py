@@ -93,6 +93,8 @@ def to_bool(v: str) -> int:
 
 def compare_values(a: str, b: str) -> int:
     """Three-way comparison: numeric when both sides parse, else textual."""
+    if a == b and len(a) <= _MAX_DIGITS:  # equal, and not too large to parse
+        return 0
     na, nb = parse_number(a), parse_number(b)
     if na is not None and nb is not None:
         return -1 if na < nb else (0 if na == nb else 1)

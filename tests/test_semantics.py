@@ -266,6 +266,17 @@ def test_compare_values_numeric_first():
     assert compare_values("a", "b") == -1
 
 
+def test_compare_values_equal_texts():
+    # equal texts compare equal, up to the digit cap and past it for
+    # texts that are no integer; an integer past the cap is still refused
+    for text in ("a", "", "05", "1e999", "9" * 4300, "-" + "9" * 4300, "x" * 5000):
+        assert compare_values(text, text) == 0
+    for text in ("9" * 4301, "-" + "9" * 4301):
+        with pytest.raises(EvalError) as err:
+            compare_values(text, text)
+        assert err.value.code == "too-large"
+
+
 # ---------------------------------------------------------------------------
 # legal values
 
