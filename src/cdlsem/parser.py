@@ -143,7 +143,7 @@ _CMD_TOKEN_RX = re.compile(
 _LINE_WORD_RX = re.compile(r"\{[^}]*\}|[^\s\\]+")
 # a bare word that is one identifier or one decimal integer: such a value
 # becomes an Ident or a Const without the expression tokenizer
-_ONE_TOKEN_RX = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[0-9]+")
+_ONE_TOKEN_RX = re.compile(_WORD)
 # a character that keeps a run of bare legal_values words from being its
 # own list split: a quote, a parenthesis or a brace
 _LIST_MARK_RX = re.compile(r'["(){}]')
@@ -522,12 +522,9 @@ def _one_token(text: str, word: tuple) -> GoalExpr | None:
     its tokenizer for the commonest values.
     """
     kind, start, end = word
-    if kind == "bare" and (m := _ONE_TOKEN_RX.fullmatch(text, start, end)):
-        value = m.group()
-        if m.lastindex is None:
-            return Const(value)
-        if value not in _WORD_OPS:
-            return Ident(value)
+    if kind == "bare" and _ONE_TOKEN_RX.fullmatch(text, start, end):
+        if (value := text[start:end]) not in _WORD_OPS:
+            return _word_expr(value)
     return None
 
 
@@ -536,8 +533,8 @@ def _word_expr(word: str) -> GoalExpr:
     return Const(word) if word[0] <= "9" else Ident(word)
 
 
-def _plain_list(words: list[str]) -> tuple | None:
-    """The items ``_parse_list`` makes of identifiers and decimal integers
+def _plain_list(words: list[str]) -> ListExpr | None:
+    """The list ``_parse_list`` makes of identifiers and decimal integers
     other than word operators; None where a 'to' lacks a value on a side."""
     items: list = []
     to = False  # a 'to' waiting for its upper bound
@@ -550,7 +547,7 @@ def _plain_list(words: list[str]) -> tuple | None:
             items[-1], to = Range(items[-1].expr, _word_expr(w)), False
         else:
             items.append(Single(_word_expr(w)))
-    return None if to else tuple(items)
+    return None if to else ListExpr(tuple(items))
 
 
 def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
@@ -910,7 +907,7 @@ class _ModelBuilder:
             a, b = a + 1, b - 1
         return self.parse_value(self.src, a, b)
 
-    def parse_value(self, src: _Src, a: int, b: int | None):
+    def parse_value(self, src: _Src, a: int, b: int | None) -> tuple | None:
         """The goal expressions of ``src.text[a:b]``; None if reported."""
         try:
             return tuple(_parse_expr_seq(src, self.diagnostics, a, b))
@@ -928,7 +925,8 @@ class _ModelBuilder:
 
     def line(self, node: RawNode, m: re.Match, kind: str) -> bool:
         """Apply a plain property line to ``node`` as ``property`` would;
-        False, with nothing done, where the general path reports on it."""
+        False, with nothing done, for a value the general path reports on
+        or reads through a word operator."""
         prop = m.group("prop") or m.group("goal")
         if prop in _SINGLE_PROPERTIES and getattr(node, prop) is not None:
             return False
@@ -952,8 +950,8 @@ class _ModelBuilder:
             return False
         elif prop != "legal_values":
             self.store(node, prop, tuple(map(_word_expr, words)))
-        elif (items := _plain_list(words)) is not None:
-            node.legal_values = ListExpr(items)
+        elif (values := _plain_list(words)) is not None:
+            node.legal_values = values
         else:
             return False
         return True
