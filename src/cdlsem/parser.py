@@ -24,16 +24,22 @@ position.
 Values are parsed as windows of the file text where they can be.  A word
 that is one identifier or one decimal integer becomes its ``Ident`` or
 ``Const`` directly.  A plain property line, the commonest command, is one
-scanner token, and its value goes straight into the node unless the
-general path would report on it or words come before it: a property name
-and identifiers and decimal integers (a goal entry, a ``legal_values``
-list with its ``to`` ranges, a flavor or interface names), or a goal
-property and one expression word, braced or bare.  Any other one-word
-value is tokenized in place too, braces stripped; bare ``legal_values``
-words without quotes, parentheses or braces are the list's words as they
-stand.  Only other values of several words are first joined into a text
-of their own.  Each list item is tokenized in place, so a long bare
-enumeration parses in linear time.
+scanner token, tried only where the scanner stands on a command's first
+character: a property name and identifiers and decimal integers (a goal
+entry, a ``legal_values`` list with its ``to`` ranges, a flavor or
+interface names), or a property name and one expression word, braced or
+bare.  One applier, ``_ModelBuilder.property``, serves such a line and
+every other property command alike: it takes the value words as texts,
+and the command's words only where it parses or reports on one.  A line
+of words goes straight into the node unless the applier would need them,
+and a goal property's expression word is parsed in place; a line with
+words before it, at the top level or with a value to report on is read
+again from the end of its property name, as any command.  Any other
+one-word value is tokenized in place too, braces stripped; bare
+``legal_values`` words without quotes, parentheses or braces are the
+list's words as they stand.  Only other values of several words are first
+joined into a text of their own.  Each list item is tokenized in place, so
+a long bare enumeration parses in linear time.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -76,9 +82,8 @@ _NODE_COMMANDS = {
     "cdl_interface": "interface",
 }
 
-# goal-expression properties keep one entry per occurrence; these others
-# may occur once per node
-_EXPR_PROPERTIES = ("active_if", "requires")
+# these properties may occur once per node; a goal property other than
+# calculated keeps one entry per occurrence
 _SINGLE_PROPERTIES = ("flavor", "calculated", "legal_values")
 
 _WORD_OPS = {"implies", "eqv", "xor"}
@@ -100,10 +105,12 @@ _ESCAPE_RX = re.compile(r"\\(.)", re.S)
 _NEXT_BRACE_RX = re.compile(r"[^{}\\]*(?:\\.[^{}\\]*)*([{}])", re.S)
 # a comment line; the group is its first brace, if any
 _COMMENT_RX = re.compile(r"[^\n{}]*([{}])?[^\n]*")
-# Blanks (whitespace but newline) and backslash-newline continuations
-# separate words; then one token: a command separator, an opening brace, a
-# node command's head and name up to its '{', a '}', a plain property line,
-# a quoted word, a lone (unterminated) quote or a bare word.  A separator
+# A plain property line, tried only where the scanner stands on a command's
+# first character, so that a long line of words is not tried at each of
+# them; else blanks (whitespace but newline) and backslash-newline
+# continuations separate words, then one token: a command separator, an
+# opening brace, a node command's head and name up to its '{', a '}', a
+# quoted word, a lone (unterminated) quote or a bare word.  A separator
 # takes the blanks, continuations and separators after it along: with no
 # word pending they change nothing.  A head's '{' and a '}' take the
 # separator run after them along too: a body starts with no word pending,
@@ -111,27 +118,28 @@ _COMMENT_RX = re.compile(r"[^\n{}]*([{}])?[^\n]*")
 # same token.  A plain property line is a property name, blanks without a
 # continuation, its value and the separator run after it, the tokens of the
 # commonest commands in one: identifiers and decimal integers split by
-# blanks ("words"), or one word of a goal property ("expr"), braced with no
-# brace, backslash, quote or newline inside or bare with no brace,
-# backslash or quote.  A run of blanks is a character class repeated
-# between continuations, not a loop over two alternatives: on an indented
-# line the regex engine takes about half the time.  A quoted or bare word
-# with a brace in it is a token of its own kind, "wquoted" or "wild": every
-# unescaped brace counts, so such a word may end the body it is in.
+# blanks ("words"), or one word ("expr"), braced with no brace, backslash,
+# quote or newline inside or bare with no brace, backslash or quote.  A
+# line of words goes through the property applier that serves every
+# command; a goal property's one word is parsed in place.  A run of blanks
+# is a character class repeated between continuations, not a loop over two
+# alternatives: on an indented line the regex engine takes about half the
+# time.  A quoted or bare word with a brace in it is a token of its own
+# kind, "wquoted" or "wild": every unescaped brace counts, so such a word
+# may end the body it is in.
 _BLANK_RUN = r"[^\S\n]*(?:\\\n[^\S\n]*)*"
 _SEP_RUN = r"[\n;][\s;]*(?:\\\n[\s;]*)*"
 _SEP = _BLANK_RUN + _SEP_RUN
 _PLAIN = r"[^\s;\\{}]"  # a bare word's character other than a backslash
 _WORD = r"(?:[A-Za-z_][A-Za-z0-9_]*|[0-9]+)"  # an identifier or an integer
 _CMD_TOKEN_RX = re.compile(
-    _BLANK_RUN + r"(?:(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
+    r"(?P<prop>flavor|requires|active_if|calculated|implements|legal_values)"
+    r"[^\S\n]+(?:(?P<words>" + _WORD + r"(?:[^\S\n]+" + _WORD + r")*)"
+    r'|(?P<expr>\{[^{}\\"\n]*\}|[^\s;{}\\"]+))' + _SEP +
+    r"|" + _BLANK_RUN + r"(?:(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
     r"|(?P<head>" + "|".join(_NODE_COMMANDS) + r")(?:[^\S\n]|\\\n)+"
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:[^\S\n]|\\\n)+\{(?:" + _SEP + r")?"
     r"|(?P<close>\}(?:" + _SEP + r")?)"
-    r"|(?P<prop>flavor|requires|active_if|calculated|implements|legal_values)"
-    r"[^\S\n]+(?P<words>" + _WORD + r"(?:[^\S\n]+" + _WORD + r")*)" + _SEP +
-    r"|(?P<goal>requires|active_if|calculated)[^\S\n]+"
-    r'(?P<expr>\{[^{}\\"\n]*\}|[^\s;{}\\"]+)' + _SEP +
     r'|(?P<quoted>"[^"\\{}]*(?:\\[^{}][^"\\{}]*)*")'
     r"|(?P<wquoted>" + _QUOTED + r')|(?P<open>")'
     r"|(?P<bare>(?:" + _PLAIN + r"|\\(?!\n))" + _PLAIN + r"*(?:\\(?!\n)"
@@ -139,11 +147,6 @@ _CMD_TOKEN_RX = re.compile(
     r"|(?P<wild>(?:[^\s;\\]+|\\(?!\n))+))",
     re.S,
 )
-# a word of a plain property line, continuations before it skipped
-_LINE_WORD_RX = re.compile(r"\{[^}]*\}|[^\s\\]+")
-# a bare word that is one identifier or one decimal integer: such a value
-# becomes an Ident or a Const without the expression tokenizer
-_ONE_TOKEN_RX = re.compile(_WORD)
 # a character that keeps a run of bare legal_values words from being its
 # own list split: a quote, a parenthesis or a brace
 _LIST_MARK_RX = re.compile(r'["(){}]')
@@ -480,74 +483,64 @@ def parse_goal_exprs(text: str, file: str = "<expr>") -> list[GoalExpr]:
 def parse_list_expr(text: str, file: str = "<list>") -> ListExpr:
     """Parse a legal_values enumeration; raises ParseError on bad input."""
     src = _standalone(text, file)
-    return _parse_list(src, _split_list_words(src))
+    words = _split_list_words(src)
+    return _parse_list(src, [text[a:b] for _, a, b in words], words)
 
 
-def _parse_list(src: _Src, words, warnings: list | None = None) -> ListExpr:
-    """The list of ``words``, (kind, start, end) words of ``src``.
+def _parse_list(
+    src: _Src, values: list[str], words=None, warnings: list | None = None
+) -> ListExpr | None:
+    """The list of the word texts ``values``; ``words`` are their (kind,
+    start, end) words of ``src``.
 
     A bare ``to`` between two values makes the item before it a range.
+    Without ``words``, the list is None wherever a word would be parsed or
+    reported on.
     """
-    text = src.text
-    if not words:
-        raise src.error(0, len(text) or 1, "empty list expression")
+    if not values:
+        raise src.error(0, len(src.text) or 1, "empty list expression")
     items: list = []
-    to = None  # a 'to' waiting for its upper bound
-    for word in words:
-        kind, start, end = word
-        if kind == "bare" and end - start == 2 and text[start:end] == "to":
+    to = None  # the index of a 'to' waiting for its upper bound
+    for k, value in enumerate(values):
+        if value == "to":
             if to is not None or not items or isinstance(items[-1], Range):
-                raise src.error(start, end, "'to' needs a value on both sides")
-            to = word
+                if words is None:
+                    return None
+                raise src.error(*words[k][1:], "'to' needs a value on both sides")
+            to = k
             continue
-        if kind == "braced":  # braces quote literally, like Tcl
-            expr = Const(text[start + 1:end - 1])
-        else:
-            expr = _one_token(text, word) or _parse_one_expr(src, warnings, start, end)
+        if (expr := _one_token(value)) is None:
+            if words is None:
+                return None
+            if value[0] == "{":  # braces quote literally, like Tcl
+                expr = Const(value[1:-1])
+            else:
+                expr = _parse_one_expr(src, warnings, *words[k][1:])
         if to is None:
             items.append(Single(expr))
         else:
             items[-1] = Range(items[-1].expr, expr)
             to = None
     if to is not None:
-        raise src.error(to[1], to[2], "'to' needs an upper bound")
+        if words is None:
+            return None
+        raise src.error(*words[to][1:], "'to' needs an upper bound")
     return ListExpr(tuple(items))
 
 
-def _one_token(text: str, word: tuple) -> GoalExpr | None:
-    """The Ident or Const of a bare word that is one identifier (not a word
-    operator) or one decimal integer; None for any other word.
+def _one_token(value: str) -> GoalExpr | None:
+    """The Ident or Const of a word that is one identifier (not a word
+    operator) or one decimal integer; None for any other word, a braced or
+    quoted one among them.
 
     The general parser gives the same node for such a word; this lane skips
     its tokenizer for the commonest values.
     """
-    kind, start, end = word
-    if kind == "bare" and _ONE_TOKEN_RX.fullmatch(text, start, end):
-        if (value := text[start:end]) not in _WORD_OPS:
-            return _word_expr(value)
+    if value.isdigit() and value.isascii():
+        return Const(value)
+    if value.isidentifier() and value.isascii() and value not in _WORD_OPS:
+        return Ident(value)
     return None
-
-
-def _word_expr(word: str) -> GoalExpr:
-    """The Ident or Const of an identifier or a decimal integer."""
-    return Const(word) if word[0] <= "9" else Ident(word)
-
-
-def _plain_list(words: list[str]) -> ListExpr | None:
-    """The list ``_parse_list`` makes of identifiers and decimal integers
-    other than word operators; None where a 'to' lacks a value on a side."""
-    items: list = []
-    to = False  # a 'to' waiting for its upper bound
-    for w in words:
-        if w == "to":
-            if to or not items or isinstance(items[-1], Range):
-                return None
-            to = True
-        elif to:
-            items[-1], to = Range(items[-1].expr, _word_expr(w)), False
-        else:
-            items.append(Single(_word_expr(w)))
-    return None if to else ListExpr(tuple(items))
 
 
 def _split_list_words(src: _Src) -> list[tuple[str, int, int]]:
@@ -699,21 +692,23 @@ class _ModelBuilder:
                 break
             else:  # the '}' of a body whose end was found
                 kind, s, i = "close", bound, bound + 1
-            if kind == "sep":
-                if words:
-                    self.command(frame, words)
-                    words = frame.words = []
-            elif kind == "bare" and (words or text[s] != "#") or kind == "quoted":
-                words.append((kind, s, i))
-            elif kind == "words" or kind == "expr":  # a plain property line
-                node, i = frame.node, m.end()
-                if not words and node is not None and self.line(node, m, kind):
-                    continue
-                # words before it, the top level or a value to report on
-                words += [("braced" if text[w.start()] == "{" else "bare", *w.span())
-                          for w in _LINE_WORD_RX.finditer(text, m.start(), m.end(kind))]
-                self.command(frame, words)
-                words = frame.words = []
+            if kind == "words" or kind == "expr":  # a plain property line
+                node, prop = frame.node, m["prop"]
+                if words or node is None:
+                    done = False  # words before it or the top level
+                elif kind == "words":
+                    done = self.property(node, prop, m["words"].split(), None)
+                elif done := prop in ("requires", "active_if") or (
+                    prop == "calculated" and node.calculated is None
+                ):  # a goal property and one expression word
+                    if text[s] == "{":
+                        s, i = s + 1, i - 1
+                    self.store(node, prop, self.parse_value(src, s, i))
+                if done:
+                    i = m.end()
+                else:  # read on from the end of the property name
+                    i = m.start() + len(prop)
+                    words.append(("bare", m.start(), i))
             elif kind == "name":  # a node command up to its '{'
                 a, b = m.span("head")
                 words += (("bare", a, b), ("bare", s, i))
@@ -723,18 +718,6 @@ class _ModelBuilder:
                     continue
                 frame = self.open_body(stack, text[a:b], text[s:i], at)
                 words, bound, i = frame.words, n, m.end()
-            elif kind == "braced":
-                if len(words) == 2 and frame.depth < MAX_NESTING and (
-                    name := self.body_owner(words)
-                ):  # a node command with a stray '}' in it, say
-                    frame = self.open_body(stack, self.text(words[0]), name, s)
-                    words, bound = frame.words, n
-                    continue
-                i = _brace_end(text, s)  # a value
-                if i is None:
-                    self.unpaired(stack, s)
-                    break
-                words.append((kind, s, i))
             elif kind == "close" and frame.end is not None and s < frame.end:
                 i = s + 1  # the separator after it is read again
                 frame.diags.append(
@@ -755,6 +738,24 @@ class _ModelBuilder:
                 else:
                     words.append(("braced", body.open, i))
                     frame.child = body
+            elif kind == "sep":
+                if words:
+                    self.command(frame, words)
+                    words = frame.words = []
+            elif kind == "bare" and (words or text[s] != "#") or kind == "quoted":
+                words.append((kind, s, i))
+            elif kind == "braced":
+                if len(words) == 2 and frame.depth < MAX_NESTING and (
+                    name := self.body_owner(words)
+                ):  # a node command with a stray '}' in it, say
+                    frame = self.open_body(stack, self.text(words[0]), name, s)
+                    words, bound = frame.words, n
+                    continue
+                i = _brace_end(text, s)  # a value
+                if i is None:
+                    self.unpaired(stack, s)
+                    break
+                words.append((kind, s, i))
             else:  # a comment, a word or quote with a brace, a lone quote
                 if kind == "bare" or kind == "wild" and not words and text[s] == "#":
                     line = _COMMENT_RX.match(text, s, bound)  # to the line's end
@@ -832,7 +833,8 @@ class _ModelBuilder:
             if frame.node is None:
                 self.error(head, f"unknown top-level command {prop!r}")
             else:
-                self.property(frame.node, head, prop, cmd[1:])
+                values = [self.text(w) for w in cmd[1:]]
+                self.property(frame.node, prop, values, cmd)
         elif frame.child is not None:  # the node and its body are read
             if len(cmd) > 3:
                 self.forget(frame)
@@ -851,58 +853,80 @@ class _ModelBuilder:
                 self.error(cmd[2], "node body must be a braced block"
                            if cmd[2][0] != "braced" else "node nesting too deep")
 
-    def property(self, node: RawNode, head: tuple, prop: str, args: list) -> None:
+    def property(self, node: RawNode, prop: str, values: list, cmd) -> bool:
+        """Apply the property ``prop`` with the value texts ``values``.
+
+        ``cmd`` is the command's words: diagnostics are put on them, and a
+        value that is not all identifiers and decimal integers is parsed
+        from them.  The plain-line lane passes None; then nothing is done,
+        and False is returned, wherever a word would be parsed or reported
+        on or a word operator read.
+        """
         if prop in _SINGLE_PROPERTIES and getattr(node, prop) is not None:
-            self.error(head, f"duplicate {prop} property")
-        elif prop == "flavor":
-            if len(args) != 1:
-                return self.error(head, "flavor needs exactly one value")
-            value = self.text(args[0])
-            node.flavor = FLAVORS.get(value)
-            if node.flavor is None:
-                self.error(args[0], f"unknown flavor {value!r}")
-        elif prop in _EXPR_PROPERTIES or prop == "calculated":
-            self.store(node, prop, self.parse_entry(head, args))
+            return self.report(cmd, 0, f"duplicate {prop} property")
+        if prop == "flavor":
+            if len(values) != 1:
+                return self.report(cmd, 0, "flavor needs exactly one value")
+            if values[0] not in FLAVORS:
+                return self.report(cmd, 1, f"unknown flavor {values[0]!r}")
+            node.flavor = FLAVORS[values[0]]
+        elif prop in ("requires", "active_if", "calculated"):
+            # an enumeration of one-token words is the tuple of their nodes
+            entry = tuple(map(_one_token, values))
+            if not values or not all(entry):
+                if cmd is None:
+                    return False
+                entry = self.parse_entry(cmd)
+            self.store(node, prop, entry)
         elif prop == "legal_values":
-            if not args:
-                return self.error(head, "legal_values needs a value")
+            if not values:
+                return self.report(cmd, 0, "legal_values needs a value")
             # bare words without quotes, parentheses or braces are their
             # own list split: joined and split again, they come back as is;
             # a quoted or braced word has a quote or a brace
-            src, words = self.src, args
+            src, words = self.src, cmd and cmd[1:]
             try:
-                if _LIST_MARK_RX.search(src.text, args[0][1], args[-1][2]):
-                    src = _join_args(src, args)
+                if words and _LIST_MARK_RX.search(src.text, words[0][1], words[-1][2]):
+                    src = _join_args(src, words)
                     words = _split_list_words(src)
-                node.legal_values = _parse_list(src, words, self.diagnostics)
+                    values = [src.text[a:b] for _, a, b in words]
+                node.legal_values = _parse_list(src, values, words, self.diagnostics)
             except ParseError as err:
                 self.diagnostics.append(err.diagnostic)
+            return cmd is not None or node.legal_values is not None
         elif prop == "implements":
-            if not args:
-                return self.error(head, "implements needs an interface name")
-            for w in args:
-                iface = self.text(w)
-                if w[0] != "bare" or not is_valid_feature_id(iface):
-                    self.error(w, f"invalid interface name {iface!r}")
-                else:
-                    node.implements.append(iface)
+            if not values:
+                return self.report(cmd, 0, "implements needs an interface name")
+            names = [v for v in values if is_valid_feature_id(v)]
+            if len(names) < len(values):
+                if cmd is None:
+                    return False
+                for w, iface in zip(cmd[1:], values):
+                    if not is_valid_feature_id(iface):
+                        self.error(w, f"invalid interface name {iface!r}")
+            node.implements += names
         else:
             # unsupported properties are kept as opaque annotations
-            raw = " ".join(self.text(w) for w in args)
-            node.annotations.setdefault(prop, []).append(raw)
-            self.error(head, f"ignoring unsupported property {prop!r}", "warning")
+            node.annotations.setdefault(prop, []).append(" ".join(values))
+            self.error(cmd[0], f"ignoring unsupported property {prop!r}", "warning")
+        return True
 
-    def parse_entry(self, head: tuple, args: tuple) -> tuple[GoalExpr, ...] | None:
-        if not args:
-            self.error(head, f"{self.text(head)} needs a value")
+    def report(self, cmd, k: int, message: str) -> bool:
+        """Report ``message`` on word ``k`` of ``cmd``; False, with nothing
+        reported, for the lane's None."""
+        if cmd is None:
+            return False
+        self.error(cmd[k], message)
+        return True
+
+    def parse_entry(self, cmd: list) -> tuple[GoalExpr, ...] | None:
+        """The goal expressions of a command's value; None if reported."""
+        if len(cmd) < 2:
+            self.error(cmd[0], f"{self.text(cmd[0])} needs a value")
             return None
-        # an enumeration of one-token words is the tuple of their nodes
-        values = [_one_token(self.src.text, w) for w in args]
-        if all(values):
-            return tuple(values)
-        if len(args) > 1:
-            return self.parse_value(_join_args(self.src, args), 0, None)
-        kind, a, b = args[0]  # one word is parsed in place, braces stripped
+        if len(cmd) > 2:
+            return self.parse_value(_join_args(self.src, cmd[1:]), 0, None)
+        kind, a, b = cmd[1]  # one word is parsed in place, braces stripped
         if kind == "braced":
             a, b = a + 1, b - 1
         return self.parse_value(self.src, a, b)
@@ -922,39 +946,6 @@ class _ModelBuilder:
             node.calculated = entry
         elif entry is not None:
             getattr(node, prop).append(entry)
-
-    def line(self, node: RawNode, m: re.Match, kind: str) -> bool:
-        """Apply a plain property line to ``node`` as ``property`` would;
-        False, with nothing done, for a value the general path reports on
-        or reads through a word operator."""
-        prop = m.group("prop") or m.group("goal")
-        if prop in _SINGLE_PROPERTIES and getattr(node, prop) is not None:
-            return False
-        if kind == "expr":
-            a, b = m.span("expr")
-            if self.src.text[a] == "{":
-                a, b = a + 1, b - 1
-            self.store(node, prop, self.parse_value(self.src, a, b))
-            return True
-        value = m.group("words")
-        words = value.split()
-        if prop == "flavor":
-            if value not in FLAVORS:
-                return False
-            node.flavor = FLAVORS[value]
-        elif prop == "implements":
-            if any(w[0] <= "9" for w in words):  # an integer is no name
-                return False
-            node.implements.extend(words)
-        elif not _WORD_OPS.isdisjoint(words):
-            return False
-        elif prop != "legal_values":
-            self.store(node, prop, tuple(map(_word_expr, words)))
-        elif (values := _plain_list(words)) is not None:
-            node.legal_values = values
-        else:
-            return False
-        return True
 
 
 def parse_model(

@@ -5,6 +5,7 @@ import inspect
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,14 @@ from cdlsem import (
 )
 from cdlsem.exprs import PRECEDENCE, infix
 from cdlsem.model import RawNode
-from cdlsem.parser import _CMD_TOKEN_RX, MAX_NESTING, ParseError
+from cdlsem.parser import (
+    _CMD_TOKEN_RX,
+    _WORD,
+    _WORD_OPS,
+    MAX_NESTING,
+    ParseError,
+    _one_token,
+)
 
 from conftest import FIXTURES, fixture_paths
 
@@ -445,6 +453,26 @@ def test_parsing_needs_no_recursion():
     assert nodes[-1].parent == f"C{MAX_NESTING - 2}"
 
 
+# lines of property names that the plain-line lane cannot take: the lane is
+# tried only at a command's first character, so each line is read in
+# linear time, also when the lane gives up and the line is read again
+@pytest.mark.parametrize(
+    "text",
+    [
+        "cdl_option A {\n" + "requires " * 20_000 + "{x}\n}\n",
+        "cdl_option A {\n" + "legal_values " * 20_000 + "(\n}\n",
+        "cdl_option A {\n" + "flavor " * 20_000 + '"a"\n}\n',
+        "requires " * 20_000 + "{x}\n",
+        "cdl_option A {\nB" + " requires" * 20_000 + "\n}\n",
+    ],
+    ids=["requires", "legal_values", "flavor", "top-level", "words-pending"],
+)
+def test_long_property_name_lines_parse_in_linear_time(text):
+    start = time.perf_counter()
+    parse_model(text)
+    assert time.perf_counter() - start < 2.0
+
+
 # ---------------------------------------------------------------------------
 # command splitter: exact nodes and diagnostics
 
@@ -711,6 +739,23 @@ def test_one_word_values_match_general_parser(word):
         assert nodes[0].legal_values == ListExpr((Single(expected),))
 
 
+# a word is its own node without the expression tokenizer exactly when it is
+# one ASCII identifier or decimal integer and not a word operator
+@pytest.mark.parametrize(
+    "word",
+    [
+        "A", "B_1", "_", "_x", "if", "to", "0", "007", "1a", "0x1", "xor",
+        "implies", "eqv", "é", "ß", "٣", "²", "Ⅻ", "Ａ", "A\n", "{A}", '"A"',
+        "-1", "A B", "",
+    ],
+)
+def test_one_token_is_the_parse_of_a_plain_word(word):
+    if re.fullmatch(_WORD, word) and word not in _WORD_OPS:
+        assert _one_token(word) == parse_goal_expr(word)
+    else:
+        assert _one_token(word) is None
+
+
 # a one-word property line is one scanner token; a backslash-newline after
 # the property name sends the same command through the general path
 _LANE_PROPERTIES = ("flavor", "requires", "active_if", "calculated", "implements")
@@ -724,6 +769,8 @@ _LANE_PLACES = [
     "cdl_option A {{ flavor data; {0}; {0} }}\n",
     "cdl_option A {{\n requires B {0}\n}}\n",  # words pending
     "{0}\ncdl_option A {{}}\n",  # the top level
+    "cdl_option A {{ {0}\n}}\n",  # on the head's line, where the lane is not tried
+    "cdl_option A {{\n requires {{B}}{0}\n}}\n",  # a braced word glued before it
 ]
 
 
