@@ -476,7 +476,9 @@ def test_criterion_9_parser_fuzz():
             " calculated implements legal_values bool data to ( ) ? : && || ! ~"
             " A B {A} 0 1 0x 1e $ [ ]"
         )
-        tokens = soup.split(" ")
+        # a body-opening line puts the property lines after it in a body,
+        # where the plain-line lane applies them
+        tokens = soup.split(" ") + ["\ncdl_option A {\n"]
         count = 0
         deadline = time.perf_counter() + 60.0
         while time.perf_counter() < deadline:
