@@ -23,23 +23,20 @@ position.
 
 Values are parsed as windows of the file text where they can be.  A word
 that is one identifier or one decimal integer becomes its ``Ident`` or
-``Const`` directly.  A plain property line, the commonest command, is one
-scanner token, tried only where the scanner stands on a command's first
-character: a property name and identifiers and decimal integers (a goal
-entry, a ``legal_values`` list with its ``to`` ranges, a flavor or
-interface names), or a property name and one expression word, braced or
-bare.  One applier, ``_ModelBuilder.property``, serves such a line and
-every other property command alike: it takes the value words as texts,
-and the command's words only where it parses or reports on one.  A line
-of words goes straight into the node unless the applier would need them,
-and a goal property's expression word is parsed in place; a line with
-words before it, at the top level or with a value to report on is read
-again from the end of its property name, as any command.  Any other
-one-word value is tokenized in place too, braces stripped; bare
-``legal_values`` words without quotes, parentheses or braces are the
-list's words as they stand.  Only other values of several words are first
-joined into a text of their own.  Each list item is tokenized in place, so
-a long bare enumeration parses in linear time.
+``Const`` directly.  A plain property line, the commonest command, is
+one scanner token, tried only where the scanner stands on a command's
+first character: a property name and identifiers and decimal integers,
+or a property name and one expression word, braced or bare.  One
+applier, ``_ModelBuilder.property``, takes value words as texts and
+serves such lines and all other property commands: a line's words go
+straight into the node unless the applier would parse or report on one,
+and a goal property's one word is parsed in place; else the line is read
+again from the end of its property name.  Any other one-word value is
+tokenized in place too, braces stripped; bare ``legal_values`` words
+without quotes, parentheses or braces are the list's words as they
+stand.  Only other values of several words are first joined into a text
+of their own.  Each list item is tokenized in place, so a long bare
+enumeration parses in linear time.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -487,9 +484,7 @@ def parse_list_expr(text: str, file: str = "<list>") -> ListExpr:
     return _parse_list(src, [text[a:b] for _, a, b in words], words)
 
 
-def _parse_list(
-    src: _Src, values: list[str], words=None, warnings: list | None = None
-) -> ListExpr | None:
+def _parse_list(src: _Src, values: list, words=None, warnings=None) -> ListExpr | None:
     """The list of the word texts ``values``; ``words`` are their (kind,
     start, end) words of ``src``.
 
@@ -701,13 +696,9 @@ class _ModelBuilder:
                 elif done := prop in ("requires", "active_if") or (
                     prop == "calculated" and node.calculated is None
                 ):  # a goal property and one expression word
-                    if text[s] == "{":
-                        s, i = s + 1, i - 1
-                    self.store(node, prop, self.parse_value(src, s, i))
-                if done:
-                    i = m.end()
-                else:  # read on from the end of the property name
-                    i = m.start() + len(prop)
+                    self.store(node, prop, self.parse_words([(kind, s, i)]))
+                i = m.end() if done else m.start() + len(prop)
+                if not done:  # read on from the end of the property name
                     words.append(("bare", m.start(), i))
             elif kind == "name":  # a node command up to its '{'
                 a, b = m.span("head")
@@ -833,8 +824,7 @@ class _ModelBuilder:
             if frame.node is None:
                 self.error(head, f"unknown top-level command {prop!r}")
             else:
-                values = [self.text(w) for w in cmd[1:]]
-                self.property(frame.node, prop, values, cmd)
+                self.property(frame.node, prop, [self.text(w) for w in cmd[1:]], cmd)
         elif frame.child is not None:  # the node and its body are read
             if len(cmd) > 3:
                 self.forget(frame)
@@ -871,12 +861,14 @@ class _ModelBuilder:
                 return self.report(cmd, 1, f"unknown flavor {values[0]!r}")
             node.flavor = FLAVORS[values[0]]
         elif prop in ("requires", "active_if", "calculated"):
+            if not values:
+                return self.report(cmd, 0, f"{prop} needs a value")
             # an enumeration of one-token words is the tuple of their nodes
             entry = tuple(map(_one_token, values))
-            if not values or not all(entry):
+            if not all(entry):
                 if cmd is None:
                     return False
-                entry = self.parse_entry(cmd)
+                entry = self.parse_words(cmd[1:])
             self.store(node, prop, entry)
         elif prop == "legal_values":
             if not values:
@@ -919,20 +911,16 @@ class _ModelBuilder:
         self.error(cmd[k], message)
         return True
 
-    def parse_entry(self, cmd: list) -> tuple[GoalExpr, ...] | None:
-        """The goal expressions of a command's value; None if reported."""
-        if len(cmd) < 2:
-            self.error(cmd[0], f"{self.text(cmd[0])} needs a value")
-            return None
-        if len(cmd) > 2:
-            return self.parse_value(_join_args(self.src, cmd[1:]), 0, None)
-        kind, a, b = cmd[1]  # one word is parsed in place, braces stripped
-        if kind == "braced":
-            a, b = a + 1, b - 1
-        return self.parse_value(self.src, a, b)
+    def parse_words(self, words: list) -> tuple[GoalExpr, ...] | None:
+        """The goal expressions of the value ``words``; None if reported.
 
-    def parse_value(self, src: _Src, a: int, b: int | None) -> tuple | None:
-        """The goal expressions of ``src.text[a:b]``; None if reported."""
+        One word is parsed in place, braces stripped; several are joined.
+        """
+        src, (_, a, b) = self.src, words[0]
+        if len(words) > 1:
+            src, a, b = _join_args(src, words), 0, None
+        elif src.text[a] == "{":
+            a, b = a + 1, b - 1
         try:
             return tuple(_parse_expr_seq(src, self.diagnostics, a, b))
         except ParseError as err:
