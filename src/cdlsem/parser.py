@@ -105,25 +105,25 @@ _COMMENT_RX = re.compile(r"[^\n{}]*([{}])?[^\n]*")
 # A plain property line, tried only where the scanner stands on a command's
 # first character, so that a long line of words is not tried at each of
 # them; else blanks (whitespace but newline) and backslash-newline
-# continuations separate words, then one token: a command separator, an
-# opening brace, a node command's head and name up to its '{', a '}', a
-# quoted word, a lone (unterminated) quote or a bare word.  A separator
-# takes the blanks, continuations and separators after it along: with no
-# word pending they change nothing.  A head's '{' and a '}' take the
-# separator run after them along too: a body starts with no word pending,
-# and a body's '}' followed by a separator ends its node command in the
-# same token.  A plain property line is a property name, blanks without a
-# continuation, its value and the separator run after it, the tokens of the
-# commonest commands in one: identifiers and decimal integers split by
-# blanks ("words"), or one word ("expr"), braced with no brace, backslash,
-# quote or newline inside or bare with no brace, backslash or quote.  A
-# line of words goes through the property applier that serves every
-# command; a goal property's one word is parsed in place.  A run of blanks
-# is a character class repeated between continuations, not a loop over two
-# alternatives: on an indented line the regex engine takes about half the
-# time.  A quoted or bare word with a brace in it is a token of its own
-# kind, "wquoted" or "wild": every unescaped brace counts, so such a word
-# may end the body it is in.
+# continuations separate words, then one token: a '}', a node command's head
+# and name up to its '{' (the commonest tokens but property lines, tried
+# first), a command separator, an opening brace, a quoted word, a lone
+# (unterminated) quote or a bare word.  A separator takes the blanks,
+# continuations and separators after it along: with no word pending they
+# change nothing.  A head's '{' and a '}' take the separator run after them
+# along too: a body starts with no word pending, and a body's '}' followed
+# by a separator ends its node command in the same token.  A plain property
+# line is a property name, blanks without a continuation, its value and the
+# separator run after it, the tokens of the commonest commands in one:
+# identifiers and decimal integers split by blanks ("words"), or one word
+# ("expr"), braced with no brace, backslash, quote or newline inside or bare
+# with no brace, backslash or quote.  A line of words goes through the
+# property applier that serves every command; a goal property's one word is
+# parsed in place.  A run of blanks is a character class repeated between
+# continuations, not a loop over two alternatives: on an indented line the
+# regex engine takes about half the time.  A quoted or bare word with a
+# brace in it is a token of its own kind, "wquoted" or "wild": every
+# unescaped brace counts, so such a word may end the body it is in.
 _BLANK_RUN = r"[^\S\n]*(?:\\\n[^\S\n]*)*"
 _SEP_RUN = r"[\n;][\s;]*(?:\\\n[\s;]*)*"
 _SEP = _BLANK_RUN + _SEP_RUN
@@ -133,10 +133,10 @@ _CMD_TOKEN_RX = re.compile(
     r"(?P<prop>flavor|requires|active_if|calculated|implements|legal_values)"
     r"[^\S\n]+(?:(?P<words>" + _WORD + r"(?:[^\S\n]+" + _WORD + r")*)"
     r'|(?P<expr>\{[^{}\\"\n]*\}|[^\s;{}\\"]+))' + _SEP +
-    r"|" + _BLANK_RUN + r"(?:(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
+    r"|" + _BLANK_RUN + r"(?:(?P<close>\}(?:" + _SEP + r")?)"
     r"|(?P<head>" + "|".join(_NODE_COMMANDS) + r")(?:[^\S\n]|\\\n)+"
     r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:[^\S\n]|\\\n)+\{(?:" + _SEP + r")?"
-    r"|(?P<close>\}(?:" + _SEP + r")?)"
+    r"|(?P<sep>" + _SEP_RUN + r")|(?P<braced>\{)"
     r'|(?P<quoted>"[^"\\{}]*(?:\\[^{}][^"\\{}]*)*")'
     r"|(?P<wquoted>" + _QUOTED + r')|(?P<open>")'
     r"|(?P<bare>(?:" + _PLAIN + r"|\\(?!\n))" + _PLAIN + r"*(?:\\(?!\n)"

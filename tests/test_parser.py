@@ -767,7 +767,7 @@ _LANE_PLACES = [
     "cdl_option A {{\n {0}\n}}\n",
     "cdl_option A {{\n {0}\n {0}\n}}\n",  # a single property repeated
     "cdl_option A {{ flavor data; {0}; {0} }}\n",
-    "cdl_option A {{\n requires B {0}\n}}\n",  # words pending
+    "cdl_option A {{\n requires B {0}\n}}\n",  # after a word: the lane is not tried
     "{0}\ncdl_option A {{}}\n",  # the top level
     "cdl_option A {{ {0}\n}}\n",  # on the head's line, where the lane is not tried
     "cdl_option A {{\n requires {{B}}{0}\n}}\n",  # a braced word glued before it
