@@ -30,13 +30,14 @@ or a property name and one expression word, braced or bare.  One
 applier, ``_ModelBuilder.property``, takes value words as texts and
 serves such lines and all other property commands: a line's words go
 straight into the node unless the applier would parse or report on one,
-and a goal property's one word is parsed in place; else the line is read
-again from the end of its property name.  Any other one-word value is
-tokenized in place too, braces stripped; bare ``legal_values`` words
-without quotes, parentheses or braces are the list's words as they
-stand.  Only other values of several words are first joined into a text
-of their own.  Each list item is tokenized in place, so a long bare
-enumeration parses in linear time.
+and a goal property's one word is parsed in place.  A line the applier
+refuses, or one at the top level or after a word, is read again from the
+end of its property name.  Any other one-word value is tokenized in
+place too, braces stripped; bare ``legal_values`` words without quotes,
+parentheses or braces are the list's words as they stand.  Only other
+values of several words are first joined into a text of their own.  Each
+list item is tokenized in place, so a long bare enumeration parses in
+linear time.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -912,10 +913,8 @@ class _ModelBuilder:
         return True
 
     def parse_words(self, words: list) -> tuple[GoalExpr, ...] | None:
-        """The goal expressions of the value ``words``; None if reported.
-
-        One word is parsed in place, braces stripped; several are joined.
-        """
+        """The goal expressions of the value ``words``, one word parsed in
+        place with its braces stripped, several joined; None if reported."""
         src, (_, a, b) = self.src, words[0]
         if len(words) > 1:
             src, a, b = _join_args(src, words), 0, None
