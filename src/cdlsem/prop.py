@@ -8,6 +8,8 @@ constructs; see the docs on known boundaries).
 
 The four connectives share one flat n-ary ``BInfix`` node, as the goal
 operators share ``exprs.Infix``: a long chain is one node, not a tree.
+A formula's leaves are plain values: a feature is its name, a ``str``,
+and a constant is ``True`` or ``False``.
 """
 
 from __future__ import annotations
@@ -32,23 +34,11 @@ from .semantics import (
 
 
 class BoolExpr:
-    """Marker base class for Boolean expression nodes."""
+    """Marker base class for the Boolean nodes ``BNot``, ``BInfix`` and
+    ``BCard``.  A leaf is no node: a feature name (``str``) or a constant
+    (``bool``), and walkers dispatch on ``e.__class__``."""
 
     __slots__ = ()
-
-
-@frozen
-class BIdent(BoolExpr):
-    name: str
-
-
-@frozen
-class BConst(BoolExpr):
-    value: int
-
-    def __post_init__(self):
-        if self.value not in (0, 1):
-            raise ValueError("Boolean constant must be 0 or 1")
 
 
 @frozen
@@ -89,56 +79,56 @@ class BCard(BoolExpr):
 
 
 def bnot(e: BoolExpr) -> BoolExpr:
-    if isinstance(e, BConst):
-        return BConst(1 - e.value)
-    if isinstance(e, BNot):
+    if e.__class__ is bool:
+        return not e
+    if e.__class__ is BNot:
         return e.child
     return BNot(e)
 
 
 def band(items) -> BoolExpr:
-    return _junction("&&", items, 0)
+    return _junction("&&", items, False)
 
 
 def bor(items) -> BoolExpr:
-    return _junction("||", items, 1)
+    return _junction("||", items, True)
 
 
-def _junction(op: str, items, absorbing: int) -> BoolExpr:
+def _junction(op: str, items, absorbing: bool) -> BoolExpr:
     """``&&``/``||`` of ``items``, folding constants; unit constants drop."""
     flat: list[BoolExpr] = []
     for e in items:
-        if isinstance(e, BConst):
-            if e.value == absorbing:
+        if e.__class__ is bool:
+            if e is absorbing:
                 return e
             continue
         flat.append(e)
     if not flat:
-        return BConst(1 - absorbing)
+        return not absorbing
     if len(flat) == 1:
         return flat[0]
     return BInfix(op, tuple(flat))
 
 
 def implies(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    if isinstance(a, BConst):
-        return b if a.value else BConst(1)
-    if isinstance(b, BConst):
-        return BConst(1) if b.value else bnot(a)
+    if a.__class__ is bool:
+        return b if a else True
+    if b.__class__ is bool:
+        return True if b else bnot(a)
     return _extend("implies", a, b)
 
 
 def eqv(a: BoolExpr, b: BoolExpr) -> BoolExpr:
-    if isinstance(a, BConst):
-        return b if a.value else bnot(b)
-    if isinstance(b, BConst):
-        return a if b.value else bnot(a)
+    if a.__class__ is bool:
+        return b if a else bnot(b)
+    if b.__class__ is bool:
+        return a if b else bnot(a)
     return _extend("eqv", a, b)
 
 
 def _extend(op: str, left: BoolExpr, right: BoolExpr) -> BInfix:
     """``left op right``, extending ``left`` when it is a chain of ``op``."""
-    if isinstance(left, BInfix) and left.op == op:
+    if left.__class__ is BInfix and left.op == op:
         return BInfix(op, left.items + (right,))
     return BInfix(op, (left, right))
 
@@ -185,13 +175,14 @@ def _eval_masks(e: BoolExpr, masks, full: int) -> int:
     """Mask of the valuations satisfying ``e``; bit ``k`` of ``masks[name]``
     is the feature's value in valuation ``k``.  ``&&``/``||`` stop where
     ``all``/``any`` would on one valuation; ``implies``/``eqv`` read all."""
-    if isinstance(e, BIdent):
-        return _mask(e.name, masks)
-    if isinstance(e, BConst):
-        return full if e.value else 0
-    if isinstance(e, BNot):
+    cls = e.__class__
+    if cls is str:
+        return _mask(e, masks)
+    if cls is bool:
+        return full if e else 0
+    if cls is BNot:
         return full ^ _eval_masks(e.child, masks, full)
-    if isinstance(e, BInfix):
+    if cls is BInfix:
         op, items = e.op, iter(e.items)
         acc = _eval_masks(next(items), masks, full)
         stop = 0 if op == "&&" else full if op == "||" else None
@@ -206,7 +197,7 @@ def _eval_masks(e: BoolExpr, masks, full: int) -> int:
             else:
                 acc = (full ^ acc) | b if op == "implies" else full ^ acc ^ b
         return acc
-    if isinstance(e, BCard):
+    if cls is BCard:
         # counts[j]: exactly j of the names so far are true; more drop out
         counts = [full] + [0] * min(e.at_most, len(e.names))
         for name in e.names:
@@ -235,12 +226,12 @@ def choose(ids, at_least: int, at_most: int) -> BoolExpr:
         raise ValueError("at_least must not be negative")
     names = tuple(sorted(ids))
     if at_least > len(names):
-        return BConst(0)
+        return False
     if at_most < at_least:
         raise ValueError("need at_least <= at_most")
     at_most = min(at_most, len(names))
     if at_least == 0 and at_most == len(names):
-        return BConst(1)
+        return True
     return BCard(names, at_least, at_most)
 
 
@@ -253,9 +244,9 @@ _FLIP = {"==": "==", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 def rewrite(e: GoalExpr, m: Model) -> BoolExpr | None:
     """Partial translation into the Boolean fragment; None when undefined."""
     if isinstance(e, Ident):
-        return BIdent(e.name) if e.name in m else BConst(0)
+        return e.name if e.name in m else False
     if isinstance(e, Const):
-        return BConst(to_bool(e.value))
+        return to_bool(e.value) == 1
     if isinstance(e, Not):
         # only negated identifiers are in the Boolean grammar; negating an
         # approximated subtree would be unsound
@@ -320,28 +311,27 @@ def _rewrite_cmp(e: Infix, m: Model) -> BoolExpr | None:
     if op == ">":
         if isinstance(value, int) and value >= 0:
             return rewrite(lhs, m)
-        return BConst(1)  # nothing useful to say; drop the constraint
+        return True  # nothing useful to say; drop the constraint
     return None
 
 
 def _rewrite_interface_cmp(name: str, op: str, value, m: Model) -> BoolExpr | None:
     ids = m.implementers(name)
-    me = BIdent(name)
-    any_impl = bor(BIdent(i) for i in sorted(ids))
+    any_impl = bor(sorted(ids))
     if op == "==" and value == 0:
-        return band([bnot(me), *[bnot(BIdent(i)) for i in sorted(ids)]])
+        return band([bnot(name), *[bnot(i) for i in sorted(ids)]])
     if op == "==" and value == 1:
-        return band([me, choose(ids, 1, 1)])
+        return band([name, choose(ids, 1, 1)])
     if op == "!=" and value == 0:
-        return band([me, any_impl])
+        return band([name, any_impl])
     if op == ">" and isinstance(value, int):
         if value == 0:
-            return band([me, any_impl])
+            return band([name, any_impl])
         if value > 0:
-            return band([me, choose(ids, value + 1, len(ids))])
+            return band([name, choose(ids, value + 1, len(ids))])
         return None  # negative bound: fall back to the generic rule
     if op == ">=" and isinstance(value, int) and value >= 0:
-        return band([me, choose(ids, value, len(ids))])
+        return band([name, choose(ids, value, len(ids))])
     return None
 
 
@@ -365,15 +355,6 @@ class PropFormula:
         return {name: i for i, name in enumerate(self.variables, 1)}
 
 
-def _ctc_p(node, m: Model) -> list[BoolExpr]:
-    out = []
-    for e in m.sorted_constraints(node.name):
-        r = rewrite(e, m)
-        if r is not None:
-            out.append(r)
-    return out
-
-
 @functools.lru_cache(maxsize=128)
 def build_formula(m: Model) -> PropFormula:
     """Conjunction of per-node Boolean constraints plus unloaded locks."""
@@ -386,10 +367,11 @@ def build_formula(m: Model) -> PropFormula:
         )
     constraints: list[Constraint] = []
     for n in m:  # sorted by name
-        parent = BConst(1) if n.parent == TOP else BIdent(n.parent)
-        ctc = _ctc_p(n, m)
+        parent = True if n.parent == TOP else n.parent
+        rewritten = (rewrite(e, m) for e in m.sorted_constraints(n.name))
+        ctc = [r for r in rewritten if r is not None]
         context = band([parent, *ctc]) if ctc else parent
-        me = BIdent(n.name)
+        me = n.name
         constraints.append(Constraint(n.name, "node", implies(me, context)))
         if n.flavor in ("none", "data") and n.kind != "interface":
             constraints.append(Constraint(n.name, "flavor", implies(context, me)))
@@ -402,14 +384,14 @@ def build_formula(m: Model) -> PropFormula:
                     )
                 )
         if n.kind == "interface":
-            any_impl = bor(BIdent(i) for i in sorted(m.implementers(n.name)))
+            any_impl = bor(sorted(m.implementers(n.name)))
             constraints.append(
                 Constraint(
                     n.name, "interface", implies(context, eqv(me, any_impl))
                 )
             )
     for x in sorted(m.unloaded_ids()):
-        constraints.append(Constraint(x, "unloaded", bnot(BIdent(x))))
+        constraints.append(Constraint(x, "unloaded", BNot(x)))
     return PropFormula(tuple(constraints), tuple(sorted(m.universe())))
 
 
@@ -475,13 +457,14 @@ def enumerate_prop_configs(
 
 
 def bool_to_source(e: BoolExpr, parent_prec: int = 0) -> str:
-    if isinstance(e, BIdent):
-        return e.name
-    if isinstance(e, BConst):
-        return str(e.value)
-    if isinstance(e, BNot):
+    cls = e.__class__
+    if cls is str:
+        return e
+    if cls is bool:
+        return "1" if e else "0"
+    if cls is BNot:
         return "!" + bool_to_source(e.child, 5)
-    if isinstance(e, BInfix):
+    if cls is BInfix:
         prec = _BOOL_PREC[e.op]
         # implies/eqv chains are flat, but a nested &&/|| chain keeps its
         # parens in either operand position
@@ -491,7 +474,7 @@ def bool_to_source(e: BoolExpr, parent_prec: int = 0) -> str:
             + [bool_to_source(x, prec + 1) for x in e.items[1:]]
         )
         return f"({text})" if prec < parent_prec else text
-    if isinstance(e, BCard):
+    if cls is BCard:
         return (
             f"choose({e.at_least}..{e.at_most}: " + ", ".join(e.names) + ")"
         )

@@ -25,8 +25,6 @@ from .exprs import frozen
 from .model import Model
 from .prop import (
     BCard,
-    BConst,
-    BIdent,
     BInfix,
     BNot,
     BoolExpr,
@@ -72,20 +70,20 @@ def simplify(e: BoolExpr) -> BoolExpr:
     An expression with nothing to fold comes back as the same object.
     """
     cls = e.__class__
-    if cls is BIdent or cls is BConst:
+    if cls is str or cls is bool:
         return e
     if cls is BNot:
         child = simplify(e.child)
-        if child is e.child and child.__class__ not in (BNot, BConst):
+        if child is e.child and child.__class__ not in (BNot, bool):
             return e
         return bnot(child)
     if cls is BInfix:
         op, old = e.op, e.items
-        items = [x if x.__class__ is BIdent else simplify(x) for x in old]
+        items = [x if x.__class__ is str else simplify(x) for x in old]
         first = items[0]
         if (
             all(map(is_, items, old))
-            and BConst not in map(type, items)
+            and bool not in map(type, items)
             and (op in ("&&", "||") or first.__class__ is not BInfix or first.op != op)
         ):
             return e  # folding would neither drop an item nor flatten one
@@ -101,13 +99,13 @@ def simplify(e: BoolExpr) -> BoolExpr:
     if cls is BCard:
         n = len(e.names)
         if e.at_least > n:
-            return BConst(0)
+            return False
         hi = min(e.at_most, n)
         if e.at_least == 0 and hi == n:
-            return BConst(1)
+            return True
         if n == 1:
             # single id: between-bounds degenerates to a literal
-            return BIdent(e.names[0]) if e.at_least == 1 else bnot(BIdent(e.names[0]))
+            return e.names[0] if e.at_least == 1 else BNot(e.names[0])
         return e if hi == e.at_most else BCard(e.names, e.at_least, hi)
     raise TypeError(f"not a Boolean expression: {e!r}")
 
@@ -120,9 +118,8 @@ class _CnfBuilder:
         self.seen: set[tuple[int, ...]] = set()
         self.memo: dict = {}
 
-    def new_aux(self, hint: str) -> int:
-        name = f"{AUX_PREFIX}{hint}{len(self.names) + 1}"
-        self.names.append(name)
+    def new_aux(self) -> int:
+        self.names.append(f"{AUX_PREFIX}{len(self.names) + 1}")
         return len(self.names)
 
     def add_clause(self, lits: tuple[int, ...]) -> None:
@@ -149,10 +146,10 @@ class _CnfBuilder:
 
     # --- literal-level gates with biconditional definitions
 
-    def gate(self, s: int, lits, hint: str) -> int:
+    def gate(self, s: int, lits) -> int:
         """A new literal x with x <-> AND(lits) for s = 1 and x <-> OR(lits)
         for s = -1: || is && with every sign flipped."""
-        x = self.new_aux(hint)
+        x = self.new_aux()
         for l in lits:
             self.add_clause((-s * x, s * l))
         self.add_clause(tuple([s * x] + [-s * l for l in lits]))
@@ -165,21 +162,15 @@ class _CnfBuilder:
         key = (s, a, b) if a < b else (s, b, a)
         x = self.memo.get(key)
         if x is None:
-            x = self.memo[key] = self.gate(s, (a, b), "and" if s == 1 else "or")
+            x = self.memo[key] = self.gate(s, (a, b))
         return x
-
-    def and_lit(self, a: int, b: int) -> int:
-        return self.pair_gate(1, a, b)
-
-    def or_lit(self, a: int, b: int) -> int:
-        return self.pair_gate(-1, a, b)
 
     def eqv_lit(self, a: int, b: int) -> int:
         # memoised like the others, so a chain shares its prefix's gates
         key = ("eqv", a, b)
         if key in self.memo:
             return self.memo[key]
-        x = self.new_aux("def")
+        x = self.new_aux()
         self.add_clause((-x, -a, b))
         self.add_clause((-x, a, -b))
         self.add_clause((x, a, b))
@@ -191,8 +182,8 @@ class _CnfBuilder:
 
     def lit(self, e: BoolExpr) -> int:
         cls = e.__class__
-        if cls is BIdent:
-            return self.index[e.name]
+        if cls is str:
+            return self.index[e]
         if cls is BNot:
             return -self.lit(e.child)
         x = self.memo.get(e)
@@ -204,10 +195,10 @@ class _CnfBuilder:
             else:
                 index = self.index
                 lits = [
-                    index[x.name] if x.__class__ is BIdent else self.lit(x)
+                    index[x] if x.__class__ is str else self.lit(x)
                     for x in e.items
                 ]
-                x = self.gate(1 if e.op == "&&" else -1, lits, "def")
+                x = self.gate(1 if e.op == "&&" else -1, lits)
         elif cls is BCard:
             x = self.card_lit(e)
         else:
@@ -220,7 +211,7 @@ class _CnfBuilder:
         acc = self.lit(items[0])
         for x in items[1:]:
             b = self.lit(x)
-            acc = self.or_lit(-acc, b) if op == "implies" else self.eqv_lit(acc, b)
+            acc = self.eqv_lit(acc, b) if op == "eqv" else self.pair_gate(-1, -acc, b)
         return acc
 
     def card_lit(self, e: BCard) -> int:
@@ -237,8 +228,8 @@ class _CnfBuilder:
                     inc = x
                 else:
                     below = prev[j - 2]  # count >= j-1 without x
-                    inc = self.and_lit(x, below)
-                cur.append(inc if carry is None else self.or_lit(carry, inc))
+                    inc = self.pair_gate(1, x, below)
+                cur.append(inc if carry is None else self.pair_gate(-1, carry, inc))
             prev = cur
         parts: list[int] = []
         if lo >= 1:
@@ -247,18 +238,18 @@ class _CnfBuilder:
             parts.append(-prev[hi])
         if len(parts) == 1:
             return parts[0]
-        return self.and_lit(parts[0], parts[1])
+        return self.pair_gate(1, parts[0], parts[1])
 
     # --- top-level assertion
 
     def assert_expr(self, e: BoolExpr) -> None:
         cls = e.__class__
-        if cls is BConst:
-            if e.value == 0:
+        if cls is bool:
+            if not e:
                 self.add_clause(())
             return
-        if cls is BIdent:
-            self.add_clause((self.index[e.name],))
+        if cls is str:
+            self.add_clause((self.index[e],))
             return
         if cls is BNot:
             self.add_clause((-self.lit(e.child),))

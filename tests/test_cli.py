@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -11,7 +12,8 @@ import sys
 
 import pytest
 
-from cdlsem.cli import main
+from cdlsem.cli import EXIT_NEGATIVE, EXIT_OK, main
+from cdlsem.parser import MAX_EXPR_DEPTH, ParseError, parse_goal_expr
 from cdlsem.prop import PropConfig, load_prop_config
 from cdlsem.semantics import Configuration, load_configuration
 
@@ -367,6 +369,68 @@ def test_too_deep_nesting_exits_2_without_traceback(tmp_path, monkeypatch):
     assert run("translate", str(arith)) == (
         2, "", f"cdlsem: {arith}: error: nested too deeply\n"
     )
+
+
+# one shape per way of spending the parser's depth budget
+DEEP_SHAPES = {
+    "else-chain": lambda k: "A ? B : " * k + "B",
+    "and": lambda k: "A && (" * k + "A" + ")" * k,
+    "implies": lambda k: "A implies (" * k + "A" + ")" * k,
+    "not-or": lambda k: "!(A || " * k + "A" + ")" * k,
+    "bang": lambda k: "!" * k + "A",
+    "tilde": lambda k: "~" * k + "A",
+}
+
+
+def _deepest_accepted(shape) -> int:
+    """The largest k for which the parser accepts ``shape(k)``."""
+    lo, hi = 1, 2 * MAX_EXPR_DEPTH  # accepted, rejected
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse_goal_expr(shape(mid))
+            lo = mid
+        except ParseError:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("prop", ["requires", "calculated"])
+@pytest.mark.parametrize("shape", list(DEEP_SHAPES))
+def test_commands_fit_the_recursion_limit_at_the_parsers_caps(
+    tmp_path, shape, prop
+):
+    make = DEEP_SHAPES[shape]
+    k = _deepest_accepted(make)
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse_goal_expr(make(k + 1))
+    model = tmp_path / "deep.cdl"
+    model.write_text(
+        "cdl_option A {}\ncdl_option B {}\n"
+        f"cdl_option C {{\n flavor booldata\n {prop} {{ {make(k)} }}\n}}\n"
+    )
+    conf = tmp_path / "deep.conf"
+    conf.write_text("A\t1\t1\t1\nB\t1\t1\t1\nC\t1\t1\t1\n")
+    bits = tmp_path / "deep.bits"
+    bits.write_text("A\t1\nB\t1\nC\t1\n")
+    m = str(model)
+    commands = [
+        ("parse", m), ("check", m),
+        *[("translate", m, "--format", f) for f in ("prop", "json", "dimacs")],
+        *[("analyze", m, w) for w in ("--sat", "--dead", "--implications")],
+        ("validate", m, str(conf)), ("validate", m, str(bits), "--prop"),
+    ]
+    # On Python 3.11 the deepest command, analyze --dead on the else-chain,
+    # needs 607 frames; the margin leaves about 90 to spare.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 700)
+    try:
+        results = [run(*argv) for argv in commands]
+    finally:
+        sys.setrecursionlimit(limit)
+    for argv, (code, _, err) in zip(commands, results):
+        assert "nested too deeply" not in err, argv
+        assert code in (EXIT_OK, EXIT_NEGATIVE), (argv, err)
 
 
 def test_argparse_writes_to_the_given_streams(capsys):

@@ -7,24 +7,28 @@ import random
 import pytest
 
 from cdlsem import EvalError, FormulaError, ValidationError
-from cdlsem.model import TOP, Model
+from cdlsem.exprs import Ident
+from cdlsem.model import TOP, Model, check_well_formed
 from cdlsem.parser import parse_goal_expr as pg
 from cdlsem.prop import (
     BCard,
-    BConst,
-    BIdent,
     BInfix,
     BNot,
     Constraint,
     PropConfig,
     PropFormula,
+    band,
+    bnot,
     bool_to_source,
+    bor,
     build_formula,
     choose,
     dump_prop_config,
     enumerate_prop_configs,
+    eqv,
     eval_p,
     formula_to_text,
+    implies,
     load_prop_config,
     project,
     rewrite,
@@ -36,7 +40,11 @@ from cdlsem.semantics import (
     validate_configuration,
 )
 
-from conftest import mk_model
+from cdlsem.sat import to_cnf
+
+from conftest import (
+    fixture_paths, load_model, mk_model, perfbench_gen, random_model,
+)
 
 
 IFACE_MODEL = mk_model(
@@ -157,12 +165,12 @@ def test_rewrite_loaded_ident():
 
 
 def test_rewrite_unloaded_ident_is_false():
-    assert rewrite(pg("GHOST"), IFACE_MODEL) == BConst(0)
+    assert rewrite(pg("GHOST"), IFACE_MODEL) is False
 
 
 @pytest.mark.parametrize("text,value", [("0", 0), ("1", 1), ('"abc"', 1), ('""', 0)])
 def test_rewrite_const(text, value):
-    assert rewrite(pg(text), IFACE_MODEL) == BConst(value)
+    assert rewrite(pg(text), IFACE_MODEL) is bool(value)
 
 
 def test_rewrite_negated_ident():
@@ -171,13 +179,13 @@ def test_rewrite_negated_ident():
 
 
 def test_rewrite_negated_unloaded():
-    assert rewrite(pg("!GHOST"), IFACE_MODEL) == BConst(1)
+    assert rewrite(pg("!GHOST"), IFACE_MODEL) is True
 
 
 def test_rewrite_eq_nonzero_const():
     e = rewrite(pg("PLAIN == 1"), IFACE_MODEL)
     assert sat_set(e, ["PLAIN"]) == def_set(["PLAIN"], lambda v: v["PLAIN"] == 1)
-    assert rewrite(pg('PLAIN == "text"'), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg('PLAIN == "text"'), IFACE_MODEL) == "PLAIN"
 
 
 def test_rewrite_eq_zero_const():
@@ -193,30 +201,30 @@ def test_rewrite_drops_comparison_with_huge_integer():
 
 
 def test_rewrite_neq_zero():
-    assert rewrite(pg("PLAIN != 0"), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg("PLAIN != 0"), IFACE_MODEL) == "PLAIN"
     assert rewrite(pg("PLAIN != 2"), IFACE_MODEL) is None
 
 
 def test_rewrite_gt_nonnegative_const():
-    assert rewrite(pg("PLAIN > 0"), IFACE_MODEL) == BIdent("PLAIN")
-    assert rewrite(pg("PLAIN > 7"), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg("PLAIN > 0"), IFACE_MODEL) == "PLAIN"
+    assert rewrite(pg("PLAIN > 7"), IFACE_MODEL) == "PLAIN"
 
 
 def test_rewrite_gt_other_consts_dropped():
-    assert rewrite(pg("PLAIN > -1"), IFACE_MODEL) == BConst(1)
-    assert rewrite(pg("PLAIN > 1.5"), IFACE_MODEL) == BConst(1)
-    assert rewrite(pg('PLAIN > "x"'), IFACE_MODEL) == BConst(1)
+    assert rewrite(pg("PLAIN > -1"), IFACE_MODEL) is True
+    assert rewrite(pg("PLAIN > 1.5"), IFACE_MODEL) is True
+    assert rewrite(pg('PLAIN > "x"'), IFACE_MODEL) is True
     # a negative bound on an interface falls back to the same generic rule
-    assert rewrite(pg("IFACE > -1"), IFACE_MODEL) == BConst(1)
+    assert rewrite(pg("IFACE > -1"), IFACE_MODEL) is True
 
 
 def test_rewrite_flipped_comparison():
-    assert rewrite(pg("0 < PLAIN"), IFACE_MODEL) == BIdent("PLAIN")
-    assert rewrite(pg("1 == PLAIN"), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg("0 < PLAIN"), IFACE_MODEL) == "PLAIN"
+    assert rewrite(pg("1 == PLAIN"), IFACE_MODEL) == "PLAIN"
 
 
 def test_rewrite_is_substr():
-    assert rewrite(pg('is_substr(PLAIN, "x")'), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg('is_substr(PLAIN, "x")'), IFACE_MODEL) == "PLAIN"
     assert rewrite(pg('is_substr("x", PLAIN)'), IFACE_MODEL) is None
 
 
@@ -235,11 +243,11 @@ def test_rewrite_binary_connectives(op):
 
 
 def test_rewrite_connective_shapes():
-    a, b, c = BIdent("IMP_A"), BIdent("IMP_B"), BIdent("IMP_C")
+    a, b, c = "IMP_A", "IMP_B", "IMP_C"
     for text, want in [
         ("IMP_A && IMP_B && IMP_C", BInfix("&&", (a, b, c))),
         ("IMP_A && (IMP_B && IMP_C)", BInfix("&&", (a, BInfix("&&", (b, c))))),
-        ("IMP_A || GHOST || 1", BInfix("||", (a, BConst(0), BConst(1)))),
+        ("IMP_A || GHOST || 1", BInfix("||", (a, False, True))),
         ("IMP_A implies IMP_B implies IMP_C", BInfix("implies", (a, b, c))),
         (
             "IMP_A implies (IMP_B implies IMP_C)",
@@ -253,8 +261,8 @@ def test_rewrite_connective_shapes():
 
 
 def test_rewrite_comparison_needs_two_operands():
-    assert rewrite(pg("PLAIN == 1"), IFACE_MODEL) == BIdent("PLAIN")
-    assert rewrite(pg("1 == PLAIN"), IFACE_MODEL) == BIdent("PLAIN")
+    assert rewrite(pg("PLAIN == 1"), IFACE_MODEL) == "PLAIN"
+    assert rewrite(pg("1 == PLAIN"), IFACE_MODEL) == "PLAIN"
     assert rewrite(pg("PLAIN < IMP_A < IMP_B"), IFACE_MODEL) is None
     assert rewrite(pg("PLAIN == 1 == 1"), IFACE_MODEL) is None
     assert rewrite(pg("PLAIN > 0 > 0"), IFACE_MODEL) is None
@@ -262,7 +270,7 @@ def test_rewrite_comparison_needs_two_operands():
 
 @pytest.mark.parametrize("op", ["&&", "||", "implies", "eqv", "xor"])
 def test_binfix_needs_a_connective_and_two_operands(op):
-    a, b = BIdent("a"), BIdent("b")
+    a, b = "a", "b"
     for items in ((), (a,)):
         with pytest.raises(ValueError):
             BInfix(op, items)
@@ -378,8 +386,8 @@ def test_choose_exactly_one_brute():
 
 
 def test_choose_tautology_and_unsat():
-    assert choose(["a", "b"], 0, 2) == BConst(1)
-    assert choose(["a"], 2, 2) == BConst(0)
+    assert choose(["a", "b"], 0, 2) is True
+    assert choose(["a"], 2, 2) is False
 
 
 def test_choose_rejects_bad_bounds():
@@ -390,8 +398,8 @@ def test_choose_rejects_bad_bounds():
 
 
 def test_choose_lower_bound_beyond_size_is_false():
-    assert choose(["a"], 2, 1) == BConst(0)
-    assert choose([], 1, 1) == BConst(0)
+    assert choose(["a"], 2, 1) is False
+    assert choose([], 1, 1) is False
 
 
 def test_choose_counts_binomials():
@@ -410,8 +418,8 @@ def test_choose_counts_binomials():
 
 def test_eval_p_basics():
     cp = PropConfig({"a": 1, "b": 0})
-    assert eval_p(BConst(1), cp) == 1
-    a, b = BIdent("a"), BIdent("b")
+    assert eval_p(True, cp) == 1
+    a, b = "a", "b"
     assert eval_p(BInfix("implies", (b, a)), cp) == 1
     assert eval_p(BInfix("implies", (a, b)), cp) == 0
     assert eval_p(BInfix("eqv", (a, b)), cp) == 0
@@ -421,16 +429,16 @@ def test_eval_p_basics():
     assert eval_p(BInfix("eqv", (a, b, b)), cp) == 1
     assert eval_p(BInfix("&&", (a, a, b)), cp) == 0
     assert eval_p(BInfix("||", (b, b, a)), cp) == 1
-    assert eval_p(BNot(BIdent("b")), cp) == 1
+    assert eval_p(BNot("b"), cp) == 1
     assert eval_p(BCard(("a", "b"), 1, 1), cp) == 1
 
 
 def test_eval_p_unknown_id():
     with pytest.raises(EvalError):
-        eval_p(BIdent("nope"), PropConfig({}))
+        eval_p("nope", PropConfig({}))
 
 
-_ON, _OFF, _GHOST = BIdent("on"), BIdent("off"), BIdent("ghost")
+_ON, _OFF, _GHOST = "on", "off", "ghost"
 
 
 @pytest.mark.parametrize(
@@ -477,10 +485,10 @@ def test_eval_p_pins_where_unknown_ids_raise(expr, expected):
 
 def _truth(e, val) -> bool:
     """One-valuation reference semantics of a Boolean expression."""
-    if isinstance(e, BIdent):
-        return bool(val[e.name])
-    if isinstance(e, BConst):
-        return bool(e.value)
+    if isinstance(e, str):
+        return bool(val[e])
+    if isinstance(e, bool):
+        return e
     if isinstance(e, BNot):
         return not _truth(e.child, val)
     if isinstance(e, BCard):
@@ -499,9 +507,9 @@ def _random_expr(rng, names, depth):
     if depth == 0 or rng.random() < 0.25:
         roll = rng.random()
         if roll < 0.6:
-            return BIdent(rng.choice(names))
+            return rng.choice(names)
         if roll < 0.75:
-            return BConst(rng.randint(0, 1))
+            return bool(rng.randint(0, 1))
         # interface rewrites: == 1, > 1 and >= 2 over the implementors
         ids = rng.sample(names, rng.randint(1, len(names)))
         lo, hi = rng.choice([(1, 1), (2, len(ids)), (rng.randint(0, 2), 3)])
@@ -511,7 +519,7 @@ def _random_expr(rng, names, depth):
     op = rng.choice(["&&", "||", "implies", "eqv"])
     items = [_random_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 4))]
     if rng.random() < 0.2:
-        items.insert(rng.randrange(len(items) + 1), BConst(rng.randint(0, 1)))
+        items.insert(rng.randrange(len(items) + 1), bool(rng.randint(0, 1)))
     return BInfix(op, tuple(items))
 
 
@@ -522,12 +530,12 @@ def test_enumerate_prop_configs_equals_per_valuation_eval(monkeypatch):
         ids = sorted(m.universe())
         exprs = [_random_expr(rng, ids, 3) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:
-            exprs.append(BNot(BNot(BInfix("||", (BIdent(ids[0]), BConst(0))))))
+            exprs.append(BNot(BNot(BInfix("||", (ids[0], False)))))
         if rng.random() < 0.3:
             # an || whose first operand holds on valuation 0 alone: mask 1
-            none_on = [BNot(BIdent(x)) for x in ids]
+            none_on = [BNot(x) for x in ids]
             first = BInfix("&&", tuple(none_on)) if n > 1 else none_on[0]
-            exprs.append(BInfix("||", (first, BIdent(ids[-1]))))
+            exprs.append(BInfix("||", (first, ids[-1])))
         formula = PropFormula(
             tuple(Constraint("V0", "node", e) for e in exprs), tuple(ids)
         )
@@ -733,7 +741,7 @@ def test_load_prop_config_messages():
 
 
 def test_bool_to_source_minimal_parens():
-    a, b, c = BIdent("a"), BIdent("b"), BIdent("c")
+    a, b, c = "a", "b", "c"
     e = BInfix("implies", (a, BInfix("&&", (b, BNot(c)))))
     assert bool_to_source(e) == "a implies b && !c"
     e = BInfix("&&", (BInfix("||", (a, b)), c))
@@ -749,3 +757,81 @@ def test_bool_to_source_minimal_parens():
     assert bool_to_source(e) == "(a && b) && c"
     e = BInfix("||", (a, BInfix("||", (b, c))))
     assert bool_to_source(e) == "a || (b || c)"
+
+
+# ---------------------------------------------------------------------------
+# the leaf contract: a feature is its name, a constant is True or False
+
+
+def _leaves(e):
+    """Every leaf of ``e``, and every name a cardinality node counts."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, BNot):
+            stack.append(e.child)
+        elif isinstance(e, BInfix):
+            stack.extend(e.items)
+        elif isinstance(e, BCard):
+            yield from e.names
+        else:
+            yield e
+
+
+def _well_formed_models():
+    models = [load_model(p) for p in fixture_paths("analysis", "family", "sound", "wf")]
+    gen = perfbench_gen()
+    models += [
+        mk_model(gen.generate(seed, size).text)
+        for seed in (1, 2)
+        for size in (36, 130, 500)
+    ]
+    rng = random.Random(27)
+    models += [mk_model(random_model(rng)) for _ in range(300)]
+    return [m for m in models if not check_well_formed(m)]
+
+
+def test_formula_leaves_are_feature_names_and_bools():
+    seen = {str: 0, bool: 0}
+    for m in _well_formed_models():
+        formula = build_formula(m)
+        names = set(formula.variables)
+        for con in formula.constraints:
+            for leaf in _leaves(con.expr):
+                # False == 0 and True == 1: only the class tells them apart
+                assert leaf.__class__ is bool or (
+                    leaf.__class__ is str and leaf in names
+                ), (con, leaf)
+                seen[leaf.__class__] += 1
+    assert seen[str] > 5000 and seen[bool] > 100, seen
+
+
+def test_degenerate_input_gives_a_bool():
+    assert band([]) is True and bor([]) is False
+    assert band([True, True]) is True and bor([False, False]) is False
+    assert band(["a", False]) is False and bor([True, "a"]) is True
+    assert bnot(True) is False and bnot(False) is True
+    assert implies(False, "a") is True and implies("a", True) is True
+    assert eqv(True, True) is True and eqv(False, True) is False
+    assert choose([], 0, 0) is True and choose(["a", "b"], 0, 5) is True
+    assert choose([], 1, 1) is False and choose(["a"], 2, 3) is False
+
+
+def test_constant_leaves_print_as_digits():
+    assert bool_to_source(True) == "1" and bool_to_source(False) == "0"
+    e = BInfix("||", ("a", False, BNot(True)))
+    assert bool_to_source(e) == "a || 0 || !1"
+
+
+@pytest.mark.parametrize(
+    "leaf", [1, 0, None, Ident("A")], ids=["1", "0", "None", "Ident"]
+)
+def test_other_leaves_raise_type_error(leaf):
+    cp = PropConfig({"a": 1})
+    for e in (leaf, BNot(leaf), BInfix("&&", ("a", leaf))):
+        with pytest.raises(TypeError):
+            eval_p(e, cp)
+        with pytest.raises(TypeError):
+            bool_to_source(e)
+        with pytest.raises(TypeError):
+            to_cnf(PropFormula((Constraint("a", "node", e),), ("a",)))

@@ -19,7 +19,7 @@ from cdlsem.exprs import (
 from cdlsem.model import TOP, Node, RawNode, Violation
 from cdlsem.parser import ParseDiagnostic, SourceSpan
 from cdlsem.prop import (
-    BCard, BConst, BIdent, BInfix, BNot, Constraint, PropFormula,
+    BCard, BInfix, BNot, Constraint, PropFormula,
 )
 from cdlsem.sat import Cnf, SatResult
 from cdlsem.semantics import Failure, ValidationReport
@@ -42,13 +42,11 @@ RECORDS = {
     Node: ("A", TOP, "bool", frozenset(), frozenset({B}), None, None,
            "option", frozenset({"I"})),
     Violation: ("a", "A", "why"),
-    BIdent: ("A",),
-    BConst: (1,),
-    BNot: (BIdent("A"),),
-    BInfix: ("||", (BIdent("A"), BIdent("B"))),
+    BNot: ("A",),
+    BInfix: ("||", ("A", "B")),
     BCard: (("A", "B"), 0, 1),
-    Constraint: ("A", "node", BIdent("A")),
-    PropFormula: ((Constraint("A", "node", BIdent("A")),), ("A",)),
+    Constraint: ("A", "node", "A"),
+    PropFormula: ((Constraint("A", "node", "A"),), ("A",)),
     Cnf: (1, ((1,),), ("A",)),
     SatResult: ("unsat", None),
     Failure: ("A", "node", "why"),
@@ -107,7 +105,7 @@ def test_record_contract(cls):
 
 
 def test_records_differ_by_field_and_class():
-    assert Ident("A") != Ident("B") and Ident("A") != BIdent("A")
+    assert Ident("A") != Ident("B") and Ident("A") != "A"
     assert Infix("&&", (A, B)) != Infix("&&", (B, A))
     assert dataclasses.replace(Infix("&&", (A, B)), op="||") == Infix("||", (A, B))
 
@@ -128,14 +126,12 @@ def test_missing_argument_and_default():
     [
         (lambda: Infix("&&", (A,)), "at least two operands"),
         (lambda: Infix("=>", (A, B)), "bad binary operator"),
-        (lambda: BInfix("xor", (BIdent("A"), BIdent("B"))), "bad Boolean operator"),
+        (lambda: BInfix("xor", ("A", "B")), "bad Boolean operator"),
         (lambda: BInfix("&&", ()), "at least two operands"),
-        (lambda: BConst(2), "must be 0 or 1"),
         (lambda: Call("nope", ()), "unknown builtin"),
         (lambda: Call("is_enabled", (A, B)), "takes 1 argument"),
         (lambda: ListExpr(()), "at least one item"),
         (lambda: ListExpr((A,)), "bad list item"),
-        (lambda: dataclasses.replace(BConst(1), value=2), "must be 0 or 1"),
         (lambda: dataclasses.replace(Infix("&&", (A, B)), items=(A,)),
          "at least two operands"),
     ],

@@ -10,8 +10,6 @@ from cdlsem.cdcl import Solver
 from cdlsem.model import check_well_formed
 from cdlsem.prop import (
     BCard,
-    BConst,
-    BIdent,
     BInfix,
     BNot,
     BoolExpr,
@@ -65,8 +63,8 @@ def _formula(*exprs: BoolExpr, names=None) -> PropFormula:
         found = set()
 
         def walk(e):
-            if isinstance(e, BIdent):
-                found.add(e.name)
+            if isinstance(e, str):
+                found.add(e)
             elif isinstance(e, BNot):
                 walk(e.child)
             elif isinstance(e, BInfix):
@@ -83,42 +81,42 @@ def _formula(*exprs: BoolExpr, names=None) -> PropFormula:
 
 
 def test_tautology_has_no_clauses():
-    cnf = to_cnf(_formula(BConst(1), names=("a",)))
+    cnf = to_cnf(_formula(True, names=("a",)))
     assert cnf.clauses == () and cnf.num_vars == 1
 
 
 def test_single_ident_is_unit_clause():
-    cnf = to_cnf(_formula(BIdent("a")))
+    cnf = to_cnf(_formula("a"))
     assert cnf.clauses == ((1,),)
 
 
 def test_eqv_is_two_clauses():
-    cnf = to_cnf(_formula(BInfix("eqv", (BIdent("a"), BIdent("b")))))
+    cnf = to_cnf(_formula(BInfix("eqv", ("a", "b"))))
     assert set(cnf.clauses) == {(-1, 2), (1, -2)}
 
 
 def test_false_constraint_is_empty_clause():
-    cnf = to_cnf(_formula(BConst(0), names=("a",)))
+    cnf = to_cnf(_formula(False, names=("a",)))
     assert cnf.clauses == ((),)
     assert not solve(cnf).sat
 
 
 def test_no_tautological_clauses():
-    cnf = to_cnf(_formula(BInfix("||", (BIdent("a"), BNot(BIdent("a"))))))
+    cnf = to_cnf(_formula(BInfix("||", ("a", BNot("a")))))
     for cl in cnf.clauses:
         assert not any(-l in cl for l in cl)
 
 
 def test_chain_gets_one_auxiliary_variable():
-    chain = BInfix("||", tuple(BIdent(n) for n in "abc"))
-    cnf = to_cnf(_formula(BInfix("implies", (BIdent("x"), chain))))
+    chain = BInfix("||", tuple("abc"))
+    cnf = to_cnf(_formula(BInfix("implies", ("x", chain))))
     assert cnf.num_vars == 5  # a, b, c, x and one definition of the chain
     assert set(cnf.clauses) == {(-4, 5), (-1, 5), (-2, 5), (-3, 5), (1, 2, 3, -5)}
 
 
 @pytest.mark.parametrize("op, clauses", [("implies", 3), ("eqv", 4)])
 def test_chain_shares_the_gates_of_its_prefix(op, clauses):
-    a, b, c, x, y = (BIdent(n) for n in "abcxy")
+    a, b, c, x, y = "abcxy"
     cnf = to_cnf(
         _formula(
             BInfix("||", (x, BInfix(op, (a, b)))),
@@ -131,17 +129,17 @@ def test_chain_shares_the_gates_of_its_prefix(op, clauses):
 
 
 def test_simplify_folds_constants():
-    e = BInfix("&&", (BConst(1), BInfix("||", (BIdent("a"), BConst(0)))))
-    assert simplify(e) == BIdent("a")
-    assert simplify(BNot(BConst(0))) == BConst(1)
-    assert simplify(BCard(("a", "b"), 0, 2)) == BConst(1)
-    assert simplify(BCard(("a", "b"), 3, 3)) == BConst(0)
+    e = BInfix("&&", (True, BInfix("||", ("a", False))))
+    assert simplify(e) == "a"
+    assert simplify(BNot(False)) is True
+    assert simplify(BCard(("a", "b"), 0, 2)) is True
+    assert simplify(BCard(("a", "b"), 3, 3)) is False
 
 
 def _fold_by_rebuilding(e: BoolExpr) -> BoolExpr:
     """Constant folding that rebuilds every node through the smart
     constructors; ``simplify`` must give an equal result."""
-    if isinstance(e, (BIdent, BConst)):
+    if isinstance(e, (str, bool)):
         return e
     if isinstance(e, BNot):
         return bnot(_fold_by_rebuilding(e.child))
@@ -156,11 +154,11 @@ def _fold_by_rebuilding(e: BoolExpr) -> BoolExpr:
         return acc
     n, hi = len(e.names), min(e.at_most, len(e.names))
     if e.at_least > n:
-        return BConst(0)
+        return False
     if e.at_least == 0 and hi == n:
-        return BConst(1)
+        return True
     if n == 1:
-        return BIdent(e.names[0]) if e.at_least == 1 else BNot(BIdent(e.names[0]))
+        return e.names[0] if e.at_least == 1 else BNot(e.names[0])
     return BCard(e.names, e.at_least, hi)
 
 
@@ -174,7 +172,7 @@ def test_simplify_equals_rebuilding_and_keeps_what_does_not_fold():
             e = BNot(BNot(e))
         if rng.random() < 0.2:  # a chain whose first item is a chain of its op
             op = rng.choice(["implies", "eqv"])
-            e = BInfix(op, (BInfix(op, (e, BIdent("a"))), BIdent("b")))
+            e = BInfix(op, (BInfix(op, (e, "a")), "b"))
         got = simplify(e)
         assert got == _fold_by_rebuilding(e), e
         # nothing to fold: the same object, so no node is rebuilt
@@ -188,9 +186,9 @@ def _random_bool_expr(rng, names, depth=3) -> BoolExpr:
     if depth == 0 or rng.random() < 0.3:
         choice = rng.random()
         if choice < 0.7:
-            return BIdent(rng.choice(names))
+            return rng.choice(names)
         if choice < 0.8:
-            return BConst(rng.randint(0, 1))
+            return bool(rng.randint(0, 1))
         k = rng.randint(1, min(4, len(names)))
         ids = tuple(sorted(rng.sample(names, k)))
         lo = rng.randint(0, k)

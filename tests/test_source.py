@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "cdlsem").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "cdlsem").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -197,3 +198,16 @@ def test_output_goes_to_the_given_streams():
     found = [f"{p.name}: {x}" for p in SOURCES if p.name != "__main__.py"
              for x in stray_output(p.read_text(), "main" if p.name == "cli.py" else None)]
     assert found == []
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block, verbatim but for the model's file name
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    start = section.index("```python\n") + len("```python\n")
+    block = section[start:section.index("```\n", start)]
+    fixture = ROOT / "tests" / "fixtures" / "sound" / "s22_mixed.cdl"
+    assert block.count('"model.cdl"') == 2
+    exec(block.replace('"model.cdl"', repr(str(fixture))), {})
+    verdict, dead = capsys.readouterr().out.splitlines()
+    assert verdict.startswith(("accepted ", "rejected ")) and dead.startswith("[")
