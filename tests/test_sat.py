@@ -128,6 +128,27 @@ def test_chain_shares_the_gates_of_its_prefix(op, clauses):
     assert len(cnf.clauses) == 2 + 2 * clauses
 
 
+def test_gates_of_different_shapes_stay_apart():
+    # choose(1..2: a, b) and !a implies b both encode to the OR of a and b
+    # (#5), yet the two && gates over x and it are different trees, so
+    # each gets its own variable (#7 and #8)
+    cnf = to_cnf(
+        _formula(
+            implies("y", band(["x", BCard(("a", "b"), 1, 2)])),
+            implies("y", band(["x", implies(BNot("a"), "b")])),
+        )
+    )
+    assert cnf == Cnf(
+        8,
+        (
+            (-1, 5), (-2, 5), (1, 2, -5), (2, -6), (1, -6), (-1, -2, 6),
+            (3, -7), (5, -7), (-3, -5, 7), (-4, 7),
+            (3, -8), (5, -8), (-3, -5, 8), (-4, 8),
+        ),
+        ("a", "b", "x", "y", "#5", "#6", "#7", "#8"),
+    )
+
+
 def test_simplify_folds_constants():
     e = BInfix("&&", (True, BInfix("||", ("a", False))))
     assert simplify(e) == "a"
@@ -398,6 +419,22 @@ def test_assumption_out_of_range():
 def test_witness_is_deterministic():
     cnf = Cnf(3, ((1, 2, 3),), ("a", "b", "c"))
     assert solve(cnf) == solve(cnf)
+
+
+@pytest.mark.parametrize("cnf, message", [
+    (Cnf(2, (), ("A", "A")), "duplicate entry for 'A'"),
+    (Cnf(2, ((-2,),), ("A", "⊤")), "the root is fixed at 1"),
+    (Cnf(1, (), ("⊤",)), "the root is fixed at 1"),
+])
+def test_witness_rejects_ill_formed_names(cnf, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(cnf)
+
+
+def test_witness_takes_a_true_root_and_repeated_aux_names():
+    assert solve(Cnf(2, ((2,),), ("A", "⊤"))).witness == PropConfig({"A": 0})
+    cnf = Cnf(3, ((3,),), ("#1", "#1", "A"))
+    assert solve(cnf).witness == PropConfig({"A": 1})
 
 
 def _unit_closure(clauses, lit: int) -> set[int] | None:
