@@ -76,14 +76,14 @@ class Solver:
             return
         value, num_vars = self.value, self.num_vars
         members = dict.fromkeys(lits)
+        drop = False  # a literal is false at level 0 (lists stay of exact length)
         for l in members:
             if not 1 <= abs(l) <= num_vars:
                 raise ValueError(f"literal {l} out of range")
-            if value[l] == 1 or -l in members:
+            if (v := value[l]) == 1 or -l in members:
                 return  # satisfied at level 0, or a tautology
-        clause = list(members)
-        if any(value[l] for l in clause):
-            clause = [l for l in clause if not value[l]]  # false at level 0
+            drop = drop or v < 0
+        clause = [l for l in members if not value[l]] if drop else list(members)
         if not clause:
             self.ok = False
         elif len(clause) == 1:

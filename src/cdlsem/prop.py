@@ -368,7 +368,8 @@ def build_formula(m: Model) -> PropFormula:
     constraints: list[Constraint] = []
     for n in m:  # sorted by name
         parent = True if n.parent == TOP else n.parent
-        rewritten = (rewrite(e, m) for e in m.sorted_constraints(n.name))
+        goals = m.sorted_constraints(n.name)  # most nodes have none
+        rewritten = (rewrite(e, m) for e in goals) if goals else ()
         ctc = [r for r in rewritten if r is not None]
         context = band([parent, *ctc]) if ctc else parent
         me = n.name
@@ -446,7 +447,7 @@ def enumerate_prop_configs(
     # binary text has no digit limit; reversed, character k is valuation k
     bits = format(acc, f"0{width}b")[::-1]
     return [  # well formed by construction
-        PropConfig._wrap(dict(zip(ids, map(int, format(k, f"0{n}b")))))
+        PropConfig.wrap(dict(zip(ids, map(int, format(k, f"0{n}b")))))
         for k, bit in enumerate(bits)
         if bit == "1"
     ]
@@ -500,7 +501,7 @@ def load_prop_config(
     """Parse the two-column TSV; missing universe ids default to 0."""
     entries, warnings = read_tsv(text, _bit_row, ("0",), universe, strict)
     # read_tsv has checked every row: no duplicate, no root entry
-    return PropConfig._wrap(entries), warnings
+    return PropConfig.wrap(entries), warnings
 
 
 def _bit_row(lineno: int, fields: list[str]) -> int:

@@ -22,7 +22,7 @@ from operator import is_
 from .cdcl import Solver
 from .errors import AnalysisError
 from .exprs import frozen
-from .model import Model
+from .model import TOP, Model
 from .prop import (
     BCard,
     BInfix,
@@ -67,18 +67,24 @@ class SatResult:
 def simplify(e: BoolExpr) -> BoolExpr:
     """Constant folding; the result contains no reachable constants.
 
-    An expression with nothing to fold comes back as the same object.
+    An expression with nothing to fold comes back as the same object; an
+    operator over plain names, or the negation of one, comes back at once.
     """
     cls = e.__class__
     if cls is str or cls is bool:
         return e
     if cls is BNot:
-        child = simplify(e.child)
+        child = e.child if e.child.__class__ is str else simplify(e.child)
         if child is e.child and child.__class__ not in (BNot, bool):
             return e
         return bnot(child)
     if cls is BInfix:
         op, old = e.op, e.items
+        for x in old:
+            if x.__class__ is not str:
+                break
+        else:
+            return e
         items = [x if x.__class__ is str else simplify(x) for x in old]
         first = items[0]
         if (
@@ -111,16 +117,22 @@ def simplify(e: BoolExpr) -> BoolExpr:
 
 
 class _CnfBuilder:
+    """Tseitin clauses of asserted expressions, each gate encoded once.
+
+    A gate over literals is memoised by its inputs; a subtree by a flat key,
+    its operator and its children's keys: a name, ``("!", key)`` under a
+    negation, or the slot number of a subtree encoded before.  A subtree of
+    names, or a ``BCard``, is its own key.  No lookup thus hashes a tree
+    recursively, and subtrees of different shapes keep apart even where
+    they share literals.  Aux variables are counted; ``to_cnf`` names them.
+    """
+
     def __init__(self, features: tuple[str, ...]):
-        self.names = list(features)
         self.index = {n: i for i, n in enumerate(features, 1)}
+        self.num_vars = len(features)
         self.clauses: list[tuple[int, ...]] = []
         self.seen: set[tuple[int, ...]] = set()
-        self.memo: dict = {}
-
-    def new_aux(self) -> int:
-        self.names.append(f"{AUX_PREFIX}{len(self.names) + 1}")
-        return len(self.names)
+        self.memo, self.trees, self.slots = {}, {}, []  # see the docstring
 
     def add_clause(self, lits: tuple[int, ...]) -> None:
         """Keep the clause, its literals sorted by variable, unless it is a
@@ -149,16 +161,18 @@ class _CnfBuilder:
     def gate(self, s: int, lits) -> int:
         """A new literal x with x <-> AND(lits) for s = 1 and x <-> OR(lits)
         for s = -1: || is && with every sign flipped."""
-        x = self.new_aux()
-        for l in lits:
-            self.add_clause((-s * x, s * l))
+        x = self.num_vars = self.num_vars + 1
+        for l in lits:  # x is fresh: no tautology, and it sorts last
+            clause = (s * l, -s * x)
+            if clause not in self.seen:
+                self.seen.add(clause)
+                self.clauses.append(clause)
         self.add_clause(tuple([s * x] + [-s * l for l in lits]))
         return x
 
     def pair_gate(self, s: int, a: int, b: int) -> int:
         if a == b:
             return a
-        # an int first: no expression or eqv key equals it
         key = (s, a, b) if a < b else (s, b, a)
         x = self.memo.get(key)
         if x is None:
@@ -170,7 +184,7 @@ class _CnfBuilder:
         key = ("eqv", a, b)
         if key in self.memo:
             return self.memo[key]
-        x = self.new_aux()
+        x = self.num_vars = self.num_vars + 1
         self.add_clause((-x, -a, b))
         self.add_clause((-x, a, -b))
         self.add_clause((x, a, b))
@@ -181,38 +195,40 @@ class _CnfBuilder:
     # --- expression to literal
 
     def lit(self, e: BoolExpr) -> int:
+        return self.index[e] if e.__class__ is str else self.node(e)[1]
+
+    def node(self, e: BoolExpr) -> tuple:
+        """The key of ``e`` and its literal (see the class docstring)."""
         cls = e.__class__
         if cls is str:
-            return self.index[e]
+            return e, self.index[e]
         if cls is BNot:
-            return -self.lit(e.child)
-        x = self.memo.get(e)
-        if x is not None:
-            return x
+            key, x = self.node(e.child)
+            return ("!", key), -x
+        key = e  # a BCard, or an operator over names: flat already
         if cls is BInfix:
-            if e.op in ("implies", "eqv"):
-                x = self.chain_lit(e.op, e.items)
-            else:
-                index = self.index
-                lits = [
-                    index[x] if x.__class__ is str else self.lit(x)
-                    for x in e.items
-                ]
-                x = self.gate(1 if e.op == "&&" else -1, lits)
-        elif cls is BCard:
-            x = self.card_lit(e)
-        else:
+            op, index, keys, lits, x = e.op, self.index, [], [], None
+            for item in e.items:  # in order: a chain folds as it goes
+                k, y = (item, index[item]) if item.__class__ is str else self.node(item)
+                keys.append(k)
+                lits.append(y)
+                if op == "implies":
+                    x = y if x is None else self.pair_gate(-1, -x, y)
+                elif op == "eqv":
+                    x = y if x is None else self.eqv_lit(x, y)
+            if not all(map(is_, keys, e.items)):  # only a name is its own key
+                key = (op, *keys)
+        elif cls is not BCard:
             raise TypeError(f"cannot encode {e!r}")
-        self.memo[e] = x
-        return x
-
-    def chain_lit(self, op: str, items) -> int:
-        """Literal of an implies/eqv chain, folded left one gate at a time."""
-        acc = self.lit(items[0])
-        for x in items[1:]:
-            b = self.lit(x)
-            acc = self.eqv_lit(acc, b) if op == "eqv" else self.pair_gate(-1, -acc, b)
-        return acc
+        slot = self.trees.get(key)
+        if slot is None:
+            if cls is BCard:
+                x = self.card_lit(e)
+            elif x is None:
+                x = self.gate(1 if op == "&&" else -1, lits)
+            slot = self.trees[key] = len(self.slots)
+            self.slots.append(x)
+        return slot, self.slots[slot]
 
     def card_lit(self, e: BCard) -> int:
         """Output literal of a bidirectional sequential counter."""
@@ -244,32 +260,30 @@ class _CnfBuilder:
 
     def assert_expr(self, e: BoolExpr) -> None:
         cls = e.__class__
-        if cls is bool:
+        if cls is BInfix:
+            op, items = e.op, e.items
+            if op == "implies" or op == "eqv":
+                a = self.lit(items[0] if len(items) == 2 else BInfix(op, items[:-1]))
+                b = self.lit(items[-1])
+                self.add_clause((-a, b))
+                if op == "eqv":
+                    self.add_clause((-b, a))
+            elif op == "&&":
+                for x in items:
+                    self.assert_expr(x)
+            else:
+                self.add_clause(tuple([self.lit(x) for x in items]))
+        elif cls is str:
+            self.add_clause((self.index[e],))
+        elif cls is bool:
             if not e:
                 self.add_clause(())
-            return
-        if cls is str:
-            self.add_clause((self.index[e],))
-            return
-        if cls is BNot:
+        elif cls is BNot:
             self.add_clause((-self.lit(e.child),))
-            return
-        if cls is BInfix:
-            if e.op == "&&":
-                for x in e.items:
-                    self.assert_expr(x)
-            elif e.op == "||":
-                self.add_clause(tuple(self.lit(x) for x in e.items))
-            else:
-                a, b = self.chain_lit(e.op, e.items[:-1]), self.lit(e.items[-1])
-                self.add_clause((-a, b))
-                if e.op == "eqv":
-                    self.add_clause((-b, a))
-            return
-        if cls is BCard:
+        elif cls is BCard:
             self.assert_card(e)
-            return
-        raise TypeError(f"cannot assert {e!r}")
+        else:
+            raise TypeError(f"cannot assert {e!r}")
 
     def assert_card(self, e: BCard) -> None:
         xs = [self.index[n] for n in e.names]
@@ -288,7 +302,9 @@ def to_cnf(f: PropFormula) -> Cnf:
     builder = _CnfBuilder(f.variables)
     for con in f.constraints:
         builder.assert_expr(simplify(con.expr))
-    return Cnf(len(builder.names), tuple(builder.clauses), tuple(builder.names))
+    features, n = tuple(f.variables), builder.num_vars
+    aux = [f"{AUX_PREFIX}{i}" for i in range(len(features) + 1, n + 1)]
+    return Cnf(n, tuple(builder.clauses), features + tuple(aux))
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +313,19 @@ def to_cnf(f: PropFormula) -> Cnf:
 
 def solve(cnf: Cnf, assumptions=()) -> SatResult:
     """Complete search; assumptions are temporary unit constraints."""
+    names = cnf.variables
+    checks = TOP in names or len(set(names)) < len(names)  # before the solver grows
     solver = Solver(cnf.num_vars, cnf.clauses)
     if not solver.solve(assumptions):
         return SatResult("unsat", None)
     model = solver.model
-    witness = PropConfig(
-        (name, int(model[v] == 1))
-        for v, name in enumerate(cnf.variables, 1)
-        if not name.startswith(AUX_PREFIX)
+    bits = (
+        (n, 1 if model[v] == 1 else 0)
+        for v, n in enumerate(names, 1)
+        if n[:1] != AUX_PREFIX  # a one-character prefix
     )
-    return SatResult("sat", witness)
+    # a root or a repeated name goes through the checking constructor
+    return SatResult("sat", PropConfig(bits) if checks else PropConfig.wrap(dict(bits)))
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class Assignment:
         self._hash = None  # computed lazily; enumeration makes many of these
 
     @classmethod
-    def _wrap(cls, d: dict):
+    def wrap(cls, d: dict):
         """An assignment over ``d`` itself, unchecked: for callers whose
         entries are well formed by construction and hold no root entry."""
         self = object.__new__(cls)
@@ -564,7 +564,7 @@ def enumerate_configurations(
     accepted: list[Configuration] = []
     for combo in itertools.product(*choices):
         # well formed and total over the universe by construction
-        c = Configuration._wrap(dict(zip(ids, combo)))
+        c = Configuration.wrap(dict(zip(ids, combo)))
         if next(_failures(m, c), None) is None:
             accepted.append(c)
     return accepted
@@ -595,7 +595,7 @@ def load_configuration(
     """
     entries, warnings = read_tsv(text, _state_row, ("0", "0", "0"), universe, strict)
     # read_tsv has checked every row: no duplicate, no root entry
-    return Configuration._wrap(entries), warnings
+    return Configuration.wrap(entries), warnings
 
 
 def _state_row(lineno: int, fields: list[str]) -> tuple[int, int, str]:

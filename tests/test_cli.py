@@ -395,7 +395,9 @@ def _deepest_accepted(shape) -> int:
     return lo
 
 
-@pytest.mark.parametrize("prop", ["requires", "calculated"])
+# "twice": B requires and C calculates equal trees, which the encoder
+# must find again without comparing them recursively
+@pytest.mark.parametrize("prop", ["requires", "calculated", "twice"])
 @pytest.mark.parametrize("shape", list(DEEP_SHAPES))
 def test_commands_fit_the_recursion_limit_at_the_parsers_caps(
     tmp_path, shape, prop
@@ -404,10 +406,15 @@ def test_commands_fit_the_recursion_limit_at_the_parsers_caps(
     k = _deepest_accepted(make)
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_goal_expr(make(k + 1))
+    deep = make(k)
+    if prop == "twice":
+        b, c = f"requires {{ {deep} }}", f"calculated {{ {deep} }}"
+    else:
+        b, c = "", f"{prop} {{ {deep} }}"
     model = tmp_path / "deep.cdl"
     model.write_text(
-        "cdl_option A {}\ncdl_option B {}\n"
-        f"cdl_option C {{\n flavor booldata\n {prop} {{ {make(k)} }}\n}}\n"
+        f"cdl_option A {{}}\ncdl_option B {{{b}}}\n"
+        f"cdl_option C {{\n flavor booldata\n {c}\n}}\n"
     )
     conf = tmp_path / "deep.conf"
     conf.write_text("A\t1\t1\t1\nB\t1\t1\t1\nC\t1\t1\t1\n")
@@ -421,7 +428,7 @@ def test_commands_fit_the_recursion_limit_at_the_parsers_caps(
         ("validate", m, str(conf)), ("validate", m, str(bits), "--prop"),
     ]
     # On Python 3.11 the deepest command, analyze --dead on the else-chain,
-    # needs 607 frames; the margin leaves about 90 to spare.
+    # needs 603 frames, with one copy or two; the margin leaves about 95.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 700)
     try:

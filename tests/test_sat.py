@@ -437,6 +437,13 @@ def test_witness_takes_a_true_root_and_repeated_aux_names():
     assert solve(cnf).witness == PropConfig({"A": 1})
 
 
+def test_witness_bits_are_ints():
+    witness = solve(Cnf(3, ((1,), (-2,)), ("a", "b", "#3"))).witness
+    assert [(n, b, type(b)) for n, b in witness.items()] == [
+        ("a", 1, int), ("b", 0, int)
+    ]
+
+
 def _unit_closure(clauses, lit: int) -> set[int] | None:
     """Every literal unit propagation derives from ``lit`` and the unit
     clauses, found by rescanning all clauses; None on a conflict."""
