@@ -119,10 +119,10 @@ def simplify(e: BoolExpr) -> BoolExpr:
 class _CnfBuilder:
     """Tseitin clauses of asserted expressions, each gate encoded once.
 
-    A gate over literals is memoised by its inputs; a subtree by a flat key,
-    its operator and its children's keys: a name, ``("!", key)`` under a
-    negation, or the slot number of a subtree encoded before.  A subtree of
-    names, or a ``BCard``, is its own key.  No lookup thus hashes a tree
+    A gate over literals is memoised by its inputs, a subtree by a flat key:
+    its operator and its children's keys, each a name, ``("!", key)`` under
+    a negation, or the slot of a subtree encoded before; a subtree over
+    names alone, or a ``BCard``, is its own key.  No lookup hashes a tree
     recursively, and subtrees of different shapes keep apart even where
     they share literals.  Aux variables are counted; ``to_cnf`` names them.
     """
@@ -132,7 +132,7 @@ class _CnfBuilder:
         self.num_vars = len(features)
         self.clauses: list[tuple[int, ...]] = []
         self.seen: set[tuple[int, ...]] = set()
-        self.memo, self.trees, self.slots = {}, {}, []  # see the docstring
+        self.memo, self.trees, self.slots = {}, {}, []  # gates, keys -> slot -> literal
 
     def add_clause(self, lits: tuple[int, ...]) -> None:
         """Keep the clause, its literals sorted by variable, unless it is a
