@@ -1,12 +1,13 @@
 """CNF conversion, a small complete SAT solver, and model analyses.
 
-The clause form keeps every feature variable meaningful: auxiliary
-definitions are biconditional, so satisfying assignments projected onto
-feature variables coincide exactly with the models of the source
-formula.  The solver is an iterative CDCL search with an explicit trail:
-two watched literals, first-UIP learning with backjumping, a
-move-to-front queue for decisions, and assumptions as the first decision
-levels.  The analyses build one solver per model and query it under
+Top-level constraints become clauses directly; auxiliary variables exist
+only for subformulas nested inside other operators, each defined both
+ways, so every model of the formula extends to exactly one model of the
+clauses: model counts carry over, and projections onto the feature
+variables are the formula's models.  The solver is an iterative CDCL
+search with an explicit trail: two watched literals, first-UIP learning
+with backjumping, a move-to-front queue for decisions, and assumptions
+as the first decision levels.  The analyses build one solver per model and query it under
 assumptions, keeping its learnt clauses; witnesses found on the way rule
 out the candidates they refute, so those cost no query.  Before
 querying, an analysis probes: ``Solver.probe`` assumes one literal and
@@ -117,11 +118,14 @@ def simplify(e: BoolExpr) -> BoolExpr:
 
 
 class _CnfBuilder:
-    """Tseitin clauses of asserted expressions, each gate encoded once.
+    """Clauses of asserted expressions, each gate encoded once.
 
-    A gate over literals is memoised by its inputs, a subtree by a flat key:
-    its operator and its children's keys, each a name, ``("!", key)`` under
-    a negation, or the slot of a subtree encoded before; a subtree over
+    A top-level constraint becomes clauses directly (see ``assert_expr``);
+    only a subformula nested inside another operator gets a Tseitin gate,
+    an aux variable defined both ways, so model counts carry over.  A gate
+    over literals is memoised by its inputs, a subtree by a flat key: its
+    operator and its children's keys, each a name, ``("!", key)`` under a
+    negation, or the slot of a subtree encoded before; a subtree over
     names alone, or a ``BCard``, is its own key.  No lookup hashes a tree
     recursively, and subtrees of different shapes keep apart even where
     they share literals.  Aux variables are counted; ``to_cnf`` names them.
@@ -258,21 +262,37 @@ class _CnfBuilder:
 
     # --- top-level assertion
 
-    def assert_expr(self, e: BoolExpr) -> None:
+    def assert_expr(self, e: BoolExpr, lits: tuple[int, ...] = ()) -> None:
+        """Clauses for ``e``, or with ``lits`` for ``OR(lits) || e``.
+
+        An ``&&`` asserts each item, an ``||`` is one clause of its items'
+        literals, and a two-item ``implies`` asserts its consequent widened
+        by the negated antecedent, or by the negated items of an ``&&`` one.
+        Any other subtree in a clause is one literal, a gate unless it is a
+        name or a negated name; nothing distributes, so clauses stay linear.
+        """
         cls = e.__class__
         if cls is BInfix:
             op, items = e.op, e.items
-            if op == "implies" or op == "eqv":
+            if op == "&&":
+                for x in items:
+                    self.assert_expr(x, lits)
+            elif op == "||":
+                self.add_clause(lits + tuple([self.lit(x) for x in items]))
+            elif lits:
+                self.add_clause(lits + (self.lit(e),))
+            elif op == "implies" and len(items) == 2:
+                a = items[0]
+                ante = a.items if a.__class__ is BInfix and a.op == "&&" else (a,)
+                self.assert_expr(items[1], tuple([-self.lit(x) for x in ante]))
+            else:  # an eqv, or a longer implies chain
                 a = self.lit(items[0] if len(items) == 2 else BInfix(op, items[:-1]))
                 b = self.lit(items[-1])
                 self.add_clause((-a, b))
                 if op == "eqv":
                     self.add_clause((-b, a))
-            elif op == "&&":
-                for x in items:
-                    self.assert_expr(x)
-            else:
-                self.add_clause(tuple([self.lit(x) for x in items]))
+        elif lits:
+            self.add_clause(lits + (self.lit(e),))
         elif cls is str:
             self.add_clause((self.index[e],))
         elif cls is bool:

@@ -108,10 +108,15 @@ def test_no_tautological_clauses():
 
 
 def test_chain_gets_one_auxiliary_variable():
+    # under an eqv the chain is a subformula, so it gets a gate
     chain = BInfix("||", tuple("abc"))
-    cnf = to_cnf(_formula(BInfix("implies", ("x", chain))))
-    assert cnf.num_vars == 5  # a, b, c, x and one definition of the chain
-    assert set(cnf.clauses) == {(-4, 5), (-1, 5), (-2, 5), (-3, 5), (1, 2, 3, -5)}
+    cnf = to_cnf(_formula(BInfix("eqv", ("x", chain))))
+    # a, b, c, x and one definition of the chain
+    assert cnf == Cnf(
+        5,
+        ((-1, 5), (-2, 5), (-3, 5), (1, 2, 3, -5), (-4, 5), (4, -5)),
+        ("a", "b", "c", "x", "#5"),
+    )
 
 
 @pytest.mark.parametrize("op, clauses", [("implies", 3), ("eqv", 4)])
@@ -134,19 +139,41 @@ def test_gates_of_different_shapes_stay_apart():
     # each gets its own variable (#7 and #8)
     cnf = to_cnf(
         _formula(
-            implies("y", band(["x", BCard(("a", "b"), 1, 2)])),
-            implies("y", band(["x", implies(BNot("a"), "b")])),
+            eqv("y", band(["x", BCard(("a", "b"), 1, 2)])),
+            eqv("y", band(["x", implies(BNot("a"), "b")])),
         )
     )
     assert cnf == Cnf(
         8,
         (
             (-1, 5), (-2, 5), (1, 2, -5), (2, -6), (1, -6), (-1, -2, 6),
-            (3, -7), (5, -7), (-3, -5, 7), (-4, 7),
-            (3, -8), (5, -8), (-3, -5, 8), (-4, 8),
+            (3, -7), (5, -7), (-3, -5, 7), (-4, 7), (4, -7),
+            (3, -8), (5, -8), (-3, -5, 8), (-4, 8), (4, -8),
         ),
         ("a", "b", "x", "y", "#5", "#6", "#7", "#8"),
     )
+
+
+@pytest.mark.parametrize(
+    "expr, cnf",
+    [
+        # the consequent's && splits: no aux variable
+        (implies("x", band(["a", "b"])),
+         Cnf(3, ((1, -3), (2, -3)), ("a", "b", "x"))),
+        # the antecedent's && widens the clause with its negated items
+        (implies(band(["a", "b"]), "x"),
+         Cnf(3, ((-1, -2, 3),), ("a", "b", "x"))),
+        # the consequent's || widens it with its items
+        (implies("x", bor(["a", "b", "c"])),
+         Cnf(4, ((1, 2, 3, -4),), ("a", "b", "c", "x"))),
+        # an && nested in a top-level || is a subformula: one gate
+        (bor(["x", band(["a", "b"])]),
+         Cnf(4, ((1, -4), (2, -4), (-1, -2, 4), (3, 4)), ("a", "b", "x", "#4"))),
+    ],
+    ids=["implies-and", "and-implies", "implies-or", "or-of-and"],
+)
+def test_top_level_implications_are_clauses(expr, cnf):
+    assert to_cnf(_formula(expr)) == cnf
 
 
 def test_simplify_folds_constants():
@@ -244,6 +271,55 @@ def test_to_cnf_projections_match_formula_models():
             )
             cnf_ok = solve(cnf, assumps).sat
             assert formula_ok == cnf_ok, (exprs, bits)
+
+
+def _count_cnf_models(cnf: Cnf) -> int:
+    """Models of ``cnf`` over all of its variables, aux ones too: bit j of
+    each mask stands for the assignment whose variable i is bit i of j."""
+    size = 1 << cnf.num_vars
+    full = (1 << size) - 1
+    masks = [0]
+    for i in range(cnf.num_vars):
+        width = 2 << i
+        mask = (1 << width) - (1 << (1 << i))  # 0^(2^i) 1^(2^i), repeated
+        while width < size:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    models = full
+    for clause in cnf.clauses:
+        sat = 0
+        for l in clause:
+            sat |= masks[l] if l > 0 else full ^ masks[-l]
+        models &= sat
+    return bin(models).count("1")
+
+
+def test_cnf_has_as_many_models_as_the_formula():
+    # every aux variable is defined both ways, so each model of the
+    # formula extends to exactly one model of the CNF; a one-sided gate
+    # leaves its variable free on some models, which then count twice
+    rng = random.Random(29)
+    names = ("a", "b", "c", "d")
+    checked = 0
+    for _ in range(400):
+        exprs = [_random_bool_expr(rng, names, depth=2) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.7:  # && under implies on both sides
+            left, right = (
+                BInfix("&&", tuple(_random_bool_expr(rng, names, depth=1) for _ in range(2)))
+                for _ in range(2)
+            )
+            exprs.append(BInfix("implies", (left, right)))
+        cnf = to_cnf(_formula(*exprs, names=names))
+        if cnf.num_vars > 20:
+            continue
+        checked += 1
+        formula_models = sum(
+            all(eval_p(e, PropConfig(zip(names, bits))) for e in exprs)
+            for bits in itertools.product((0, 1), repeat=len(names))
+        )
+        assert _count_cnf_models(cnf) == formula_models, exprs
+    assert checked >= 250
 
 
 # ---------------------------------------------------------------------------

@@ -91,27 +91,62 @@ def test_no_unused_private_names():
     assert unused_private_names(sources) == []
 
 
+def solver_private_names(source: str) -> set[str]:
+    """Names with one leading underscore (dunders aside) that class
+    ``Solver`` defines in its body or sets on ``self``."""
+    cls = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == "Solver")
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            roots = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(n.id for t in roots for n in ast.walk(t) if isinstance(n, ast.Name))
+    names.update(node.attr for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "self")
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+SOLVER_INTERNALS = solver_private_names(
+    (ROOT / "src" / "cdlsem" / "cdcl.py").read_text()
+) | {"trail_lim"}
+
+
 def solver_internals(source: str) -> list[str]:
-    """Attributes a module touches that are private to the solver: any name
-    with one leading underscore (dunders aside), and ``trail_lim``."""
+    """Attributes a module touches, on any object, that are private to the
+    solver: ``SOLVER_INTERNALS``."""
     found = [
         (node.lineno, node.col_offset, node.attr)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute)
-        and (node.attr == "trail_lim"
-             or node.attr.startswith("_") and not node.attr.endswith("__"))
+        if isinstance(node, ast.Attribute) and node.attr in SOLVER_INTERNALS
     ]
     return [f"{attr} (line {line})" for line, _, attr in sorted(found)]
 
 
+def test_solver_private_names_are_read_from_the_class():
+    source = (
+        "class Other:\n    def _o(self): self._p = 1\n"
+        "class Solver:\n    _K = 1\n    def __init__(self): self._v = self.w = 0\n"
+        "    def _f(self, other): other._q = 1\n    def g(self): pass\n"
+    )
+    assert solver_private_names(source) == {"_K", "_v", "_f"}
+    assert {"_propagate", "_cancel_until", "_assign"} <= SOLVER_INTERNALS
+
+
 def test_solver_internals_are_found():
+    # a solver internal is flagged through any name; another class's
+    # one-underscore helper is not
     source = (
         "s.solve(); s._propagate()\nx = s.trail_lim[-1] + s.trail[0]\n"
         "class A:\n    def f(self):\n"
         "        return self.__class__, s.model, s.phase, s._cancel_until(0)\n"
+        "y = PropConfig._x(); other = s; other._propagate()\n"
     )
     assert solver_internals(source) == [
-        "_propagate (line 1)", "trail_lim (line 2)", "_cancel_until (line 5)"
+        "_propagate (line 1)", "trail_lim (line 2)", "_cancel_until (line 5)",
+        "_propagate (line 6)",
     ]
 
 
