@@ -7,13 +7,13 @@ clauses: model counts carry over, and projections onto the feature
 variables are the formula's models.  The solver is an iterative CDCL
 search with an explicit trail: two watched literals, first-UIP learning
 with backjumping, a move-to-front queue for decisions, and assumptions
-as the first decision levels.  The analyses build one solver per model and query it under
-assumptions, keeping its learnt clauses; witnesses found on the way rule
-out the candidates they refute, so those cost no query.  Before
-querying, an analysis probes: ``Solver.probe`` assumes one literal and
-propagates, which settles many candidates with no search, and the phases
-of the candidates still open are pushed so that each new witness refutes
-as many of them as it can.
+as the first decision levels.  The analyses build one solver per model
+and query it under assumptions, keeping its learnt clauses; witnesses
+found on the way rule out the candidates they refute, so those cost no
+query.  Before querying, an analysis probes: ``Solver.probe`` assumes
+one literal and propagates, which settles many candidates with no
+search, and the phases of the candidates still open are pushed so that
+each new witness refutes as many of them as it can.
 """
 
 from __future__ import annotations
@@ -272,27 +272,25 @@ class _CnfBuilder:
         name or a negated name; nothing distributes, so clauses stay linear.
         """
         cls = e.__class__
-        if cls is BInfix:
-            op, items = e.op, e.items
-            if op == "&&":
-                for x in items:
-                    self.assert_expr(x, lits)
-            elif op == "||":
-                self.add_clause(lits + tuple([self.lit(x) for x in items]))
-            elif lits:
-                self.add_clause(lits + (self.lit(e),))
-            elif op == "implies" and len(items) == 2:
-                a = items[0]
-                ante = a.items if a.__class__ is BInfix and a.op == "&&" else (a,)
-                self.assert_expr(items[1], tuple([-self.lit(x) for x in ante]))
-            else:  # an eqv, or a longer implies chain
-                a = self.lit(items[0] if len(items) == 2 else BInfix(op, items[:-1]))
-                b = self.lit(items[-1])
-                self.add_clause((-a, b))
-                if op == "eqv":
-                    self.add_clause((-b, a))
+        op = e.op if cls is BInfix else None
+        if op == "&&":
+            for x in e.items:
+                self.assert_expr(x, lits)
+        elif op == "||":
+            self.add_clause(lits + tuple([self.lit(x) for x in e.items]))
         elif lits:
             self.add_clause(lits + (self.lit(e),))
+        elif op == "implies" and len(e.items) == 2:
+            a, b = e.items
+            ante = a.items if a.__class__ is BInfix and a.op == "&&" else (a,)
+            self.assert_expr(b, tuple([-self.lit(x) for x in ante]))
+        elif op is not None:  # an eqv, or a longer implies chain
+            items = e.items
+            a = self.lit(items[0] if len(items) == 2 else BInfix(op, items[:-1]))
+            b = self.lit(items[-1])
+            self.add_clause((-a, b))
+            if op == "eqv":
+                self.add_clause((-b, a))
         elif cls is str:
             self.add_clause((self.index[e],))
         elif cls is bool:

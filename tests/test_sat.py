@@ -292,7 +292,7 @@ def _count_cnf_models(cnf: Cnf) -> int:
         for l in clause:
             sat |= masks[l] if l > 0 else full ^ masks[-l]
         models &= sat
-    return bin(models).count("1")
+    return models.bit_count()
 
 
 def test_cnf_has_as_many_models_as_the_formula():
