@@ -1,19 +1,20 @@
 """CNF conversion, a small complete SAT solver, and model analyses.
 
-Top-level constraints become clauses directly; auxiliary variables exist
-only for subformulas nested inside other operators, each defined both
-ways, so every model of the formula extends to exactly one model of the
-clauses: model counts carry over, and projections onto the feature
-variables are the formula's models.  The solver is an iterative CDCL
-search with an explicit trail: two watched literals, first-UIP learning
-with backjumping, a move-to-front queue for decisions, and assumptions
-as the first decision levels.  The analyses build one solver per model
-and query it under assumptions, keeping its learnt clauses; witnesses
-found on the way rule out the candidates they refute, so those cost no
-query.  Before querying, an analysis probes: ``Solver.probe`` assumes
-one literal and propagates, which settles many candidates with no
-search, and the phases of the candidates still open are pushed so that
-each new witness refutes as many of them as it can.
+Constraints become clauses directly, down to the operands of each
+clause; auxiliary variables exist only for subformulas nested inside a
+clause's literal, each defined both ways, so every model of the formula
+extends to exactly one model of the clauses: model counts carry over,
+and projections onto the feature variables are the formula's models.
+The solver is an iterative CDCL search with an explicit trail: two
+watched literals, first-UIP learning with backjumping, a move-to-front
+queue for decisions, and assumptions as the first decision levels.  The
+analyses build one solver per model and query it under assumptions,
+keeping its learnt clauses; witnesses found on the way rule out the
+candidates they refute, so those cost no query.  Before querying, an
+analysis probes: ``Solver.probe`` assumes one literal and propagates,
+which settles many candidates with no search, and the phases of the
+candidates still open are pushed so that each new witness refutes as
+many of them as it can.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ def simplify(e: BoolExpr) -> BoolExpr:
 class _CnfBuilder:
     """Clauses of asserted expressions, each gate encoded once.
 
-    A top-level constraint becomes clauses directly (see ``assert_expr``);
-    only a subformula nested inside another operator gets a Tseitin gate,
-    an aux variable defined both ways, so model counts carry over.  A gate
+    A constraint becomes clauses directly (see ``assert_expr``); only a
+    subformula nested inside a clause's literal gets a Tseitin gate, an
+    aux variable defined both ways, so model counts carry over.  A gate
     over literals is memoised by its inputs, a subtree by a flat key: its
     operator and its children's keys, each a name, ``("!", key)`` under a
     negation, or the slot of a subtree encoded before; a subtree over
@@ -260,48 +261,60 @@ class _CnfBuilder:
             return parts[0]
         return self.pair_gate(1, parts[0], parts[1])
 
-    # --- top-level assertion
+    # --- assertion at clause level
 
     def assert_expr(self, e: BoolExpr, lits: tuple[int, ...] = ()) -> None:
         """Clauses for ``e``, or with ``lits`` for ``OR(lits) || e``.
 
-        An ``&&`` asserts each item, an ``||`` is one clause of its items'
-        literals, and a two-item ``implies`` asserts its consequent widened
-        by the negated antecedent, or by the negated items of an ``&&`` one.
-        Any other subtree in a clause is one literal, a gate unless it is a
-        name or a negated name; nothing distributes, so clauses stay linear.
+        An ``&&`` asserts each item, and an ``||`` is one clause of its
+        items' literals.  A chain of ``implies`` or ``eqv`` is its last
+        item against the chain before it.  An ``implies`` asserts its
+        consequent widened by the negated antecedent, or by the negated
+        items of an ``&&`` one at any depth.  An ``eqv`` defines one side
+        by the other as a gate would, with no new variable: two clauses,
+        or k + 1 where one side is a k-item ``&&`` or ``||``.  Any other
+        subtree in a clause is one literal, a gate unless it is a name or
+        a negated name; nothing distributes, so clauses stay linear.
         """
         cls = e.__class__
         op = e.op if cls is BInfix else None
         if op == "&&":
             for x in e.items:
-                self.assert_expr(x, lits)
+                if x.__class__ is str:
+                    self.add_clause(lits + (self.index[x],))
+                else:
+                    self.assert_expr(x, lits)
         elif op == "||":
             self.add_clause(lits + tuple([self.lit(x) for x in e.items]))
-        elif lits:
-            self.add_clause(lits + (self.lit(e),))
-        elif op == "implies" and len(e.items) == 2:
-            a, b = e.items
-            ante = a.items if a.__class__ is BInfix and a.op == "&&" else (a,)
-            self.assert_expr(b, tuple([-self.lit(x) for x in ante]))
-        elif op is not None:  # an eqv, or a longer implies chain
+        elif op is not None:  # implies or eqv, a chain as its last two items
             items = e.items
-            a = self.lit(items[0] if len(items) == 2 else BInfix(op, items[:-1]))
-            b = self.lit(items[-1])
-            self.add_clause((-a, b))
-            if op == "eqv":
-                self.add_clause((-b, a))
-        elif cls is str:
-            self.add_clause((self.index[e],))
+            a, b = items[0] if len(items) == 2 else BInfix(op, items[:-1]), items[-1]
+            if op == "implies":
+                ante, neg = [a], list(lits)
+                while ante:  # && items at any depth, in order
+                    x = ante.pop()
+                    if x.__class__ is BInfix and x.op == "&&":
+                        ante.extend(reversed(x.items))
+                    else:
+                        neg.append(-self.lit(x))
+                self.assert_expr(b, tuple(neg))
+            else:  # x <-> AND(ys), or x <-> OR(ys) for s = -1, as in gate
+                if a.__class__ is BInfix and a.op in ("&&", "||"):
+                    a, b = b, a  # a junction goes right, to be expanded
+                x, s, ys = self.lit(a), 1, (b,)
+                if b.__class__ is BInfix and b.op in ("&&", "||"):
+                    s, ys = 1 if b.op == "&&" else -1, b.items
+                ys = [self.lit(y) for y in ys]
+                for y in ys:
+                    self.add_clause(lits + (s * y, -s * x))
+                self.add_clause(lits + (s * x,) + tuple([-s * y for y in ys]))
         elif cls is bool:
             if not e:
-                self.add_clause(())
-        elif cls is BNot:
-            self.add_clause((-self.lit(e.child),))
-        elif cls is BCard:
+                self.add_clause(lits)
+        elif cls is BCard and not lits:
             self.assert_card(e)
-        else:
-            raise TypeError(f"cannot assert {e!r}")
+        else:  # a name, a negation or a cardinality under lits
+            self.add_clause(lits + (self.lit(e),))
 
     def assert_card(self, e: BCard) -> None:
         xs = [self.index[n] for n in e.names]

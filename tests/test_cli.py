@@ -341,11 +341,12 @@ def test_long_chains_need_no_recursion(tmp_path):
         )
         code, out, err = run("translate", str(model), "--format", "json")
         assert (code, err) == (0, "") and len(json.loads(out)["constraints"]) == n + 1
-        # one gate per operator: 3 clauses per or-gate, 4 per eqv gate
-        per_gate = 3 if op == "implies" else 4
+        # one gate per operator but the last, which X's clauses assert:
+        # 3 clauses per or-gate and 1 for X, or 4 per eqv gate and 2 for X
+        per_gate, last = (3, 1) if op == "implies" else (4, 2)
         code, out, err = run("translate", str(model), "--format", "dimacs")
         assert (code, err) == (0, "")
-        assert f"\np cnf {2 * n} {per_gate * (n - 1) + 1}\n" in out
+        assert f"\np cnf {2 * n - 1} {per_gate * (n - 2) + last}\n" in out
         assert run("analyze", str(model), "--sat") == (0, "SAT\n", "")
 
 

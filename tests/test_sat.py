@@ -108,14 +108,15 @@ def test_no_tautological_clauses():
 
 
 def test_chain_gets_one_auxiliary_variable():
-    # under an eqv the chain is a subformula, so it gets a gate
+    # an item of the || that an eqv expands is a subformula, so the chain
+    # there gets a gate
     chain = BInfix("||", tuple("abc"))
-    cnf = to_cnf(_formula(BInfix("eqv", ("x", chain))))
-    # a, b, c, x and one definition of the chain
+    cnf = to_cnf(_formula(BInfix("eqv", ("x", BInfix("||", ("y", chain))))))
+    # a, b, c, x, y and one definition of the chain
     assert cnf == Cnf(
-        5,
-        ((-1, 5), (-2, 5), (-3, 5), (1, 2, 3, -5), (-4, 5), (4, -5)),
-        ("a", "b", "c", "x", "#5"),
+        6,
+        ((-1, 6), (-2, 6), (-3, 6), (1, 2, 3, -6), (4, -5), (4, -6), (-4, 5, 6)),
+        ("a", "b", "c", "x", "y", "#6"),
     )
 
 
@@ -135,22 +136,22 @@ def test_chain_shares_the_gates_of_its_prefix(op, clauses):
 
 def test_gates_of_different_shapes_stay_apart():
     # choose(1..2: a, b) and !a implies b both encode to the OR of a and b
-    # (#5), yet the two && gates over x and it are different trees, so
-    # each gets its own variable (#7 and #8)
+    # (#6), yet the two && gates over x and it are different trees, so
+    # each gets its own variable (#8 and #9)
     cnf = to_cnf(
         _formula(
-            eqv("y", band(["x", BCard(("a", "b"), 1, 2)])),
-            eqv("y", band(["x", implies(BNot("a"), "b")])),
+            eqv("y", bor(["z", band(["x", BCard(("a", "b"), 1, 2)])])),
+            eqv("y", bor(["z", band(["x", implies(BNot("a"), "b")])])),
         )
     )
     assert cnf == Cnf(
-        8,
+        9,
         (
-            (-1, 5), (-2, 5), (1, 2, -5), (2, -6), (1, -6), (-1, -2, 6),
-            (3, -7), (5, -7), (-3, -5, 7), (-4, 7), (4, -7),
-            (3, -8), (5, -8), (-3, -5, 8), (-4, 8), (4, -8),
+            (-1, 6), (-2, 6), (1, 2, -6), (2, -7), (1, -7), (-1, -2, 7),
+            (3, -8), (6, -8), (-3, -6, 8), (4, -5), (4, -8), (-4, 5, 8),
+            (3, -9), (6, -9), (-3, -6, 9), (4, -9), (-4, 5, 9),
         ),
-        ("a", "b", "x", "y", "#5", "#6", "#7", "#8"),
+        ("a", "b", "x", "y", "z", "#6", "#7", "#8", "#9"),
     )
 
 
@@ -173,6 +174,32 @@ def test_gates_of_different_shapes_stay_apart():
     ids=["implies-and", "and-implies", "implies-or", "or-of-and"],
 )
 def test_top_level_implications_are_clauses(expr, cnf):
+    assert to_cnf(_formula(expr)) == cnf
+
+
+@pytest.mark.parametrize(
+    "expr, cnf",
+    [
+        # an eqv in a clause is its two clauses, each widened by the prefix
+        (implies("x", eqv("a", "b")),
+         Cnf(3, ((-1, 2, -3), (1, -2, -3)), ("a", "b", "x"))),
+        # an eqv against an && or || expands that junction: k + 1 clauses
+        (eqv("x", band(["a", "b"])),
+         Cnf(3, ((1, -3), (2, -3), (-1, -2, 3)), ("a", "b", "x"))),
+        (eqv(bor(["a", "b"]), "x"),
+         Cnf(3, ((-1, 3), (-2, 3), (1, 2, -3)), ("a", "b", "x"))),
+        (implies("y", eqv("x", band(["a", "b"]))),
+         Cnf(4, ((1, -3, -4), (2, -3, -4), (-1, -2, 3, -4)), ("a", "b", "x", "y"))),
+        (implies("y", eqv(bor(["a", "b"]), "x")),
+         Cnf(4, ((-1, 3, -4), (-2, 3, -4), (1, 2, -3, -4)), ("a", "b", "x", "y"))),
+        # && in an antecedent widens the clause at any depth
+        (implies(BInfix("&&", ("a", BInfix("&&", ("b", "c")))), "x"),
+         Cnf(4, ((-1, -2, -3, 4),), ("a", "b", "c", "x"))),
+    ],
+    ids=["implies-eqv", "eqv-and", "or-eqv", "implies-eqv-and", "implies-or-eqv",
+         "nested-and-implies"],
+)
+def test_clause_level_eqv_and_antecedents_are_clauses(expr, cnf):
     assert to_cnf(_formula(expr)) == cnf
 
 
@@ -301,15 +328,31 @@ def test_cnf_has_as_many_models_as_the_formula():
     # leaves its variable free on some models, which then count twice
     rng = random.Random(29)
     names = ("a", "b", "c", "d")
+
+    def item():
+        return _random_bool_expr(rng, names, depth=1)
+
+    def junction(op=None):
+        op = op or rng.choice(["&&", "||"])
+        return BInfix(op, tuple(item() for _ in range(rng.randint(2, 3))))
+
+    def eqv_junction():  # a junction on either side
+        return BInfix("eqv", rng.choice([(junction(), item()), (item(), junction())]))
+
+    shapes = [
+        # && under implies on both sides, and two deep in the antecedent
+        lambda: BInfix("implies", (junction("&&"), junction("&&"))),
+        lambda: BInfix("implies", (BInfix("&&", (item(), junction("&&"))), item())),
+        # eqv under implies, of two items or against a junction
+        lambda: BInfix("implies", (item(), BInfix("eqv", (item(), item())))),
+        lambda: BInfix("implies", (junction("&&"), eqv_junction())),
+        eqv_junction,
+    ]
     checked = 0
     for _ in range(400):
         exprs = [_random_bool_expr(rng, names, depth=2) for _ in range(rng.randint(1, 2))]
-        if rng.random() < 0.7:  # && under implies on both sides
-            left, right = (
-                BInfix("&&", tuple(_random_bool_expr(rng, names, depth=1) for _ in range(2)))
-                for _ in range(2)
-            )
-            exprs.append(BInfix("implies", (left, right)))
+        if rng.random() < 0.7:
+            exprs.append(rng.choice(shapes)())
         cnf = to_cnf(_formula(*exprs, names=names))
         if cnf.num_vars > 20:
             continue
@@ -320,6 +363,23 @@ def test_cnf_has_as_many_models_as_the_formula():
         )
         assert _count_cnf_models(cnf) == formula_models, exprs
     assert checked >= 250
+
+
+@pytest.mark.parametrize("features", [500, 2000])
+def test_encoding_stays_small_per_feature(features):
+    # gen.py models are deterministic, and so are their CNF sizes.  The
+    # largest here are 0.060 aux variables and 1.84 clauses per variable of
+    # the formula (seed 1005 at 2000 features: 123 and 3747 for 2040); the
+    # bounds add a quarter and a twentieth.  A gate for each eqv in a
+    # clause breaks both; one for each eqv against an && or || breaks the
+    # first.
+    gen = perfbench_gen()
+    for seed in (1, 2, 3, 1005):
+        formula = build_formula(mk_model(gen.generate(seed, features).text))
+        cnf = to_cnf(formula)
+        n = len(formula.variables)
+        assert cnf.num_vars - n <= 0.075 * n, seed
+        assert len(cnf.clauses) <= 1.93 * n, seed
 
 
 # ---------------------------------------------------------------------------
