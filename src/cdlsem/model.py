@@ -9,7 +9,6 @@ programmatically) and are turned into normalized, immutable nodes by
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 
 from .errors import NormalizationError
@@ -27,11 +26,10 @@ from .exprs import (
 # identifiers are restricted to [A-Za-z0-9_].
 TOP = "⊤"
 
-_NAME_RX = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 def is_valid_feature_id(name: str) -> bool:
-    return bool(_NAME_RX.fullmatch(name)) and name != TOP
+    """An ASCII identifier, ``[A-Za-z_][A-Za-z0-9_]*``; ``TOP`` is not one."""
+    return name.isascii() and name.isidentifier()
 
 
 # A node's kind and flavor are their CDL texts; the parser stores the text of
@@ -226,7 +224,10 @@ class Model:
 def _find_cycle(parent_of: dict[str, str | None]) -> str | None:
     """A name on a parent cycle, or None when every chain ends at the root."""
     rooted = {None, TOP}  # names whose chain is known to end at the root
-    for start in parent_of:
+    for start, parent in parent_of.items():
+        if parent in rooted:
+            rooted.add(start)
+            continue
         seen = set()
         cur = start
         while cur not in rooted:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,7 +21,13 @@ from cdlsem import (
     parse_model,
 )
 from cdlsem.exprs import to_source
-from cdlsem.model import DEFAULT_FLAVOR, FLAVORS, Model, model_to_pretty
+from cdlsem.model import (
+    DEFAULT_FLAVOR,
+    FLAVORS,
+    Model,
+    is_valid_feature_id,
+    model_to_pretty,
+)
 from cdlsem.prop import build_formula
 from cdlsem.semantics import Configuration, impls
 
@@ -331,6 +338,18 @@ def test_model_rejects_parent_cycle():
     a, b = m.node("A"), m.node("B")
     with pytest.raises(ValueError, match="parent cycle through 'A'"):
         Model([replace(a, parent="B"), replace(b, parent="A")])
+
+
+def test_feature_ids_are_the_ascii_identifiers():
+    # the same language as the regular expression the check once was, on
+    # every string of up to two characters over ASCII, a few non-ASCII
+    # letters and digits (the long s and the Kelvin sign fold to ASCII
+    # under some rules), and the root's name
+    rx = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    alphabet = [chr(i) for i in range(128)] + ["é", "ß", "ſ", "K", "Ω", "٣", TOP]
+    for word in [""] + alphabet + [a + b for a in alphabet for b in alphabet]:
+        expected = rx.fullmatch(word) is not None and word != TOP
+        assert is_valid_feature_id(word) == expected, repr(word)
 
 
 def test_children_and_lookup():
