@@ -7,6 +7,9 @@ as clauses and reads answers back from ``Solver.model``.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
+
 
 class Solver:
     """Incremental CDCL search over one CNF (Een & Sorensson, SAT 2003).
@@ -18,6 +21,15 @@ class Solver:
     phases, so every answer is deterministic.  Assumptions are the first
     decisions, never premises of a learnt clause, so learnt clauses and
     level-0 facts stay valid across calls with other assumptions.
+
+    Once the assumptions are propagated, every clause with at most one
+    positive literal holds with each unset variable false, or propagation
+    would have fired on it.  The solver keeps the clauses it is given
+    with two or more positive literals, the wide clauses; when they hold
+    too and every unset variable's phase is false, that assignment is the
+    model the search would reach with no conflict, and ``solve`` takes it
+    at once (the least model of a Horn formula: Dowling & Gallier, J.
+    Logic Programming 1984).
 
     Literal-indexed lists have ``2 * num_vars + 1`` slots: literal ``l``
     sits at index ``l``, and a negative index wraps to the far end.  Most
@@ -56,7 +68,8 @@ class Solver:
         self.qhead = 0
         self.ok = True  # false once the clauses alone are unsatisfiable
         self.model: list[int] = []  # ``value`` as of the last sat answer
-        value, watches = self.value, self.watches
+        self.wide: list = []  # given clauses with two or more positive literals
+        value, watches, wide = self.value, self.watches, self.wide
         for cl in clauses:
             if cl.__class__ is tuple and len(cl) == 2:
                 a, b = cl
@@ -65,6 +78,8 @@ class Solver:
                         and -n <= b <= n and not (value[a] or value[b])):
                     watches[a].append(b)
                     watches[b].append(a)
+                    if a > 0 and b > 0:
+                        wide.append(cl)
                     continue
             self.add_clause(cl)
             if not self.ok:
@@ -91,6 +106,8 @@ class Solver:
             self.ok = self._propagate() is None
         else:
             self._attach(clause)
+            if len([l for l in clause if l > 0]) > 1:
+                self.wide.append(clause)
 
     def solve(self, assumptions=()) -> bool:
         """Satisfiable with every assumed literal true?  Sets ``model``."""
@@ -123,6 +140,8 @@ class Solver:
                     trail_lim.append(len(trail))  # already true: empty level
                     continue
             else:
+                if depth == len(assumptions) and self._closure_model():
+                    return True
                 lit = self._pick_branch()
                 if lit == 0:
                     self.model = value[:]
@@ -172,6 +191,50 @@ class Solver:
         self.trail_lim.pop()
         self.qhead = mark
         return implied
+
+    def closure_is_model(self, closure) -> bool:
+        """Is ``closure`` true with every other variable false a model?
+
+        ``closure`` lists the true literals after a propagation with no
+        conflict, such as a ``probe`` result, the trail, or a set of them.
+        Propagation has left no other clause false under that assignment,
+        so only the wide clauses are checked.
+        """
+        true = closure if closure.__class__ is set else set(closure)
+        for c in self.wide:
+            for l in c:
+                if l in true if l > 0 else -l not in true:
+                    break
+            else:
+                return False
+        return True
+
+    def _closure_model(self) -> bool:
+        """End the search in the closure where no decision could differ.
+
+        Called with the assumptions propagated.  When every unset phase is
+        false and the trail is a closure model, each decision and all it
+        propagates set variables false, and the search ends there with no
+        conflict.  Take that model, leave ``phase`` and the queue as that
+        search would, and return True.
+        """
+        value, n = self.value, self.num_vars
+        free = list(map(not_, value[1:n + 1]))
+        if any(compress(self.phase[1:], free)) or not self.closure_is_model(self.trail):
+            return False
+        model = value[:]
+        for v in compress(range(1, n + 1), free):
+            model[v] = -1
+            model[-v] = 1
+        self.model = model
+        # the search would stop at 0; undoing its decisions would leave
+        # ``search`` at the newest of them, the newest unset variable now
+        v, prev = self.search, self.prev
+        while value[v]:
+            v = prev[v]
+        self.search = v
+        self._cancel_until(0)
+        return True
 
     def _attach(self, clause: list[int]) -> None:
         if len(clause) == 2:

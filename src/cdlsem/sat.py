@@ -8,13 +8,19 @@ and projections onto the feature variables are the formula's models.
 The solver is an iterative CDCL search with an explicit trail: two
 watched literals, first-UIP learning with backjumping, a move-to-front
 queue for decisions, and assumptions as the first decision levels.  The
-analyses build one solver per model and query it under assumptions,
-keeping its learnt clauses; witnesses found on the way rule out the
-candidates they refute, so those cost no query.  Before querying, an
-analysis probes: ``Solver.probe`` assumes one literal and propagates,
-which settles many candidates with no search, and the phases of the
-candidates still open are pushed so that each new witness refutes as
-many of them as it can.
+encoded models are nearly Horn, so a search often ends where unit
+propagation already stands: with every unset variable false.  The
+solver takes that model at once when the clauses with two or more
+positive literals allow it, and it is the model the search would have
+found.  The analyses build one solver per model and query it under
+assumptions, keeping its learnt clauses; witnesses found on the way
+rule out the candidates they refute, so those cost no query.  Before
+querying, an analysis probes: ``Solver.probe`` assumes one literal and
+propagates, which settles many candidates with no search.  The graph
+also asks ``Solver.closure_is_model`` whether that closure, with every
+other variable false, is a witness; then it settles every pair of that
+literal.  The phases of the candidates still open are pushed so that
+each new witness refutes as many of them as it can.
 """
 
 from __future__ import annotations
@@ -492,7 +498,10 @@ def implication_graph(
     still open are pushed the way that would settle them: true while
     looking for live features, false while looking for edges.  Probing
     a, unit propagation with a assumed, gives every b it forces true as
-    an edge with no query; only the rest are asked of the solver.
+    an edge with no query.  When that closure, with every other variable
+    false, is a model, it is a witness that refutes every other pair, so
+    those are all of a's edges; only for the other features are the
+    pairs left open asked of the solver.
     """
     solver, table = _analysis_solver(m)
     phase = solver.phase
@@ -523,6 +532,9 @@ def implication_graph(
     for a in alive:
         va = table[a]
         forced = set(solver.probe(va))  # a is live: no conflict
+        if solver.closure_is_model(forced):
+            edges.update([(a, b) for b in alive if table[b] in forced and b != a])
+            continue
         open_ = []
         for b in alive:
             if a == b or ones[a] & ~ones[b]:

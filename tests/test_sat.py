@@ -1,5 +1,6 @@
 """CNF conversion, solver and analysis tests."""
 
+import copy
 import itertools
 import random
 
@@ -699,8 +700,8 @@ def _check_queue(solver: Solver) -> None:
 
 def test_decision_queue_invariants(monkeypatch):
     # checked after every call, and before every decision inside a search
-    decisions, bumps = [], []
-    pick, bump = Solver._pick_branch, Solver._bump
+    decisions, bumps, closures = [], [], []
+    pick, bump, closure = Solver._pick_branch, Solver._bump, Solver._closure_model
 
     def checked(self):
         _check_queue(self)
@@ -711,8 +712,13 @@ def test_decision_queue_invariants(monkeypatch):
         bumps.append(len(vs))
         bump(self, vs)
 
+    def taken(self):
+        closures.append(closure(self))
+        return closures[-1]
+
     monkeypatch.setattr(Solver, "_pick_branch", checked)
     monkeypatch.setattr(Solver, "_bump", counted)
+    monkeypatch.setattr(Solver, "_closure_model", taken)
     rng = random.Random(67)
     lits = lambda n, k: [v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), k)]
     cnfs = [random_cnf(rng, max_vars=12, max_clauses=50) for _ in range(100)]
@@ -720,6 +726,9 @@ def test_decision_queue_invariants(monkeypatch):
     instances = [(cnf.num_vars, cnf.clauses) for cnf in cnfs]
     # random 3-SAT at four clauses per variable: searches that learn
     instances += [(n, random_3sat(rng, n, ratio=4).clauses) for n in range(15, 35)]
+    # and at the threshold, where a query seldom ends in the propagation
+    # closure, so the decisions counted below still come from searches
+    instances += [(n, random_3sat(rng, n).clauses) for n in range(20, 40)]
     learnt = 0
     for n, clauses in instances:
         solver = Solver(n, clauses)
@@ -736,6 +745,81 @@ def test_decision_queue_invariants(monkeypatch):
             _check_queue(solver)
         learnt += len(bumps) > before
     assert learnt > 10 and len(decisions) > 1000
+    assert closures.count(True) > 20  # 44 queries finished without a decision
+
+
+def _holds(clause, true: set[int]) -> bool:
+    """The clause under ``true`` set true and every other variable false."""
+    return any(l in true if l > 0 else -l not in true for l in clause)
+
+
+def test_closure_is_model_checks_every_clause():
+    rng = random.Random(71)
+    answers = set()
+    for _ in range(300):
+        cnf = random_cnf(rng, max_vars=10, max_clauses=30)
+        solver = Solver(cnf.num_vars, cnf.clauses)
+        for v in range(1, cnf.num_vars + 1):
+            for lit in (v, -v):
+                closure = solver.probe(lit)
+                if closure is not None:
+                    want = all(_holds(cl, set(closure)) for cl in cnf.clauses)
+                    assert solver.closure_is_model(closure) == want, (cnf, lit)
+                    answers.add(want)
+    assert answers == {True, False}
+
+
+def test_closure_models_are_the_models_the_search_finds(monkeypatch):
+    # after every call of one random sequence, a solver whose searches end
+    # in the propagation closure where they can must equal a copy of it,
+    # taken just before the call, that always searches: the same answer,
+    # model, phases, queue and next decision.  A search moves watches of
+    # long clauses that the closure leaves in place, so the plain copy is
+    # taken afresh before each call rather than replayed on its own.
+    taken = []
+    closure = Solver._closure_model
+
+    def counted(self):
+        taken.append(closure(self))
+        return taken[-1]
+
+    monkeypatch.setattr(Solver, "_closure_model", counted)
+    rng = random.Random(73)
+    signed = lambda vs: [v * rng.choice((1, -1)) for v in vs]
+    state = lambda s: (s.ok, s.model, s.phase, s.next, s.prev, s.stamp,
+                       s.search, s.value, s.trail, s.trail_lim, s.qhead)
+    answers = set()
+    for i in range(600):
+        if i % 2:
+            cnf = random_cnf(rng, max_vars=12, max_clauses=30)
+        else:
+            n = rng.randint(5, 30)
+            cnf = random_3sat(rng, n, ratio=rng.choice((1, 2, 3, 4.26)))
+        n = cnf.num_vars
+        solver = Solver(n, cnf.clauses)
+        for _ in range(15):
+            plain = copy.deepcopy(solver)
+            monkeypatch.setattr(plain, "_closure_model", lambda: False)
+            call = rng.random()
+            if call < 0.5:
+                assumps = signed(rng.sample(range(1, n + 1), rng.randint(0, min(n, 3))))
+                answer = solver.solve(assumps)
+                assert plain.solve(assumps) == answer, (cnf, assumps)
+                answers.add(answer)
+            elif call < 0.7:
+                lit = signed([rng.randint(1, n)])[0]
+                assert solver.probe(lit) == plain.probe(lit), (cnf, lit)
+            elif call < 0.85:  # pushed phases, as the analyses push them
+                for v in rng.sample(range(1, n + 1), rng.randint(0, n)):
+                    solver.phase[v] = plain.phase[v] = rng.random() < 0.3
+            else:
+                clause = signed(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3))))
+                solver.add_clause(clause)
+                plain.add_clause(clause)
+            assert state(solver) == state(plain), cnf
+            assert solver._pick_branch() == plain._pick_branch(), cnf
+    assert answers == {True, False}
+    assert taken.count(True) > 200 and taken.count(False) > 1000  # 342, 2298
 
 
 # ---------------------------------------------------------------------------
@@ -1018,6 +1102,64 @@ def test_probes_halve_the_graph_queries(monkeypatch):
     calls.clear()
     assert implication_graph(m) == reference
     assert len(calls) <= reference_calls // 2
+
+
+def test_graph_witnesses_from_closures_satisfy_every_clause(monkeypatch):
+    # every closure checked while the graph runs, a probe's or the trail
+    # that ``solve`` checks, is checked here again, literal by literal,
+    # against every clause of the model's Cnf; the hand models hold a wide
+    # clause false under a closure, so the queries run too
+    checked = []
+    closure_is_model = Solver.closure_is_model
+
+    def logged(self, closure):
+        answer = closure_is_model(self, closure)
+        checked.append((set(closure), answer))
+        return answer
+
+    monkeypatch.setattr(Solver, "closure_is_model", logged)
+    hand = [
+        "cdl_option A {}\ncdl_option B {}\ncdl_option X { requires A || B }",
+        "cdl_interface I {}\ncdl_option A { implements I }\n"
+        "cdl_option B { implements I }\ncdl_option X { requires I == 1 }",
+    ]
+    rng = random.Random(79)
+    models = [mk_model(text) for text in hand]
+    while len(models) < 60:
+        m = mk_model(random_model(rng))
+        if not check_well_formed(m) and model_sat(m).sat:
+            models.append(m)
+    gen = perfbench_gen()
+    models += [mk_model(gen.generate(seed, size).text)
+               for seed in (1, 2, 3) for size in (36, 130)]
+    answers = set()
+    for i, m in enumerate(models):
+        clauses = model_cnf(m).clauses
+        checked.clear()
+        edges = implication_graph(m)
+        for true, answer in checked:
+            assert answer == all(_holds(cl, true) for cl in clauses), (i, true)
+            answers.add(answer)
+        if i < len(hand):
+            assert not all(answer for _, answer in checked)
+            assert edges == brute_implications(m)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("seed", [1, 101])
+def test_closures_keep_the_graph_queries_few(monkeypatch, seed):
+    # 406-410 queries before closure witnesses, 73-75 with them
+    m = mk_model(perfbench_gen().generate(seed, 500).text)
+    calls = []
+    query = Solver.solve
+
+    def counted(self, assumptions=()):
+        calls.append(assumptions)
+        return query(self, assumptions)
+
+    monkeypatch.setattr(Solver, "solve", counted)
+    implication_graph(m)
+    assert len(calls) <= 100
 
 
 def test_export_dot():
