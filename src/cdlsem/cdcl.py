@@ -160,8 +160,10 @@ class Solver:
         level-0 facts followed by what ``lit`` implies, ``lit`` included,
         or None when propagation meets a conflict (or ``lit`` is false at
         level 0).  Call it between queries: ``value``, ``trail``,
-        ``trail_lim``, ``qhead``, the phases and the watch lists are left
-        as they were found, so later answers and models do not move.
+        ``trail_lim``, ``qhead``, the phases and the decision queue are
+        left as they were found.  Watched literals stay where propagation
+        moved them, as after a backtrack, so later answers do not move,
+        though a later search may find another model.
         """
         if not 1 <= abs(lit) <= self.num_vars:
             raise ValueError(f"probe {lit} out of range")
@@ -171,18 +173,9 @@ class Solver:
         if value[lit] == 1:
             return trail[:]
         mark = len(trail)
-        moves: list = []
         self.trail_lim.append(mark)
         self._assign(lit, None)
-        implied = trail[:] if self._propagate(moves) is None else None
-        watches = self.watches
-        for c, k, at, old, new in reversed(moves):
-            # put the watch back on old: at its place in old's list, and
-            # new back at c[k]; c[0] and c[1] may have swapped since
-            c[0 if c[0] == new else 1] = old
-            c[k] = new
-            watches[new].pop()
-            watches[old].insert(at, c)
+        implied = trail[:] if self._propagate() is None else None
         reason = self.reason
         for l in trail[mark:]:
             value[l] = value[-l] = 0
@@ -253,12 +246,8 @@ class Solver:
         self.reason[v] = reason
         self.trail.append(lit)
 
-    def _propagate(self, moves=None) -> list[int] | None:
-        """Unit propagation from ``qhead``; returns a conflicting clause.
-
-        With a ``moves`` list, every watch moved off a long clause is
-        logged as (clause, index, place in the old list, old, new).
-        """
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation from ``qhead``; returns a conflicting clause."""
         value, watches, trail = self.value, self.watches, self.trail
         level, reason = self.level, self.reason
         depth = len(self.trail_lim)
@@ -302,8 +291,6 @@ class Solver:
                         c[k] = false_lit
                         watches[lit].append(c)
                         keep.pop()
-                        if moves is not None:
-                            moves.append((c, k, len(keep), false_lit, lit))
                         break
                 else:
                     if value[first] == -1:

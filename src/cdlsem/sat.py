@@ -14,7 +14,8 @@ solver takes that model at once when the clauses with two or more
 positive literals allow it, and it is the model the search would have
 found.  The analyses build one solver per model and query it under
 assumptions, keeping its learnt clauses; witnesses found on the way
-rule out the candidates they refute, so those cost no query.  Before
+rule out the candidates they refute, so those cost no query.  Each
+analysis starts from the backbone: the dead and core features.  Before
 querying, an analysis probes: ``Solver.probe`` assumes one literal and
 propagates, which settles many candidates with no search.  The graph
 also asks ``Solver.closure_is_model`` whether that closure, with every
@@ -445,20 +446,22 @@ def _analysis_solver(m: Model) -> tuple[Solver, dict[str, int]]:
     return solver, cnf.var_table()
 
 
-def _backbone(m: Model) -> tuple[frozenset[str], frozenset[str]]:
-    """Dead and core features: the features' part of the backbone.
+def _backbone(
+    solver: Solver, table: dict[str, int], features: list[str]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """Dead and core features among ``features``: their part of the backbone.
 
     Every witness refutes each candidate it gives the other value, so a
     query is spent only on candidates no witness has refuted yet, and the
     solver's phases push each new witness to refute as many as it can
     (Janota, Lynce & Marques-Silva, AI Comm. 2015).  Each candidate is
     probed first: when unit propagation alone refutes its other value,
-    it is settled with no search.
+    it is settled with no search.  Each dead or core feature is added to
+    ``solver`` as a unit clause.
     """
-    solver, table = _analysis_solver(m)
     model, phase = solver.model, solver.phase
     cands = {}  # feature -> its literal in every witness so far
-    for f in sorted(m.ids()):
+    for f in features:
         v = table[f]
         cands[f] = v if model[v] == 1 else -v
     dead, core = set(), set()
@@ -479,12 +482,12 @@ def _backbone(m: Model) -> tuple[frozenset[str], frozenset[str]]:
 
 def dead_features(m: Model) -> frozenset[str]:
     """Features that are false in every satisfying valuation."""
-    return _backbone(m)[0]
+    return _backbone(*_analysis_solver(m), sorted(m.ids()))[0]
 
 
 def core_features(m: Model) -> frozenset[str]:
     """Features that are true in every satisfying valuation."""
-    return _backbone(m)[1]
+    return _backbone(*_analysis_solver(m), sorted(m.ids()))[1]
 
 
 def implication_graph(
@@ -492,16 +495,16 @@ def implication_graph(
 ) -> frozenset[tuple[str, str]]:
     """Edges (a, b) where enabling a forces b, over non-dead features.
 
-    A witness with a = 1 and b = 0 refutes (a, b), so only pairs that no
-    witness found so far refutes can cost a query, and every sat answer
-    joins the witnesses.  Before each query the phases of the candidates
-    still open are pushed the way that would settle them: true while
-    looking for live features, false while looking for edges.  Probing
-    a, unit propagation with a assumed, gives every b it forces true as
-    an edge with no query.  When that closure, with every other variable
-    false, is a model, it is a witness that refutes every other pair, so
-    those are all of a's edges; only for the other features are the
-    pairs left open asked of the solver.
+    The backbone comes first: the live features are the ones it finds
+    not dead, and its unit clauses make every core feature true in each
+    probe.  A witness with a = 1 and b = 0 refutes (a, b), so only pairs
+    that no witness found so far refutes can cost a query, and every sat
+    answer joins the witnesses; the phases of the pairs still open are
+    pushed false before each query.  Probing a, unit propagation with a
+    assumed, gives every b it forces true as an edge with no query.  When
+    that closure, with every other variable false, is a model, it is a
+    witness that refutes every other pair, so those are all of a's
+    edges; only for the other features are the open pairs queried.
     """
     solver, table = _analysis_solver(m)
     phase = solver.phase
@@ -517,17 +520,9 @@ def implication_graph(
             if model[table[f]] == 1:
                 ones[f] |= bit
 
+    dead = _backbone(solver, table, features)[0]
     keep_witness()
-    alive = []
-    for i, f in enumerate(features):
-        if not ones[f]:
-            for g in features[i + 1:]:
-                if not ones[g]:
-                    phase[table[g]] = True
-            if not solver.solve((table[f],)):
-                continue
-            keep_witness()
-        alive.append(f)
+    alive = [f for f in features if f not in dead]
     edges = set()
     for a in alive:
         va = table[a]

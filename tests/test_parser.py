@@ -258,10 +258,24 @@ def test_bare_list_equals_braced_list():
     )
 
 
-@pytest.mark.parametrize("text", ["", "1 to", "to 3", "1 to to", "4 to 5 to 6"])
-def test_list_errors(text):
-    with pytest.raises(ParseError):
+@pytest.mark.parametrize(
+    "text,diagnostic",
+    [
+        pytest.param(text, diagnostic, id=text) for text, diagnostic in [
+            ("", "<list>:1:1: error: empty list expression"),
+            ("1 to", "<list>:1:3: error: 'to' needs an upper bound"),
+            ("to 3", "<list>:1:1: error: 'to' needs a value on both sides"),
+            ("1 to to", "<list>:1:6: error: 'to' needs a value on both sides"),
+            ("4 to 5 to 6", "<list>:1:8: error: 'to' needs a value on both sides"),
+            ('"abc', "<list>:1:1: error: unterminated string literal"),
+            ("a)", "<list>:1:2: error: unbalanced ')'"),
+        ]
+    ],
+)
+def test_list_errors(text, diagnostic):
+    with pytest.raises(ParseError) as err:
         parse_list_expr(text)
+    assert str(err.value.diagnostic) == diagnostic
 
 
 def test_list_unbalanced_brace():
@@ -504,6 +518,20 @@ def _opt(name, **fields):
             [_opt("A"), _opt("B")],
             ["m.cdl:2:1: error: unexpected '}'"],
             id="stray-close-brace",
+        ),
+        # a '}' between a node's name and its body is reported, and the
+        # body still belongs to the node
+        pytest.param(
+            "cdl_option A } { flavor data }",
+            [_opt("A", flavor="data")],
+            ["m.cdl:1:14: error: unexpected '}'"],
+            id="stray-close-brace-before-body",
+        ),
+        pytest.param(
+            "cdl_option A { implements; }",
+            [_opt("A")],
+            ["m.cdl:1:16: error: implements needs an interface name"],
+            id="implements-without-a-name",
         ),
         pytest.param(
             'cdl_option A\n"abc',

@@ -601,14 +601,12 @@ def _unit_closure(clauses, lit: int) -> set[int] | None:
 
 
 def _solver_state(solver: Solver) -> tuple:
-    """Everything a probe could disturb, copied.  Which of a long
-    clause's two watched literals comes first is left out: propagation
-    puts the false one second before it reads either."""
-    watches = [[w if w.__class__ is int else (frozenset(w[:2]), tuple(w[2:]))
-                for w in ws] for ws in solver.watches]
+    """Everything a probe puts back, copied: the assignment, the phases
+    and the decision queue.  The watched literals stay where propagation
+    moved them, as after a backtrack."""
     return (solver.value[:], solver.trail[:], solver.trail_lim[:],
             solver.qhead, solver.phase[:], solver.stamp[:], solver.next[:],
-            solver.prev[:], solver.search, watches)
+            solver.prev[:], solver.search)
 
 
 def test_probe_is_the_unit_propagation_closure():
@@ -647,38 +645,30 @@ def test_probe_of_a_level_zero_literal():
     assert not void.ok and void.probe(2) is None
 
 
-def test_probes_leave_the_search_unchanged(monkeypatch):
-    # a probe moves watches and may hit a conflict; it must put everything
-    # back, so the same queries give the same answers and the same models
-    moved = []
-    propagate = Solver._propagate
-
-    def logged(self, moves=None):
-        confl = propagate(self, moves)
-        if moves:
-            moved.append(len(moves))
-        return confl
-
-    monkeypatch.setattr(Solver, "_propagate", logged)
+def test_probes_leave_the_search_unchanged():
+    # a probe moves watches and may hit a conflict; it must put back the
+    # assignment, the phases and the queue, so the same queries give the
+    # same answers as on a solver that never probes.  The watches it moves
+    # stay moved, so a later search may find another model.
+    watches = lambda s: [[w if w.__class__ is int else w[:] for w in ws]
+                         for ws in s.watches]
     rng = random.Random(61)
     signed = lambda vs: tuple(v * rng.choice((1, -1)) for v in vs)
-    answers, conflicts = set(), 0
+    answers, conflicts, moved = set(), 0, 0
     for _ in range(40):
-        # random 3-SAT at four clauses per variable: searches that learn,
-        # where a watch left moved by a probe changes later models
+        # random 3-SAT at four clauses per variable: searches that learn
         n = rng.randint(20, 40)
         clauses = random_3sat(rng, n, ratio=4).clauses
         plain, probed = Solver(n, clauses), Solver(n, clauses)
         for _ in range(12):
             for _ in range(rng.randint(0, 4)):
-                state = _solver_state(probed)
+                state, before = _solver_state(probed), watches(probed)
                 conflicts += probed.probe(signed([rng.randint(1, n)])[0]) is None
                 assert _solver_state(probed) == state, clauses
+                moved += watches(probed) != before
             assumps = signed(rng.sample(range(1, n + 1), rng.randint(0, 3)))
             answer = plain.solve(assumps)
             assert probed.solve(assumps) == answer, (clauses, assumps)
-            assert plain.model == probed.model, (clauses, assumps)
-            assert _solver_state(plain) == _solver_state(probed), (clauses, assumps)
             answers.add(answer)
     assert moved and conflicts and answers == {True, False}
 
@@ -1148,7 +1138,9 @@ def test_graph_witnesses_from_closures_satisfy_every_clause(monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 101])
 def test_closures_keep_the_graph_queries_few(monkeypatch, seed):
-    # 406-410 queries before closure witnesses, 73-75 with them
+    # 406-410 queries before closure witnesses, 73-75 with them, and 58-60
+    # since the backbone's unit clauses let probes settle the edges to
+    # core features
     m = mk_model(perfbench_gen().generate(seed, 500).text)
     calls = []
     query = Solver.solve
@@ -1159,7 +1151,7 @@ def test_closures_keep_the_graph_queries_few(monkeypatch, seed):
 
     monkeypatch.setattr(Solver, "solve", counted)
     implication_graph(m)
-    assert len(calls) <= 100
+    assert len(calls) <= 66
 
 
 def test_export_dot():

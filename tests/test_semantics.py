@@ -513,6 +513,12 @@ def test_enumerate_empty_model():
     assert enumerate_configurations(EMPTY, ["0", "1"]) == [cfg()]
 
 
+def test_enumerate_needs_a_data_domain():
+    with pytest.raises(ValueError) as err:
+        enumerate_configurations(EMPTY, [])
+    assert str(err.value) == "data domain must not be empty"
+
+
 def test_enumerate_mandatory_data_value_always_set():
     m = mk_model("cdl_option A { flavor data }")
     out = enumerate_configurations(m, ["0", "1"])
