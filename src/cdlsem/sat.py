@@ -5,6 +5,8 @@ clause; auxiliary variables exist only for subformulas nested inside a
 clause's literal, each defined both ways, so every model of the formula
 extends to exactly one model of the clauses: model counts carry over,
 and projections onto the feature variables are the formula's models.
+An implication from a name or an ``&&`` of names to a name or an ``&&``
+is written in one step; ``simplify`` folds every other constraint first.
 The solver is an iterative CDCL search with an explicit trail: two
 watched literals, first-UIP learning with backjumping, a move-to-front
 queue for decisions, and assumptions as the first decision levels.  The
@@ -153,10 +155,7 @@ class _CnfBuilder:
             a, b = lits
             if a == -b:
                 return  # tautology
-            if a == b:
-                clause = (a,)
-            else:
-                clause = (a, b) if abs(a) < abs(b) else (b, a)
+            clause = (a,) if a == b else lits if abs(a) < abs(b) else (b, a)
         else:
             members = set(lits)
             for l in members:
@@ -174,11 +173,8 @@ class _CnfBuilder:
         """A new literal x with x <-> AND(lits) for s = 1 and x <-> OR(lits)
         for s = -1: || is && with every sign flipped."""
         x = self.num_vars = self.num_vars + 1
-        for l in lits:  # x is fresh: no tautology, and it sorts last
-            clause = (s * l, -s * x)
-            if clause not in self.seen:
-                self.seen.add(clause)
-                self.clauses.append(clause)
+        for l in lits:
+            self.add_clause((s * l, -s * x))
         self.add_clause(tuple([s * x] + [-s * l for l in lits]))
         return x
 
@@ -273,39 +269,31 @@ class _CnfBuilder:
     def assert_expr(self, e: BoolExpr, lits: tuple[int, ...] = ()) -> None:
         """Clauses for ``e``, or with ``lits`` for ``OR(lits) || e``.
 
-        An ``&&`` asserts each item, and an ``||`` is one clause of its
-        items' literals.  A chain of ``implies`` or ``eqv`` is its last
-        item against the chain before it.  An ``implies`` asserts its
-        consequent widened by the negated antecedent, or by the negated
-        items of an ``&&`` one at any depth.  An ``eqv`` defines one side
-        by the other as a gate would, with no new variable: two clauses,
+        ``simplify`` folds ``e`` first unless ``lits`` are given (``e`` is
+        folded then) or ``e`` is an implication of two items from a name or an
+        ``&&`` of names, written in one step that folds just its consequent's
+        items that are not names; a ``False`` one leaves the negated
+        antecedent, as ``band`` would.  An ``&&`` asserts each item, and an
+        ``||`` is one clause of its items' literals.  A chain of ``implies`` or
+        ``eqv`` is its last item against the rest.  An ``implies`` widens each
+        item of an ``&&`` consequent by the negated antecedent, or by the
+        negated items of an ``&&`` one at any depth.  An ``eqv`` defines one
+        side by the other as a gate would, with no new variable: two clauses,
         or k + 1 where one side is a k-item ``&&`` or ``||``.  Any other
-        subtree in a clause is one literal, a gate unless it is a name or
-        a negated name; nothing distributes, so clauses stay linear.
+        subtree in a clause is one literal, a gate unless it is a negated or
+        plain name; nothing distributes.
         """
-        cls = e.__class__
-        op = e.op if cls is BInfix else None
-        if op == "&&":
-            for x in e.items:
-                if x.__class__ is str:
-                    self.add_clause(lits + (self.index[x],))
-                else:
-                    self.assert_expr(x, lits)
-        elif op == "||":
-            self.add_clause(lits + tuple([self.lit(x) for x in e.items]))
-        elif op is not None:  # implies or eqv, a chain as its last two items
-            items = e.items
-            a, b = items[0] if len(items) == 2 else BInfix(op, items[:-1]), items[-1]
-            if op == "implies":
-                ante, neg = [a], list(lits)
-                while ante:  # && items at any depth, in order
-                    x = ante.pop()
-                    if x.__class__ is BInfix and x.op == "&&":
-                        ante.extend(reversed(x.items))
-                    else:
-                        neg.append(-self.lit(x))
-                self.assert_expr(b, tuple(neg))
-            else:  # x <-> AND(ys), or x <-> OR(ys) for s = -1, as in gate
+        op = e.op if e.__class__ is BInfix else None
+        raw = not lits and op == "implies" and len(e.items) == 2 and (
+            (a := e.items[0]).__class__ is str
+            or a.__class__ is BInfix and a.op == "&&" and {*map(type, a.items)} == {str})
+        if not (lits or raw):
+            e = simplify(e)
+            op = e.op if e.__class__ is BInfix else None
+        if op == "implies" or op == "eqv":  # a chain: last item against the rest
+            items, index = e.items, self.index
+            a, b = items if len(items) == 2 else (BInfix(op, items[:-1]), items[-1])
+            if op == "eqv":  # x <-> AND(ys), or x <-> OR(ys) for s = -1, as in gate
                 if a.__class__ is BInfix and a.op in ("&&", "||"):
                     a, b = b, a  # a junction goes right, to be expanded
                 x, s, ys = self.lit(a), 1, (b,)
@@ -315,12 +303,43 @@ class _CnfBuilder:
                 for y in ys:
                     self.add_clause(lits + (s * y, -s * x))
                 self.add_clause(lits + (s * x,) + tuple([-s * y for y in ys]))
-        elif cls is bool:
-            if not e:
-                self.add_clause(lits)
-        elif cls is BCard and not lits:
+            elif a.__class__ is str and b.__class__ is str:
+                self.add_clause(lits + (-index[a], index[b]))
+            else:
+                if a.__class__ is str:
+                    neg = lits + (-index[a],)
+                else:
+                    ante, neg = [a], list(lits)
+                    while ante:  # && items at any depth, in order
+                        x = ante.pop()
+                        if x.__class__ is BInfix and x.op == "&&":
+                            ante.extend(reversed(x.items))
+                        else:
+                            neg.append(-index[x] if x.__class__ is str else -self.lit(x))
+                    neg = tuple(neg)
+                ys = b.items if b.__class__ is BInfix and b.op == "&&" else (b,)
+                if raw:  # fold the items that are not names, as band would
+                    ys = [y if y.__class__ is str else simplify(y) for y in ys]
+                    if False in ys:  # the consequent is False: !antecedent
+                        ys, neg = (bnot(a),), lits
+                for y in ys:
+                    if y.__class__ is str:
+                        self.add_clause(neg + (index[y],))
+                    elif y is not True:
+                        self.assert_expr(y, neg)
+        elif op == "&&":
+            for x in e.items:
+                if x.__class__ is str:
+                    self.add_clause(lits + (self.index[x],))
+                else:
+                    self.assert_expr(x, lits)
+        elif op == "||":
+            self.add_clause(lits + tuple([self.lit(x) for x in e.items]))
+        elif e is False:
+            self.add_clause(lits)
+        elif e.__class__ is BCard and not lits:
             self.assert_card(e)
-        else:  # a name, a negation or a cardinality under lits
+        elif e is not True:  # a name, a negation or a cardinality under lits
             self.add_clause(lits + (self.lit(e),))
 
     def assert_card(self, e: BCard) -> None:
@@ -336,10 +355,11 @@ class _CnfBuilder:
 
 
 def to_cnf(f: PropFormula) -> Cnf:
-    """Clause form whose feature projections equal the formula's models."""
+    """Clause form whose feature projections equal the formula's models;
+    ``assert_expr`` folds all but the implications from names (see there)."""
     builder = _CnfBuilder(f.variables)
     for con in f.constraints:
-        builder.assert_expr(simplify(con.expr))
+        builder.assert_expr(con.expr)
     features, n = tuple(f.variables), builder.num_vars
     aux = [f"{AUX_PREFIX}{i}" for i in range(len(features) + 1, n + 1)]
     return Cnf(n, tuple(builder.clauses), features + tuple(aux))

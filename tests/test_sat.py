@@ -196,12 +196,82 @@ def test_top_level_implications_are_clauses(expr, cnf):
         # && in an antecedent widens the clause at any depth
         (implies(BInfix("&&", ("a", BInfix("&&", ("b", "c")))), "x"),
          Cnf(4, ((-1, -2, -3, 4),), ("a", "b", "c", "x"))),
+        # implications written in one step: a name or an && of names
+        # on the left, a name or an && on the right
+        (implies("x", "y"), Cnf(2, ((-1, 2),), ("x", "y"))),
+        (implies("x", band(["a", "b"])),
+         Cnf(3, ((1, -3), (2, -3)), ("a", "b", "x"))),
+        (implies(band(["a", "b"]), "x"),
+         Cnf(3, ((-1, -2, 3),), ("a", "b", "x"))),
+        # x implies x is a tautology, dropped
+        (implies("x", band(["p", "x"])), Cnf(2, ((1, -2),), ("p", "x"))),
+        # an item that is not a name is asserted under the prefix
+        (implies("x", band(["a", bor(["b", "c"])])),
+         Cnf(4, ((1, -4), (2, 3, -4)), ("a", "b", "c", "x"))),
+        # an item that folds to False makes the whole consequent False
+        (BInfix("implies", ("x", BInfix("&&", ("a", BInfix("&&", ("b", False)))))),
+         Cnf(3, ((-3,),), ("a", "b", "x"))),
     ],
     ids=["implies-eqv", "eqv-and", "or-eqv", "implies-eqv-and", "implies-or-eqv",
-         "nested-and-implies"],
+         "nested-and-implies", "name-implies-name", "name-implies-and",
+         "and-implies-name", "self-implication", "implies-and-with-or",
+         "implies-and-folding-to-false"],
 )
 def test_clause_level_eqv_and_antecedents_are_clauses(expr, cnf):
     assert to_cnf(_formula(expr)) == cnf
+
+
+def test_implications_give_the_cnf_of_their_clauses():
+    # an implication with a name or an && on each side, written by
+    # assert_expr in one step where its antecedent is a name or an && of
+    # names, gives the Cnf of the same constraint written as an && of ||
+    # clauses, which simplify and the generic branches encode; where the
+    # consequent folds to False, the constraint is the negated antecedent
+    rng = random.Random(34)
+    names = ("a", "b", "c", "d", "e")
+
+    def leaf():
+        r = rng.random()
+        if r < 0.15:
+            return r < 0.07  # False or True
+        name = rng.choice(names)
+        return BNot(name) if r < 0.3 else name
+
+    def item():  # a leaf, or an || or && of leaves
+        if rng.random() < 0.6:
+            return leaf()
+        return BInfix(rng.choice(["||", "&&"]), tuple(leaf() for _ in range(rng.randint(2, 3))))
+
+    def side(item):
+        if rng.random() < 0.3:
+            return rng.choice(names)
+        return BInfix("&&", tuple(item() for _ in range(rng.randint(2, 4))))
+
+    def parts(e, op):  # the items of an op chain, nested ones flattened
+        if e.__class__ is BInfix and e.op == op:
+            return [y for x in e.items for y in parts(x, op)]
+        return [e]
+
+    def as_clauses(ante, cons):
+        ante, cons = _fold_by_rebuilding(ante), _fold_by_rebuilding(cons)
+        if ante is False or cons is True:
+            return True
+        if cons is False:
+            return bnot(ante)
+        negs = [] if ante is True else [bnot(x) for x in parts(ante, "&&")]
+        return band([bor(negs + parts(y, "||")) for y in parts(cons, "&&")])
+
+    direct = folded = 0
+    for _ in range(1500):
+        # the antecedent is a name or an && of names half of the time
+        ante = side(item if rng.random() < 0.5 else lambda: rng.choice(names))
+        cons = side(item)
+        got = to_cnf(_formula(BInfix("implies", (ante, cons)), names=names))
+        assert got == to_cnf(_formula(as_clauses(ante, cons), names=names)), (ante, cons)
+        if ante.__class__ is str or all(x.__class__ is str for x in ante.items):
+            direct += 1
+            folded += _fold_by_rebuilding(cons) is False
+    assert direct > 900 and folded > 50
 
 
 def test_simplify_folds_constants():
