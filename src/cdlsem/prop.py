@@ -369,14 +369,11 @@ def build_formula(m: Model) -> PropFormula:
     for n in m:  # sorted by name
         parent = True if n.parent == TOP else n.parent
         goals = m.sorted_constraints(n.name)  # most nodes have none
-        ctc = [r for e in goals if (r := rewrite(e, m)) is not None] if goals else ()
+        rewritten = (rewrite(e, m) for e in goals) if goals else ()
+        ctc = [r for r in rewritten if r is not None]
         context = band([parent, *ctc]) if ctc else parent
         me = n.name
-        if context.__class__ is bool:
-            node = implies(me, context)
-        else:  # me is a name: the node implies would build
-            node = BInfix("implies", (me, context))
-        constraints.append(Constraint(n.name, "node", node))
+        constraints.append(Constraint(n.name, "node", implies(me, context)))
         if n.flavor in ("none", "data") and n.kind != "interface":
             constraints.append(Constraint(n.name, "flavor", implies(context, me)))
         if n.calculated is not None:

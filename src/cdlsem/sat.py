@@ -155,7 +155,10 @@ class _CnfBuilder:
             a, b = lits
             if a == -b:
                 return  # tautology
-            clause = (a,) if a == b else lits if abs(a) < abs(b) else (b, a)
+            if a == b:
+                clause = (a,)
+            else:
+                clause = (a, b) if abs(a) < abs(b) else (b, a)
         else:
             members = set(lits)
             for l in members:
@@ -269,19 +272,18 @@ class _CnfBuilder:
     def assert_expr(self, e: BoolExpr, lits: tuple[int, ...] = ()) -> None:
         """Clauses for ``e``, or with ``lits`` for ``OR(lits) || e``.
 
-        ``simplify`` folds ``e`` first unless ``lits`` are given (``e`` is
-        folded then) or ``e`` is an implication of two items from a name or an
-        ``&&`` of names, written in one step that folds just its consequent's
-        items that are not names; a ``False`` one leaves the negated
-        antecedent, as ``band`` would.  An ``&&`` asserts each item, and an
-        ``||`` is one clause of its items' literals.  A chain of ``implies`` or
-        ``eqv`` is its last item against the rest.  An ``implies`` widens each
-        item of an ``&&`` consequent by the negated antecedent, or by the
-        negated items of an ``&&`` one at any depth.  An ``eqv`` defines one
-        side by the other as a gate would, with no new variable: two clauses,
-        or k + 1 where one side is a k-item ``&&`` or ``||``.  Any other
-        subtree in a clause is one literal, a gate unless it is a negated or
-        plain name; nothing distributes.
+        A two-item implication from a name or an ``&&`` of names is written at
+        once: only its consequent items that are not names are folded, and a
+        ``False`` one leaves the negated antecedent.  ``simplify`` folds any
+        other ``e`` first; under ``lits``, ``e`` is folded already.  An ``&&``
+        asserts each item, and an ``||`` is one clause of its items' literals.
+        A chain of ``implies`` or ``eqv`` is its last item against the rest.
+        An ``implies`` widens each item of an ``&&`` consequent by the negated
+        antecedent, or by the negated items of an ``&&`` one at any depth.  An
+        ``eqv`` defines one side by the other as a gate would, with no new
+        variable: two clauses, or k + 1 where one side is a k-item ``&&`` or
+        ``||``.  Any other subtree in a clause is one literal, a gate unless it
+        is a name or a negated name; nothing distributes.
         """
         op = e.op if e.__class__ is BInfix else None
         raw = not lits and op == "implies" and len(e.items) == 2 and (
@@ -290,8 +292,9 @@ class _CnfBuilder:
         if not (lits or raw):
             e = simplify(e)
             op = e.op if e.__class__ is BInfix else None
+        index, ands = self.index, ()  # ands: items each asserted under lits
         if op == "implies" or op == "eqv":  # a chain: last item against the rest
-            items, index = e.items, self.index
+            items = e.items
             a, b = items if len(items) == 2 else (BInfix(op, items[:-1]), items[-1])
             if op == "eqv":  # x <-> AND(ys), or x <-> OR(ys) for s = -1, as in gate
                 if a.__class__ is BInfix and a.op in ("&&", "||"):
@@ -305,9 +308,9 @@ class _CnfBuilder:
                 self.add_clause(lits + (s * x,) + tuple([-s * y for y in ys]))
             elif a.__class__ is str and b.__class__ is str:
                 self.add_clause(lits + (-index[a], index[b]))
-            else:
+            else:  # the consequent under lits widened by the negated antecedent
                 if a.__class__ is str:
-                    neg = lits + (-index[a],)
+                    lits += (-index[a],)
                 else:
                     ante, neg = [a], list(lits)
                     while ante:  # && items at any depth, in order
@@ -315,24 +318,15 @@ class _CnfBuilder:
                         if x.__class__ is BInfix and x.op == "&&":
                             ante.extend(reversed(x.items))
                         else:
-                            neg.append(-index[x] if x.__class__ is str else -self.lit(x))
-                    neg = tuple(neg)
-                ys = b.items if b.__class__ is BInfix and b.op == "&&" else (b,)
+                            neg.append(-self.lit(x))
+                    lits = tuple(neg)
+                ands = b.items if b.__class__ is BInfix and b.op == "&&" else (b,)
                 if raw:  # fold the items that are not names, as band would
-                    ys = [y if y.__class__ is str else simplify(y) for y in ys]
-                    if False in ys:  # the consequent is False: !antecedent
-                        ys, neg = (bnot(a),), lits
-                for y in ys:
-                    if y.__class__ is str:
-                        self.add_clause(neg + (index[y],))
-                    elif y is not True:
-                        self.assert_expr(y, neg)
+                    ands = [y if y.__class__ is str else simplify(y) for y in ands]
+                    if False in ands:  # the consequent is False: !antecedent
+                        ands, lits = (bnot(a),), ()
         elif op == "&&":
-            for x in e.items:
-                if x.__class__ is str:
-                    self.add_clause(lits + (self.index[x],))
-                else:
-                    self.assert_expr(x, lits)
+            ands = e.items
         elif op == "||":
             self.add_clause(lits + tuple([self.lit(x) for x in e.items]))
         elif e is False:
@@ -341,6 +335,11 @@ class _CnfBuilder:
             self.assert_card(e)
         elif e is not True:  # a name, a negation or a cardinality under lits
             self.add_clause(lits + (self.lit(e),))
+        for y in ands:
+            if y.__class__ is str:
+                self.add_clause(lits + (index[y],))
+            elif y is not True:
+                self.assert_expr(y, lits)
 
     def assert_card(self, e: BCard) -> None:
         xs = [self.index[n] for n in e.names]
