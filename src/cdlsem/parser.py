@@ -39,6 +39,11 @@ values of several words are first joined into a text of their own.  Each
 list item is tokenized in place, so a long bare enumeration parses in
 linear time.
 
+Each ``parse_model`` call parses a value text once: a lookup, not a lane,
+in front of the ``legal_values`` list parse and the one-word goal parse.
+Only a parse that reported nothing is kept, and a later equal text gets
+that same immutable value; models repeat their values.
+
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
 """
@@ -659,6 +664,8 @@ class _ModelBuilder:
         self.src = src
         self.nodes: list[RawNode] = []
         self.diagnostics: list[ParseDiagnostic] = []
+        # silent parses by key: a list's words as a tuple, a goal word as a str
+        self.values: dict = {}
 
     def text(self, w: tuple) -> str:
         return self.src.text[w[1]:w[2]]
@@ -883,7 +890,12 @@ class _ModelBuilder:
                     src = _join_args(src, words)
                     words = _split_list_words(src)
                     values = [src.text[a:b] for _, a, b in words]
-                node.legal_values = _parse_list(src, values, words, self.diagnostics)
+                if (lst := self.values.get(key := tuple(values))) is None:
+                    mark = len(self.diagnostics)
+                    lst = _parse_list(src, values, words, self.diagnostics)
+                    if len(self.diagnostics) == mark:
+                        self.values[key] = lst
+                node.legal_values = lst
             except ParseError as err:
                 self.diagnostics.append(err.diagnostic)
             return cmd is not None or node.legal_values is not None
@@ -914,17 +926,24 @@ class _ModelBuilder:
 
     def parse_words(self, words: list) -> tuple[GoalExpr, ...] | None:
         """The goal expressions of the value ``words``, one word parsed in
-        place with its braces stripped, several joined; None if reported."""
+        place with its braces stripped, several joined; None if reported.
+        A one-word value's silent parse is kept under the word's text."""
         src, (_, a, b) = self.src, words[0]
         if len(words) > 1:
             src, a, b = _join_args(src, words), 0, None
+        elif (entry := self.values.get(key := src.text[a:b])) is not None:
+            return entry
         elif src.text[a] == "{":
             a, b = a + 1, b - 1
+        mark = len(self.diagnostics)
         try:
-            return tuple(_parse_expr_seq(src, self.diagnostics, a, b))
+            entry = tuple(_parse_expr_seq(src, self.diagnostics, a, b))
         except ParseError as err:
             self.diagnostics.append(err.diagnostic)
             return None
+        if len(words) == 1 and len(self.diagnostics) == mark:
+            self.values[key] = entry
+        return entry
 
     @staticmethod
     def store(node: RawNode, prop: str, entry) -> None:

@@ -357,7 +357,10 @@ class PropFormula:
 
 @functools.lru_cache(maxsize=128)
 def build_formula(m: Model) -> PropFormula:
-    """Conjunction of per-node Boolean constraints plus unloaded locks."""
+    """Conjunction of per-node Boolean constraints plus unloaded locks.
+
+    A goal object, which the parser may share between nodes, is rewritten
+    once per call, found by ``id``: the model keeps every goal alive."""
     violations = check_well_formed(m)
     if violations:
         raise FormulaError(
@@ -366,10 +369,17 @@ def build_formula(m: Model) -> PropFormula:
             + "; ".join(f"({v.rule}) {v.node}: {v.message}" for v in violations),
         )
     constraints: list[Constraint] = []
+    done: dict[int, BoolExpr | None] = {}  # id of a goal -> its rewrite
+
+    def once(e: GoalExpr) -> BoolExpr | None:
+        if (k := id(e)) not in done:
+            done[k] = rewrite(e, m)
+        return done[k]
+
     for n in m:  # sorted by name
         parent = True if n.parent == TOP else n.parent
         goals = m.sorted_constraints(n.name)  # most nodes have none
-        rewritten = (rewrite(e, m) for e in goals) if goals else ()
+        rewritten = map(once, goals) if goals else ()
         ctc = [r for r in rewritten if r is not None]
         context = band([parent, *ctc]) if ctc else parent
         me = n.name
@@ -377,7 +387,7 @@ def build_formula(m: Model) -> PropFormula:
         if n.flavor in ("none", "data") and n.kind != "interface":
             constraints.append(Constraint(n.name, "flavor", implies(context, me)))
         if n.calculated is not None:
-            target = rewrite(n.calculated, m)
+            target = once(n.calculated)
             if target is not None:
                 constraints.append(
                     Constraint(

@@ -29,6 +29,7 @@ from cdlsem import (
     parse_model,
     to_source,
 )
+from cdlsem import parser
 from cdlsem.exprs import PRECEDENCE, infix
 from cdlsem.model import RawNode
 from cdlsem.parser import (
@@ -866,6 +867,148 @@ _line_values = st.one_of(
 def test_plain_line_lane_matches_general_path(prop, value, place):
     line, split = f"{prop} {value}", f"{prop} \\\n{value}"
     assert _outcome(place.format(line)) == _outcome(place.format(split))
+
+
+# ---------------------------------------------------------------------------
+# shared values: one parse_model call parses each value text once
+
+
+class _NoStore(dict):
+    """A value table that keeps nothing, so every value is parsed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _parse_unshared(text):
+    """``parse_model(text)`` with every value parsed at each occurrence."""
+    init = parser._ModelBuilder.__init__
+
+    def fresh(self, src):
+        init(self, src)
+        self.values = _NoStore()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser._ModelBuilder, "__init__", fresh)
+        return parse_model(text, "m.cdl")
+
+
+_SHARED = """\
+cdl_option A {
+    legal_values 1 to 255
+    requires { B && C }
+    active_if !B
+    calculated { B && C }
+}
+cdl_option B {
+    legal_values 1 to 255
+    requires { B && C }
+    requires !B
+    legal_values 1 to 255
+}
+"""
+
+
+def _values(nodes):
+    """Every value object of ``nodes``: lists, goal tuples, expressions."""
+    out = []
+    for n in nodes:
+        for entry in [*n.requires, *n.active_if, n.calculated]:
+            out += [entry, *(entry or ())]
+        out.append(n.legal_values)
+    return [v for v in out if v is not None]
+
+
+def test_equal_value_texts_share_one_object():
+    nodes, diags = parse_model(_SHARED, "m.cdl")
+    a, b = nodes
+    assert [str(d) for d in diags] == ["m.cdl:11:5: error: duplicate legal_values property"]
+    assert a.legal_values is b.legal_values
+    assert a.requires[0] is a.calculated is b.requires[0]
+    assert a.active_if[0] is b.requires[1]
+    # a second parse builds its own values
+    again, _ = parse_model(_SHARED, "m.cdl")
+    assert again == nodes
+    assert not {id(v) for v in _values(nodes)} & {id(v) for v in _values(again)}
+    assert repr(_parse_unshared(_SHARED)) == repr((nodes, diags))
+
+
+def test_one_text_as_a_list_and_as_a_goal_keeps_its_kind():
+    text = (
+        "cdl_option A {\n legal_values A B\n requires {A B}\n calculated {1 to 5}\n}\n"
+        "cdl_option B {\n requires {A B}\n calculated { A B }\n legal_values 1 to 5\n}\n"
+    )
+    (a, b), diags = parse_model(text, "m.cdl")
+    assert diags == []
+    assert a.legal_values == ListExpr((Single(Ident("A")), Single(Ident("B"))))
+    assert a.requires == b.requires == [(Ident("A"), Ident("B"))]
+    assert a.calculated == (Const("1"), Ident("to"), Const("5"))
+    assert b.calculated == (Ident("A"), Ident("B"))
+    assert b.legal_values == ListExpr((Range(Const("1"), Const("5")),))
+
+
+def test_a_value_that_reports_is_reported_at_each_occurrence():
+    warns = '    requires { "a\\q" == B }\n    legal_values "x\\q" 2\n'
+    fails = "    requires { B && }\n    calculated !\n    legal_values 1 to\n"
+    text = "".join(
+        f"cdl_option {name} {{\n{body}}}\n"
+        for name, body in (("A", warns), ("B", warns), ("C", fails), ("D", fails))
+    )
+    nodes, diags = parse_model(text, "m.cdl")
+    assert [str(d) for d in diags] == [
+        "m.cdl:2:18: warning: unsupported escape \\q; kept literally",
+        "m.cdl:3:20: warning: unsupported escape \\q; kept literally",
+        "m.cdl:6:18: warning: unsupported escape \\q; kept literally",
+        "m.cdl:7:20: warning: unsupported escape \\q; kept literally",
+        "m.cdl:10:20: error: unexpected end of expression",
+        "m.cdl:11:16: error: unexpected end of expression",
+        "m.cdl:12:20: error: 'to' needs an upper bound",
+        "m.cdl:15:20: error: unexpected end of expression",
+        "m.cdl:16:16: error: unexpected end of expression",
+        "m.cdl:17:20: error: 'to' needs an upper bound",
+    ]
+    # a value that warns is kept, but not shared
+    a, b, c, d = nodes
+    assert a.requires == b.requires and a.requires[0] is not b.requires[0]
+    assert a.legal_values == b.legal_values and a.legal_values is not b.legal_values
+    assert c == RawNode("C", "option") and d == RawNode("D", "option")
+
+
+# node bodies that repeat value lines: lines that parse, lines that fail,
+# lines with an escape, one-word goals of the lane and of the general path,
+# and single properties given twice
+_VALUE_LINES = [
+    "legal_values 1 to 255", "legal_values 0 1 2", "legal_values A B",
+    "legal_values 1 to", "legal_values to 1", "legal_values implies",
+    'legal_values "x\\q" 2', 'legal_values "a" "b"', "legal_values {1 to 5}",
+    "legal_values (1 + 2) to 4", "legal_values 1 to 5",
+    "requires { A && B }", "requires {A B}", "requires !A", "requires { A && }",
+    "requires A&&B", 'requires { "a\\q" == A }', "requires A B", "requires {A B} {C}",
+    'requires "s"', "requires {1 to 5}", "requires (", "requires 0x1",
+    "active_if !A", "active_if { A && B }", "active_if {A B}",
+    "calculated { A && B }", "calculated !A", "calculated {1 to 5}",
+    "calculated { A && }", "calculated A B", "flavor bool", "flavor data",
+]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_VALUE_LINES), max_size=6),
+            st.sampled_from(["\n    ", "; "]),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_shared_values_match_a_parse_that_shares_nothing(bodies):
+    text = "".join(
+        f"cdl_option N{k} {{\n    {sep.join(lines)}\n}}\n"
+        for k, (lines, sep) in enumerate(bodies)
+    )
+    nodes, diags = parse_model(text, "m.cdl")
+    assert repr(_parse_unshared(text)) == repr((nodes, diags))
 
 
 _FUZZ_ALPHABET = "cdl_option{}\"\\#;\n\t ABC01&&||!?:()best_substr,"
