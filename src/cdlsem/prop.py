@@ -357,10 +357,7 @@ class PropFormula:
 
 @functools.lru_cache(maxsize=128)
 def build_formula(m: Model) -> PropFormula:
-    """Conjunction of per-node Boolean constraints plus unloaded locks.
-
-    A goal object, which the parser may share between nodes, is rewritten
-    once per call, found by ``id``: the model keeps every goal alive."""
+    """Conjunction of per-node Boolean constraints plus unloaded locks."""
     violations = check_well_formed(m)
     if violations:
         raise FormulaError(
@@ -369,17 +366,10 @@ def build_formula(m: Model) -> PropFormula:
             + "; ".join(f"({v.rule}) {v.node}: {v.message}" for v in violations),
         )
     constraints: list[Constraint] = []
-    done: dict[int, BoolExpr | None] = {}  # id of a goal -> its rewrite
-
-    def once(e: GoalExpr) -> BoolExpr | None:
-        if (k := id(e)) not in done:
-            done[k] = rewrite(e, m)
-        return done[k]
-
     for n in m:  # sorted by name
         parent = True if n.parent == TOP else n.parent
         goals = m.sorted_constraints(n.name)  # most nodes have none
-        rewritten = map(once, goals) if goals else ()
+        rewritten = (rewrite(e, m) for e in goals) if goals else ()
         ctc = [r for r in rewritten if r is not None]
         context = band([parent, *ctc]) if ctc else parent
         me = n.name
@@ -387,7 +377,7 @@ def build_formula(m: Model) -> PropFormula:
         if n.flavor in ("none", "data") and n.kind != "interface":
             constraints.append(Constraint(n.name, "flavor", implies(context, me)))
         if n.calculated is not None:
-            target = once(n.calculated)
+            target = rewrite(n.calculated, m)
             if target is not None:
                 constraints.append(
                     Constraint(
