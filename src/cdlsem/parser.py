@@ -37,12 +37,8 @@ place too, braces stripped; bare ``legal_values`` words without quotes,
 parentheses or braces are the list's words as they stand.  Only other
 values of several words are first joined into a text of their own.  Each
 list item is tokenized in place, so a long bare enumeration parses in
-linear time.
-
-Each ``parse_model`` call parses a value text once: a lookup, not a lane,
-in front of the ``legal_values`` list parse and the one-word goal parse.
-Only a parse that reported nothing is kept, and a later equal text gets
-that same immutable value; models repeat their values.
+linear time.  A lookup, not a lane, parses a list or one-word goal text
+once per file: a later equal text gets the first silent parse.
 
 ``parse_model`` never raises on malformed input; it reports problems as
 diagnostics.  The standalone expression entry points raise ``ParseError``.
@@ -445,7 +441,7 @@ class _ExprParser:
 
 def _parse_expr_seq(
     src: _Src, warnings: list | None = None, start: int = 0, stop: int | None = None
-) -> list[GoalExpr]:
+) -> tuple[GoalExpr, ...]:
     parser = _ExprParser(src, _tokenize_expr(src, warnings, start, stop), stop)
     out: list[GoalExpr] = []
     while parser.peek()[0] != "EOF":
@@ -453,7 +449,7 @@ def _parse_expr_seq(
     if not out:
         end = len(src.text) if stop is None else stop
         raise src.error(start, max(end, start + 1), "empty expression", stop)
-    return out
+    return tuple(out)
 
 
 def _parse_one_expr(
@@ -476,7 +472,7 @@ def parse_goal_expr(text: str, file: str = "<expr>") -> GoalExpr:
 
 def parse_goal_exprs(text: str, file: str = "<expr>") -> list[GoalExpr]:
     """Parse a whitespace enumeration of goal expressions (greedy)."""
-    return _parse_expr_seq(_standalone(text, file))
+    return list(_parse_expr_seq(_standalone(text, file)))
 
 
 # ---------------------------------------------------------------------------
@@ -890,12 +886,9 @@ class _ModelBuilder:
                     src = _join_args(src, words)
                     words = _split_list_words(src)
                     values = [src.text[a:b] for _, a, b in words]
-                if (lst := self.values.get(key := tuple(values))) is None:
-                    mark = len(self.diagnostics)
-                    lst = _parse_list(src, values, words, self.diagnostics)
-                    if len(self.diagnostics) == mark:
-                        self.values[key] = lst
-                node.legal_values = lst
+                node.legal_values = self.shared(
+                    tuple(values), _parse_list, src, values, words, self.diagnostics
+                )
             except ParseError as err:
                 self.diagnostics.append(err.diagnostic)
             return cmd is not None or node.legal_values is not None
@@ -926,24 +919,28 @@ class _ModelBuilder:
 
     def parse_words(self, words: list) -> tuple[GoalExpr, ...] | None:
         """The goal expressions of the value ``words``, one word parsed in
-        place with its braces stripped, several joined; None if reported.
-        A one-word value's silent parse is kept under the word's text."""
+        place with its braces stripped, several joined; None if reported."""
         src, (_, a, b) = self.src, words[0]
-        if len(words) > 1:
-            src, a, b = _join_args(src, words), 0, None
-        elif (entry := self.values.get(key := src.text[a:b])) is not None:
-            return entry
-        elif src.text[a] == "{":
-            a, b = a + 1, b - 1
-        mark = len(self.diagnostics)
         try:
-            entry = tuple(_parse_expr_seq(src, self.diagnostics, a, b))
+            if len(words) > 1:
+                return _parse_expr_seq(_join_args(src, words), self.diagnostics)
+            key = src.text[a:b]
+            if key[0] == "{":
+                a, b = a + 1, b - 1
+            return self.shared(key, _parse_expr_seq, src, self.diagnostics, a, b)
         except ParseError as err:
             self.diagnostics.append(err.diagnostic)
             return None
-        if len(words) == 1 and len(self.diagnostics) == mark:
-            self.values[key] = entry
-        return entry
+
+    def shared(self, key, parse, *args):
+        """``parse(*args)``, or the value of an earlier equal ``key``; only
+        a parse that reported nothing is kept."""
+        if (value := self.values.get(key)) is None:
+            mark = len(self.diagnostics)
+            value = parse(*args)
+            if len(self.diagnostics) == mark:
+                self.values[key] = value
+        return value
 
     @staticmethod
     def store(node: RawNode, prop: str, entry) -> None:

@@ -1,13 +1,12 @@
 """Boolean projection, rewriting and formula tests."""
 
-import copy
 import itertools
 import math
 import random
 
 import pytest
 
-from cdlsem import EvalError, FormulaError, ValidationError, normalize_model, parse_model
+from cdlsem import EvalError, FormulaError, ValidationError
 from cdlsem.exprs import Ident
 from cdlsem.model import TOP, Model, check_well_formed
 from cdlsem.parser import parse_goal_expr as pg
@@ -41,10 +40,10 @@ from cdlsem.semantics import (
     validate_configuration,
 )
 
-from cdlsem.sat import export_dimacs, to_cnf
+from cdlsem.sat import to_cnf
 
 from conftest import (
-    FIXTURES, fixture_paths, load_model, mk_model, perfbench_gen, random_model,
+    fixture_paths, load_model, mk_model, perfbench_gen, random_model,
 )
 
 
@@ -836,48 +835,3 @@ def test_other_leaves_raise_type_error(leaf):
             bool_to_source(e)
         with pytest.raises(TypeError):
             to_cnf(PropFormula((Constraint("a", "node", e),), ("a",)))
-
-
-def _unshared(nodes):
-    """Copies of the raw ``nodes`` in which no two values are one object."""
-    out = []
-    for n in nodes:
-        c = copy.copy(n)
-        c.requires = [copy.deepcopy(e) for e in n.requires]
-        c.active_if = [copy.deepcopy(e) for e in n.active_if]
-        c.calculated = copy.deepcopy(n.calculated)
-        c.legal_values = copy.deepcopy(n.legal_values)
-        out.append(c)
-    return out
-
-
-def _formula_outputs(nodes):
-    """``build_formula`` past its cache, with its text and its DIMACS."""
-    try:
-        f = build_formula.__wrapped__(normalize_model(nodes))
-    except FormulaError as err:
-        return str(err)
-    return f, formula_to_text(f), export_dimacs(to_cnf(f))
-
-
-def _goal_objects(nodes):
-    return [
-        e for n in nodes for e in (*n.requires, *n.active_if, n.calculated)
-        if e is not None
-    ]
-
-
-def test_shared_goals_give_the_formula_of_unshared_ones():
-    gen = perfbench_gen()
-    texts = [p.read_text() for p in sorted(FIXTURES.glob("*/*.cdl"))]
-    texts += [gen.generate(seed, 130).text for seed in (1, 2, 3)]
-    shared = 0
-    for text in texts:
-        nodes, _ = parse_model(text)
-        goals = _goal_objects(nodes)
-        shared += len(goals) - len({id(e) for e in goals})
-        copies = _unshared(nodes)
-        goals = _goal_objects(copies)
-        assert len({id(e) for e in goals}) == len(goals)
-        assert _formula_outputs(nodes) == _formula_outputs(copies)
-    assert shared > 15, shared
