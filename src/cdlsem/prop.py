@@ -242,7 +242,12 @@ _FLIP = {"==": "==", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
 def rewrite(e: GoalExpr, m: Model) -> BoolExpr | None:
-    """Partial translation into the Boolean fragment; None when undefined."""
+    """Partial translation into the Boolean fragment; None when undefined.
+
+    Every node is built by ``band``, ``bor``, ``bnot``, ``implies``,
+    ``eqv`` or ``choose``, so constants fold as the result is built: it is
+    a constant, or it has no constant anywhere below its top.
+    """
     if isinstance(e, Ident):
         return e.name if e.name in m else False
     if isinstance(e, Const):
@@ -264,7 +269,11 @@ def rewrite(e: GoalExpr, m: Model) -> BoolExpr | None:
             if r is None:
                 return None
             items.append(r)
-        return BInfix(e.op, tuple(items))
+        if e.op == "&&":
+            return band(items)
+        if e.op == "||":
+            return bor(items)
+        return functools.reduce(implies if e.op == "implies" else eqv, items)
     if isinstance(e, Cond):
         guard = rewrite(e.guard, m)
         then = rewrite(e.then, m)

@@ -5,8 +5,8 @@ clause; auxiliary variables exist only for subformulas nested inside a
 clause's literal, each defined both ways, so every model of the formula
 extends to exactly one model of the clauses: model counts carry over,
 and projections onto the feature variables are the formula's models.
-An implication from a name or an ``&&`` of names to a name or an ``&&``
-is written in one step; ``simplify`` folds every other constraint first.
+Formulas come folded, as ``prop.build_formula`` builds them, and nothing
+folds them again: a constant where a literal goes raises ``TypeError``.
 The solver is an iterative CDCL search with an explicit trail: two
 watched literals, first-UIP learning with backjumping, a move-to-front
 queue for decisions, and assumptions as the first decision levels.  The
@@ -41,12 +41,7 @@ from .prop import (
     BoolExpr,
     PropConfig,
     PropFormula,
-    band,
-    bnot,
-    bor,
     build_formula,
-    eqv as beqv,
-    implies as bimplies,
 )
 
 AUX_PREFIX = "#"
@@ -75,58 +70,6 @@ class SatResult:
         return self.status == "sat"
 
 
-def simplify(e: BoolExpr) -> BoolExpr:
-    """Constant folding; the result contains no reachable constants.
-
-    An expression with nothing to fold comes back as the same object; an
-    operator over plain names, or the negation of one, comes back at once.
-    """
-    cls = e.__class__
-    if cls is str or cls is bool:
-        return e
-    if cls is BNot:
-        child = e.child if e.child.__class__ is str else simplify(e.child)
-        if child is e.child and child.__class__ not in (BNot, bool):
-            return e
-        return bnot(child)
-    if cls is BInfix:
-        op, old = e.op, e.items
-        for x in old:
-            if x.__class__ is not str:
-                break
-        else:
-            return e
-        items = [x if x.__class__ is str else simplify(x) for x in old]
-        first = items[0]
-        if (
-            all(map(is_, items, old))
-            and bool not in map(type, items)
-            and (op in ("&&", "||") or first.__class__ is not BInfix or first.op != op)
-        ):
-            return e  # folding would neither drop an item nor flatten one
-        if op == "&&":
-            return band(items)
-        if op == "||":
-            return bor(items)
-        gate = bimplies if op == "implies" else beqv
-        acc = first
-        for x in items[1:]:
-            acc = gate(acc, x)
-        return acc
-    if cls is BCard:
-        n = len(e.names)
-        if e.at_least > n:
-            return False
-        hi = min(e.at_most, n)
-        if e.at_least == 0 and hi == n:
-            return True
-        if n == 1:
-            # single id: between-bounds degenerates to a literal
-            return e.names[0] if e.at_least == 1 else BNot(e.names[0])
-        return e if hi == e.at_most else BCard(e.names, e.at_least, hi)
-    raise TypeError(f"not a Boolean expression: {e!r}")
-
-
 class _CnfBuilder:
     """Clauses of asserted expressions, each gate encoded once.
 
@@ -139,6 +82,7 @@ class _CnfBuilder:
     names alone, or a ``BCard``, is its own key.  No lookup hashes a tree
     recursively, and subtrees of different shapes keep apart even where
     they share literals.  Aux variables are counted; ``to_cnf`` names them.
+    Expressions are folded: ``node`` raises ``TypeError`` on a constant.
     """
 
     def __init__(self, features: tuple[str, ...]):
@@ -272,26 +216,18 @@ class _CnfBuilder:
     def assert_expr(self, e: BoolExpr, lits: tuple[int, ...] = ()) -> None:
         """Clauses for ``e``, or with ``lits`` for ``OR(lits) || e``.
 
-        A two-item implication from a name or an ``&&`` of names is written at
-        once: only its consequent items that are not names are folded, and a
-        ``False`` one leaves the negated antecedent.  ``simplify`` folds any
-        other ``e`` first; under ``lits``, ``e`` is folded already.  An ``&&``
-        asserts each item, and an ``||`` is one clause of its items' literals.
-        A chain of ``implies`` or ``eqv`` is its last item against the rest.
-        An ``implies`` widens each item of an ``&&`` consequent by the negated
-        antecedent, or by the negated items of an ``&&`` one at any depth.  An
-        ``eqv`` defines one side by the other as a gate would, with no new
-        variable: two clauses, or k + 1 where one side is a k-item ``&&`` or
-        ``||``.  Any other subtree in a clause is one literal, a gate unless it
-        is a name or a negated name; nothing distributes.
+        ``e`` is folded: a constant only at the top of a constraint.  An
+        ``&&`` asserts each item, and an ``||`` is one clause of its items'
+        literals.  A chain of ``implies`` or ``eqv`` is its last item against
+        the rest.  An ``implies`` widens each item of an ``&&`` consequent by
+        the negated antecedent, or by the negated items of an ``&&`` one at
+        any depth; from a name to a name it is one clause.  An ``eqv`` defines
+        one side by the other as a gate would, with no new variable: two
+        clauses, or k + 1 where one side is a k-item ``&&`` or ``||``.  Any
+        other subtree in a clause is one literal, a gate unless it is a name
+        or a negated name; nothing distributes.
         """
         op = e.op if e.__class__ is BInfix else None
-        raw = not lits and op == "implies" and len(e.items) == 2 and (
-            (a := e.items[0]).__class__ is str
-            or a.__class__ is BInfix and a.op == "&&" and {*map(type, a.items)} == {str})
-        if not (lits or raw):
-            e = simplify(e)
-            op = e.op if e.__class__ is BInfix else None
         index, ands = self.index, ()  # ands: items each asserted under lits
         if op == "implies" or op == "eqv":  # a chain: last item against the rest
             items = e.items
@@ -321,10 +257,6 @@ class _CnfBuilder:
                             neg.append(-self.lit(x))
                     lits = tuple(neg)
                 ands = b.items if b.__class__ is BInfix and b.op == "&&" else (b,)
-                if raw:  # fold the items that are not names, as band would
-                    ands = [y if y.__class__ is str else simplify(y) for y in ands]
-                    if False in ands:  # the consequent is False: !antecedent
-                        ands, lits = (bnot(a),), ()
         elif op == "&&":
             ands = e.items
         elif op == "||":
@@ -338,7 +270,7 @@ class _CnfBuilder:
         for y in ands:
             if y.__class__ is str:
                 self.add_clause(lits + (index[y],))
-            elif y is not True:
+            else:
                 self.assert_expr(y, lits)
 
     def assert_card(self, e: BCard) -> None:
@@ -354,8 +286,9 @@ class _CnfBuilder:
 
 
 def to_cnf(f: PropFormula) -> Cnf:
-    """Clause form whose feature projections equal the formula's models;
-    ``assert_expr`` folds all but the implications from names (see there)."""
+    """Clause form whose feature projections equal the formula's models; the
+    constraints are folded, as ``build_formula`` and ``prop``'s constructors
+    build them (a ``BCard`` only by ``choose``).  See the module docstring."""
     builder = _CnfBuilder(f.variables)
     for con in f.constraints:
         builder.assert_expr(con.expr)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cdlsem import has_errors, normalize_model, parse_model
+from cdlsem.prop import BInfix, BNot, BoolExpr, band, bnot, bor, eqv, implies
 from cdlsem.sat import Cnf
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -73,6 +74,20 @@ def pigeonhole_cnf(pigeons: int, holes: int) -> Cnf:
                 clauses.append((-var(i1, j), -var(i2, j)))
     names = tuple(f"p{i}h{j}" for i in range(pigeons) for j in range(holes))
     return Cnf(pigeons * holes, tuple(clauses), names)
+
+
+def fold_by_rebuilding(e: BoolExpr) -> BoolExpr:
+    """Constant folding that rebuilds every node through the constructors,
+    as ``prop.rewrite`` builds formulas; a ``BCard`` is kept, as ``choose``
+    built it."""
+    if isinstance(e, BNot):
+        return bnot(fold_by_rebuilding(e.child))
+    if isinstance(e, BInfix):
+        items = [fold_by_rebuilding(x) for x in e.items]
+        if e.op in ("&&", "||"):
+            return (band if e.op == "&&" else bor)(items)
+        return functools.reduce(implies if e.op == "implies" else eqv, items)
+    return e  # a name, a constant or a BCard
 
 
 def mk_model(source: str, name: str = "<test>"):

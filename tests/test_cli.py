@@ -925,8 +925,9 @@ def _generated_golden_text(directory) -> str:
 
 def test_generated_model_output_is_pinned(tmp_path):
     # generated before the CNF encoder and the solver's clause loading
-    # changed, the parse runs before the one-pass front end; prop text,
-    # DIMACS, the parse output and the analyses' answers must not move
+    # changed, the parse runs before the one-pass front end, the prop text
+    # after rewrite began to fold constants; prop text, DIMACS, the parse
+    # output and the analyses' answers must not move
     assert _generated_golden_text(tmp_path) == GOLDEN_GENERATED.read_text()
 
 
@@ -1067,8 +1068,9 @@ def _validate_golden_text(directory) -> tuple[str, set]:
 
 def test_validate_output_is_pinned(tmp_path):
     # generated before validation became one lazy walk with explanations
-    # written only for the report; verdicts, failure order, explanations
-    # and exit codes must not move
+    # written only for the report, the --prop explanations after rewrite
+    # began to fold constants; verdicts, failure order, explanations and
+    # exit codes must not move
     text, seen = _validate_golden_text(tmp_path)
     assert str(tmp_path) not in text
     assert {((), f) for f in _FULL_FAMILIES | {"on-guard", "off-guard"}} <= seen

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cdlsem import EvalError, FormulaError, ValidationError
-from cdlsem.exprs import Ident
+from cdlsem.exprs import Cond, Const, Ident, Infix, Not
 from cdlsem.model import TOP, Model, check_well_formed
 from cdlsem.parser import parse_goal_expr as pg
 from cdlsem.prop import (
@@ -43,7 +43,8 @@ from cdlsem.semantics import (
 from cdlsem.sat import to_cnf
 
 from conftest import (
-    fixture_paths, load_model, mk_model, perfbench_gen, random_model,
+    fixture_paths, fold_by_rebuilding, load_model, mk_model, perfbench_gen,
+    random_model,
 )
 
 
@@ -247,7 +248,7 @@ def test_rewrite_connective_shapes():
     for text, want in [
         ("IMP_A && IMP_B && IMP_C", BInfix("&&", (a, b, c))),
         ("IMP_A && (IMP_B && IMP_C)", BInfix("&&", (a, BInfix("&&", (b, c))))),
-        ("IMP_A || GHOST || 1", BInfix("||", (a, False, True))),
+        ("IMP_A || GHOST || 1", True),
         ("IMP_A implies IMP_B implies IMP_C", BInfix("implies", (a, b, c))),
         (
             "IMP_A implies (IMP_B implies IMP_C)",
@@ -258,6 +259,40 @@ def test_rewrite_connective_shapes():
         assert rewrite(pg(text), IFACE_MODEL) == want, text
     assert rewrite(pg("IMP_A && IMP_B xor IMP_C"), IFACE_MODEL) is None
     assert rewrite(pg("IMP_A && !(IMP_B && IMP_C)"), IFACE_MODEL) is None
+
+
+def _random_goal(rng, depth):
+    """A goal over IFACE_MODEL's names, the unloaded GHOST and constants."""
+    if depth == 0 or rng.random() < 0.25:
+        roll = rng.random()
+        if roll < 0.25:
+            return Const(rng.choice(["0", "1", "2"]))
+        name = Ident(rng.choice(["IMP_A", "IMP_B", "PLAIN", "IFACE", "GHOST"]))
+        if roll < 0.45:  # interface comparisons among them
+            op = rng.choice(["==", "!=", ">", ">="])
+            return Infix(op, (name, Const(rng.choice(["0", "1", "2"]))))
+        return name
+    roll = rng.random()
+    if roll < 0.15:
+        return Not(_random_goal(rng, 0))
+    if roll < 0.3:
+        return Cond(*[_random_goal(rng, depth - 1) for _ in range(3)])
+    op = rng.choice(["&&", "||", "implies", "eqv"])
+    return Infix(op, tuple(_random_goal(rng, depth - 1) for _ in range(rng.randint(2, 4))))
+
+
+def test_rewrite_builds_folded_formulas():
+    # rewrite builds every node through the constructors, so rebuilding
+    # the result through them again changes nothing
+    rng = random.Random(36)
+    checked = 0
+    for _ in range(3000):
+        e = _random_goal(rng, 3)
+        r = rewrite(e, IFACE_MODEL)
+        if r is not None:
+            assert fold_by_rebuilding(r) == r, e
+            checked += r.__class__ is not bool
+    assert checked > 800
 
 
 def test_rewrite_comparison_needs_two_operands():
@@ -804,6 +839,37 @@ def test_formula_leaves_are_feature_names_and_bools():
                 ), (con, leaf)
                 seen[leaf.__class__] += 1
     assert seen[str] > 5000 and seen[bool] > 100, seen
+
+
+def test_formula_has_no_constant_below_its_top():
+    gen = perfbench_gen()
+    models = [load_model(p) for p in fixture_paths("analysis", "family", "sound", "wf")]
+    models += [
+        mk_model(gen.generate(seed, size).text)
+        for seed in (1, 2, 3, 101, 1005)
+        for size in (36, 130, 500, 1000, 2000)
+    ]
+    nodes = 0
+    for m in models:
+        if check_well_formed(m):
+            continue
+        for con in build_formula(m).constraints:
+            stack = [con.expr]
+            while stack:
+                e = stack.pop()
+                below = e.items if e.__class__ is BInfix else (e.child,) if e.__class__ is BNot else ()
+                assert bool not in map(type, below), con
+                stack.extend(below)
+                nodes += 1
+    assert nodes > 80_000, nodes
+
+
+@pytest.mark.parametrize(
+    "e", [BInfix("||", ("a", True)), BNot(False)], ids=["or-true", "not-false"]
+)
+def test_to_cnf_rejects_a_constant_below_the_top(e):
+    with pytest.raises(TypeError):
+        to_cnf(PropFormula((Constraint("a", "node", e),), ("a",)))
 
 
 def test_degenerate_input_gives_a_bool():

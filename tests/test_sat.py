@@ -21,6 +21,7 @@ from cdlsem.prop import (
     bnot,
     bor,
     build_formula,
+    choose,
     enumerate_prop_configs,
     eqv,
     eval_p,
@@ -37,7 +38,6 @@ from cdlsem.sat import (
     model_cnf,
     model_sat,
     parse_dimacs,
-    simplify,
     solve,
     to_cnf,
 )
@@ -45,6 +45,7 @@ from cdlsem.sat import (
 from conftest import (
     brute_cnf_status,
     fixture_paths,
+    fold_by_rebuilding,
     load_model,
     mk_model,
     perfbench_gen,
@@ -218,15 +219,16 @@ def test_top_level_implications_are_clauses(expr, cnf):
          "implies-and-folding-to-false"],
 )
 def test_clause_level_eqv_and_antecedents_are_clauses(expr, cnf):
-    assert to_cnf(_formula(expr)) == cnf
+    # to_cnf takes the formula folded, over the names of the one written
+    assert to_cnf(_formula(fold_by_rebuilding(expr), names=cnf.feature_names())) == cnf
 
 
 def test_implications_give_the_cnf_of_their_clauses():
-    # an implication with a name or an && on each side, written by
-    # assert_expr in one step where its antecedent is a name or an && of
-    # names, gives the Cnf of the same constraint written as an && of ||
-    # clauses, which simplify and the generic branches encode; where the
-    # consequent folds to False, the constraint is the negated antecedent
+    # an implication with a name or an && on each side, folded as
+    # build_formula folds it and written by assert_expr in one step where
+    # its antecedent is a name or an && of names, gives the Cnf of the same
+    # constraint written as an && of || clauses; where the consequent folds
+    # to False, the constraint is the negated antecedent
     rng = random.Random(34)
     names = ("a", "b", "c", "d", "e")
 
@@ -253,7 +255,7 @@ def test_implications_give_the_cnf_of_their_clauses():
         return [e]
 
     def as_clauses(ante, cons):
-        ante, cons = _fold_by_rebuilding(ante), _fold_by_rebuilding(cons)
+        ante, cons = fold_by_rebuilding(ante), fold_by_rebuilding(cons)
         if ante is False or cons is True:
             return True
         if cons is False:
@@ -266,66 +268,12 @@ def test_implications_give_the_cnf_of_their_clauses():
         # the antecedent is a name or an && of names half of the time
         ante = side(item if rng.random() < 0.5 else lambda: rng.choice(names))
         cons = side(item)
-        got = to_cnf(_formula(BInfix("implies", (ante, cons)), names=names))
+        got = to_cnf(_formula(fold_by_rebuilding(BInfix("implies", (ante, cons))), names=names))
         assert got == to_cnf(_formula(as_clauses(ante, cons), names=names)), (ante, cons)
         if ante.__class__ is str or all(x.__class__ is str for x in ante.items):
             direct += 1
-            folded += _fold_by_rebuilding(cons) is False
+            folded += fold_by_rebuilding(cons) is False
     assert direct > 900 and folded > 50
-
-
-def test_simplify_folds_constants():
-    e = BInfix("&&", (True, BInfix("||", ("a", False))))
-    assert simplify(e) == "a"
-    assert simplify(BNot(False)) is True
-    assert simplify(BCard(("a", "b"), 0, 2)) is True
-    assert simplify(BCard(("a", "b"), 3, 3)) is False
-
-
-def _fold_by_rebuilding(e: BoolExpr) -> BoolExpr:
-    """Constant folding that rebuilds every node through the smart
-    constructors; ``simplify`` must give an equal result."""
-    if isinstance(e, (str, bool)):
-        return e
-    if isinstance(e, BNot):
-        return bnot(_fold_by_rebuilding(e.child))
-    if isinstance(e, BInfix):
-        items = [_fold_by_rebuilding(x) for x in e.items]
-        if e.op in ("&&", "||"):
-            return (band if e.op == "&&" else bor)(items)
-        gate = implies if e.op == "implies" else eqv
-        acc = items[0]
-        for x in items[1:]:
-            acc = gate(acc, x)
-        return acc
-    n, hi = len(e.names), min(e.at_most, len(e.names))
-    if e.at_least > n:
-        return False
-    if e.at_least == 0 and hi == n:
-        return True
-    if n == 1:
-        return e.names[0] if e.at_least == 1 else BNot(e.names[0])
-    return BCard(e.names, e.at_least, hi)
-
-
-def test_simplify_equals_rebuilding_and_keeps_what_does_not_fold():
-    rng = random.Random(5)
-    names = ("a", "b", "c", "d")
-    kept = 0
-    for _ in range(3000):
-        e = _random_bool_expr(rng, names, depth=4)
-        if rng.random() < 0.2:
-            e = BNot(BNot(e))
-        if rng.random() < 0.2:  # a chain whose first item is a chain of its op
-            op = rng.choice(["implies", "eqv"])
-            e = BInfix(op, (BInfix(op, (e, "a")), "b"))
-        got = simplify(e)
-        assert got == _fold_by_rebuilding(e), e
-        # nothing to fold: the same object, so no node is rebuilt
-        assert (got is e) == (got == e), e
-        kept += got is e
-    assert kept > 300
-    assert simplify(BCard(("a", "b", "c"), 1, 5)) == BCard(("a", "b", "c"), 1, 3)
 
 
 def _random_bool_expr(rng, names, depth=3) -> BoolExpr:
@@ -336,10 +284,10 @@ def _random_bool_expr(rng, names, depth=3) -> BoolExpr:
         if choice < 0.8:
             return bool(rng.randint(0, 1))
         k = rng.randint(1, min(4, len(names)))
-        ids = tuple(sorted(rng.sample(names, k)))
+        ids = rng.sample(names, k)
         lo = rng.randint(0, k)
         hi = rng.randint(lo, k)
-        return BCard(ids, lo, hi)
+        return choose(ids, lo, hi)
     op = rng.choice(["||", "&&", "implies", "eqv", "not"])
     if op == "not":
         return BNot(_random_bool_expr(rng, names, depth - 1))
@@ -358,12 +306,11 @@ def test_to_cnf_projections_match_formula_models():
             _random_bool_expr(rng, names)
             for _ in range(rng.randint(1, 3))
         ]
-        formula = _formula(*exprs, names=names)
-        cnf = to_cnf(formula)
+        cnf = to_cnf(_formula(*map(fold_by_rebuilding, exprs), names=names))
         table = cnf.var_table()
         for bits in itertools.product((0, 1), repeat=nfeat):
             cp = PropConfig(zip(names, bits))
-            formula_ok = all(eval_p(c.expr, cp) for c in formula.constraints)
+            formula_ok = all(eval_p(e, cp) for e in exprs)
             assumps = tuple(
                 table[n] if b else -table[n] for n, b in zip(names, bits)
             )
@@ -424,7 +371,7 @@ def test_cnf_has_as_many_models_as_the_formula():
         exprs = [_random_bool_expr(rng, names, depth=2) for _ in range(rng.randint(1, 2))]
         if rng.random() < 0.7:
             exprs.append(rng.choice(shapes)())
-        cnf = to_cnf(_formula(*exprs, names=names))
+        cnf = to_cnf(_formula(*map(fold_by_rebuilding, exprs), names=names))
         if cnf.num_vars > 20:
             continue
         checked += 1
